@@ -18,9 +18,9 @@ from .analytics import (
 from .downstream import (
     WeightFunction,
     compare_misallocation,
-    make_tract_privatizer,
     misallocation_stats,
     proportions,
+    tract_release,
     weighted_shares,
 )
 from .evaluation import (
@@ -46,7 +46,6 @@ from .hierarchy import (
 from .release import (
     PrivatizedHierarchy,
     enforce_consistency,
-    laplace_sample,
     project_children,
     release_no_hier,
 )
@@ -70,10 +69,8 @@ __all__ = [
     "compare_allocations",
     "compare_misallocation",
     "enforce_consistency",
-    "laplace_sample",
     "level_marginal",
     "level_stats",
-    "make_tract_privatizer",
     "misallocation_stats",
     "monte_carlo_moments",
     "mse",
@@ -85,6 +82,7 @@ __all__ = [
     "serialize_hierarchy",
     "skewness_bias_curve",
     "synth_hierarchy",
+    "tract_release",
     "uniform_allocation",
     "variance",
     "weight_sweep",

@@ -38,6 +38,7 @@ from .evaluation import (
 )
 from .hierarchy import (
     Hierarchy,
+    LevelStats,
     SynthSpec,
     level_stats,
     parse_hierarchy,
@@ -69,6 +70,20 @@ class RunConfig:
     weight_fns: tuple[WeightFunction, ...] = ()
     prior: Optional[Hierarchy] = None
     prior_given: bool = False
+
+    def level_weights(self) -> tuple[float, ...]:
+        return self.weights or (1.0,) * self.hierarchy.depth
+
+    def prior_stats(self) -> LevelStats:
+        """Counts that drive the allocation: the prior if given, else
+        the input itself."""
+        stats = level_stats(self.prior if self.prior is not None else self.hierarchy)
+        if stats.depth != self.hierarchy.depth:
+            raise DataError(
+                f"prior depth {stats.depth} does not match input depth "
+                f"{self.hierarchy.depth}"
+            )
+        return stats
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
@@ -119,25 +134,40 @@ def _load_hierarchy(
     )
 
 
-def _resolve_weights(weights: Optional[str], depth: int) -> tuple[float, ...]:
-    if weights is None:
-        return (1.0,) * depth
-    return _parse_floats(weights, "--weights")
+def _config(
+    input_path: Optional[str],
+    synth: bool,
+    synth_seed: int,
+    synth_levels: int,
+    synth_fanouts: Optional[str],
+    synth_mu: float,
+    synth_sigma: float,
+    weights: Optional[str],
+    prior_path: Optional[str],
+    **fields,
+) -> RunConfig:
+    """RunConfig from the shared input, weight and prior flags; the
+    command's own resolved flags pass through as ``fields``."""
+    h = _load_hierarchy(input_path, synth, synth_seed, synth_levels,
+                        synth_fanouts, synth_mu, synth_sigma)
+    return RunConfig(
+        hierarchy=h,
+        weights=_parse_floats(weights, "--weights") if weights is not None else None,
+        prior=parse_hierarchy(Path(prior_path).read_text(encoding="utf-8"))
+        if prior_path
+        else None,
+        prior_given=prior_path is not None,
+        **fields,
+    )
 
 
 def _allocate(config: RunConfig) -> BudgetAllocation:
     if (config.eps_total is None) == (config.tau is None):
         raise click.UsageError("give exactly one of --eps-total or --tau")
-    prior = config.prior if config.prior is not None else config.hierarchy
     if not config.prior_given:
         click.echo(PRIOR_WARNING, err=True)
-    stats = level_stats(prior)
-    if stats.depth != config.hierarchy.depth:
-        raise DataError(
-            f"prior depth {stats.depth} does not match input depth "
-            f"{config.hierarchy.depth}"
-        )
-    weights = config.weights or (1.0,) * config.hierarchy.depth
+    stats = config.prior_stats()
+    weights = config.level_weights()
     if config.eps_total is not None:
         return allocate_fixed_budget(stats, weights, config.eps_total)
     return allocate_target_mse(stats, weights, config.tau)
@@ -148,6 +178,14 @@ def _emit(text: str, output: Optional[str]) -> None:
         click.echo(text, nl=False)
     else:
         Path(output).write_text(text, encoding="utf-8")
+
+
+def _write_files(out_dir: str, files: dict[str, str]) -> None:
+    directory = Path(out_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, text in sorted(files.items()):
+        (directory / name).write_text(text, encoding="utf-8")
+        click.echo(f"wrote {directory / name}")
 
 
 def _json_dumps(obj) -> str:
@@ -171,8 +209,8 @@ def cmd_release(config: RunConfig) -> tuple[str, str]:
 
 def cmd_evaluate(config: RunConfig, eps_grid: Sequence[float]) -> dict[str, str]:
     h = config.hierarchy
-    stats = level_stats(config.prior if config.prior is not None else h)
-    weights = config.weights or (1.0,) * h.depth
+    stats = config.prior_stats()
+    weights = config.level_weights()
 
     curve = io.StringIO()
     writer = csv.writer(curve, lineterminator="\n")
@@ -310,26 +348,9 @@ def main(threads: int) -> None:
 @_input_options
 @_budget_options
 @click.option("-o", "--output", type=str, default="-", show_default=True)
-def allocate_cmd(input_path, synth, synth_seed, synth_levels, synth_fanouts,
-                 synth_mu, synth_sigma, eps_total, tau, weights, prior_path, output):
+def allocate_cmd(output, **flags):
     """Solve the budget split and emit it as JSON."""
-
-    def body():
-        h = _load_hierarchy(input_path, synth, synth_seed, synth_levels,
-                            synth_fanouts, synth_mu, synth_sigma)
-        config = RunConfig(
-            hierarchy=h,
-            eps_total=eps_total,
-            tau=tau,
-            weights=_resolve_weights(weights, h.depth),
-            prior=parse_hierarchy(Path(prior_path).read_text(encoding="utf-8"))
-            if prior_path
-            else None,
-            prior_given=prior_path is not None,
-        )
-        _emit(cmd_allocate(config), output)
-
-    _run(body)
+    _run(lambda: _emit(cmd_allocate(_config(**flags)), output))
 
 
 @main.command("release")
@@ -340,33 +361,13 @@ def allocate_cmd(input_path, synth, synth_seed, synth_levels, synth_fanouts,
 @click.option("--out-prefix", type=str, default="release", show_default=True,
               help="Writes PREFIX.csv and PREFIX.json under --out-dir.")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".", show_default=True)
-def release_cmd(input_path, synth, synth_seed, synth_levels, synth_fanouts,
-                synth_mu, synth_sigma, eps_total, tau, weights, prior_path,
-                seed, hier, out_prefix, out_dir):
+def release_cmd(out_prefix, out_dir, **flags):
     """Privatize a hierarchy: noisy CSV plus a JSON sidecar."""
 
     def body():
-        h = _load_hierarchy(input_path, synth, synth_seed, synth_levels,
-                            synth_fanouts, synth_mu, synth_sigma)
-        config = RunConfig(
-            hierarchy=h,
-            eps_total=eps_total,
-            tau=tau,
-            weights=_resolve_weights(weights, h.depth),
-            seed=seed,
-            hier=hier,
-            prior=parse_hierarchy(Path(prior_path).read_text(encoding="utf-8"))
-            if prior_path
-            else None,
-            prior_given=prior_path is not None,
-        )
-        csv_text, sidecar = cmd_release(config)
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{out_prefix}.csv").write_text(csv_text, encoding="utf-8")
-        (directory / f"{out_prefix}.json").write_text(sidecar, encoding="utf-8")
-        click.echo(f"wrote {directory / (out_prefix + '.csv')}")
-        click.echo(f"wrote {directory / (out_prefix + '.json')}")
+        csv_text, sidecar = cmd_release(_config(**flags))
+        _write_files(out_dir, {f"{out_prefix}.csv": csv_text,
+                               f"{out_prefix}.json": sidecar})
 
     _run(body)
 
@@ -382,31 +383,12 @@ def release_cmd(input_path, synth, synth_seed, synth_levels, synth_fanouts,
 @click.option("--replicates", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(file_okay=False), default="evaluation", show_default=True)
-def evaluate_cmd(input_path, synth, synth_seed, synth_levels, synth_fanouts,
-                 synth_mu, synth_sigma, eps_total, eps_grid, weights, prior_path,
-                 replicates, seed, out_dir):
+def evaluate_cmd(eps_grid, out_dir, **flags):
     """Optimized-versus-uniform comparison report and plot data."""
 
     def body():
-        h = _load_hierarchy(input_path, synth, synth_seed, synth_levels,
-                            synth_fanouts, synth_mu, synth_sigma)
-        config = RunConfig(
-            hierarchy=h,
-            eps_total=eps_total,
-            weights=_resolve_weights(weights, h.depth),
-            replicates=replicates,
-            seed=seed,
-            prior=parse_hierarchy(Path(prior_path).read_text(encoding="utf-8"))
-            if prior_path
-            else None,
-            prior_given=prior_path is not None,
-        )
-        files = cmd_evaluate(config, _parse_floats(eps_grid, "--eps-grid"))
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        for name, text in sorted(files.items()):
-            (directory / name).write_text(text, encoding="utf-8")
-            click.echo(f"wrote {directory / name}")
+        config = _config(**flags)
+        _write_files(out_dir, cmd_evaluate(config, _parse_floats(eps_grid, "--eps-grid")))
 
     _run(body)
 

@@ -19,15 +19,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .allocator import allocate_fixed_budget, uniform_allocation
 from .errors import DegenerateWeights, DomainError, ZeroTotal
 from .hierarchy import HierNode, Hierarchy, level_stats
-from .release import enforce_consistency, release_no_hier
-from .rng import derive_seed
+from .release import ReleaseEngine
 
 
 class WeightFunction(enum.Enum):
@@ -113,45 +112,42 @@ class MisallocationStats:
 
 def misallocation_stats(
     true_counts: Sequence[float],
-    privatize_fn: Callable[[int], np.ndarray],
+    noisy_counts: np.ndarray,
     w: WeightFunction,
-    replicates: int,
-    seed: int,
 ) -> MisallocationStats:
-    """Replicate the privatization and accumulate share errors.
+    """Share errors of privatized against true counts, accumulated over
+    replicates.
 
-    ``privatize_fn`` receives a per-replicate seed derived from
-    ``(seed, replicate)`` and returns noisy group counts; passing the
-    same ``seed`` to several arms reuses identical noise (common random
-    numbers). Replicates whose noisy counts clamp to an all-zero vector
-    cannot form shares; they are excluded and counted, never imputed.
+    ``noisy_counts`` holds one replicate's nonnegative group counts per
+    row (see :func:`tract_release`). Rows whose counts clamp to an
+    all-zero vector cannot form shares; they are excluded and counted,
+    never imputed.
     """
-    if replicates < 1000:
-        raise DomainError(f"replicates must be >= 1000, got {replicates}")
     true_shares = weighted_shares(true_counts, w)
     n = len(true_shares)
-
-    errors = np.empty((replicates, n))
-    props = np.empty((replicates, n))
-    kept = 0
-    excluded = 0
-    for r in range(replicates):
-        noisy = privatize_fn(derive_seed(seed, r))
-        try:
-            p = proportions(noisy)
-            shares = weighted_shares(noisy, w)
-        except (ZeroTotal, DegenerateWeights):
-            excluded += 1
-            continue
-        props[kept] = p
-        errors[kept] = 100.0 * (shares - true_shares)
-        kept += 1
+    noisy = np.asarray(noisy_counts, dtype=float)
+    if noisy.ndim != 2 or noisy.shape[1] != n:
+        raise DomainError(
+            f"noisy counts must have one row per replicate and {n} "
+            f"columns, got shape {noisy.shape}"
+        )
+    replicates = noisy.shape[0]
+    if replicates < 1000:
+        raise DomainError(f"replicates must be >= 1000, got {replicates}")
+    if not (noisy >= 0).all():
+        raise DomainError("noisy counts must be nonnegative")
+    totals = noisy.sum(axis=1)
+    usable = totals > 0
+    kept = int(usable.sum())
+    excluded = replicates - kept
     if kept < 2:
         raise DegenerateWeights(
             f"only {kept} usable replicates out of {replicates}"
         )
-    errors = errors[:kept]
-    props = props[:kept]
+    props = noisy[usable] / totals[usable, None]
+    weighted = w.apply(props)
+    shares = weighted / weighted.sum(axis=1, keepdims=True)
+    errors = 100.0 * (shares - true_shares)
 
     mean_err = errors.mean(axis=0)
     var_err = errors.var(axis=0, ddof=1)
@@ -170,7 +166,6 @@ def misallocation_stats(
         max(4.0 * float(mean_err @ np.atleast_2d(cov) @ mean_err), 0.0) / kept
     )
 
-    weighted = w.apply(props)
     jensen_gap = float(
         np.sum(weighted.mean(axis=0) - w.apply(props.mean(axis=0)))
     )
@@ -194,18 +189,21 @@ ARM_OPTIMIZED = "optimized"
 ARM_UNIFORM = "uniform"
 
 
-def make_tract_privatizer(
+def tract_release(
     block_counts: Sequence[float],
     eps_total: float,
+    replicates: int,
+    seed: int,
     arm: str = ARM_OPTIMIZED,
-) -> Callable[[int], np.ndarray]:
-    """Privatization recipe for one tract's blocks.
+) -> np.ndarray:
+    """Consistent privatized block counts of one tract, one replicate
+    per row.
 
     Builds the two-level tract hierarchy (total over blocks), allocates
-    the budget once (evenly split across levels for the uniform arm,
-    optimally otherwise), and returns a closure that releases with
-    clamping, projects the blocks onto the noisy total, and hands back
-    the adjusted block counts. Arms differ only in the allocation step.
+    the budget (evenly split across levels for the uniform arm,
+    optimally otherwise), releases every replicate with clamping and
+    projects the blocks onto the noisy total. Arms differ only in the
+    allocation step, so equal seeds give common random numbers.
     """
     blocks = np.asarray(block_counts, dtype=float)
     if blocks.ndim != 1 or blocks.size == 0:
@@ -217,7 +215,6 @@ def make_tract_privatizer(
         for j, c in enumerate(blocks)
     ]
     h = Hierarchy(nodes)
-    block_ids = h.level_ids(2)
 
     if arm == ARM_OPTIMIZED:
         alloc = allocate_fixed_budget(level_stats(h), (1.0, 1.0), eps_total)
@@ -226,13 +223,8 @@ def make_tract_privatizer(
     else:
         raise DomainError(f"unknown arm {arm!r}")
 
-    def privatize(release_seed: int) -> np.ndarray:
-        released = enforce_consistency(
-            release_no_hier(h, alloc, release_seed)
-        )
-        return np.array([released.values[i] for i in block_ids])
-
-    return privatize
+    engine = ReleaseEngine(h, alloc)
+    return engine.apply_consistency(engine.noisy(seed, 0, replicates))[2]
 
 
 def compare_misallocation(
@@ -242,12 +234,13 @@ def compare_misallocation(
     replicates: int,
     seed: int,
 ) -> dict[str, dict[str, MisallocationStats]]:
-    """Both arms under every weight function, common random numbers."""
+    """Both arms under every weight function, common random numbers:
+    one release matrix per arm, scored by every weight function."""
     report: dict[str, dict[str, MisallocationStats]] = {}
     for arm in (ARM_OPTIMIZED, ARM_UNIFORM):
-        fn = make_tract_privatizer(block_counts, eps_total, arm)
+        noisy = tract_release(block_counts, eps_total, replicates, seed, arm)
         report[arm] = {
-            w.value: misallocation_stats(block_counts, fn, w, replicates, seed)
+            w.value: misallocation_stats(block_counts, noisy, w)
             for w in weight_fns
         }
     return report

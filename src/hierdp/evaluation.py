@@ -27,8 +27,7 @@ from .allocator import (
 from .analytics import mse_sum
 from .errors import AllocationMismatch, DomainError, InvalidSplit
 from .hierarchy import Hierarchy, LevelStats, level_stats
-from .release import project_rows
-from .rng import centered_uniform_matrix, node_keys, standard_laplace
+from .release import ReleaseEngine
 
 EPS_GRID_DEFAULT = (0.1, 0.25, 0.5, 1.0, 1.5, 2.0)
 
@@ -82,62 +81,6 @@ class ComparisonReport:
             "bias_sq_ratio_uniform_over_optimized": self.bias_sq_ratio,
             "variance_ratio_uniform_over_optimized": self.variance_ratio,
         }
-
-
-class _ReleaseSampler:
-    """Vectorized replicate machine for one (hierarchy, allocation)."""
-
-    def __init__(self, h: Hierarchy, alloc: BudgetAllocation):
-        if len(alloc.eps) != h.depth:
-            raise AllocationMismatch(
-                f"allocation has {len(alloc.eps)} levels, hierarchy {h.depth}"
-            )
-        self.h = h
-        self.alloc = alloc
-        self.levels = [
-            lv for lv in range(1, h.depth + 1) if alloc.eps[lv - 1] > 0
-        ]
-        self.keys = {lv: node_keys(h.level_ids(lv)) for lv in self.levels}
-        self.counts = {lv: h.level_counts(lv) for lv in self.levels}
-        # per parent: (position of parent in its level, child columns)
-        self.families = {}
-        if self.levels == list(range(1, h.depth + 1)):
-            for lv in range(1, h.depth):
-                child_pos = {
-                    nid: j for j, nid in enumerate(h.level_ids(lv + 1))
-                }
-                fams = []
-                for i, pid in enumerate(h.level_ids(lv)):
-                    cols = np.array(
-                        [child_pos[c] for c in h.children_of(pid)], dtype=int
-                    )
-                    fams.append((i, cols))
-                self.families[lv] = fams
-
-    def noisy_chunk(self, seed: int, rep_lo: int, rep_hi: int) -> dict[int, np.ndarray]:
-        """Clamped noisy counts per level, shape (reps, nodes)."""
-        out = {}
-        for lv in self.levels:
-            scale = 1.0 / self.alloc.eps[lv - 1]
-            noise = standard_laplace(
-                centered_uniform_matrix(seed, self.keys[lv], rep_lo, rep_hi)
-            )
-            out[lv] = np.maximum(0.0, self.counts[lv][None, :] + scale * noise)
-        return out
-
-    def apply_consistency(self, noisy: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        if not self.families and self.h.depth > 1:
-            raise AllocationMismatch(
-                "consistency pass requires every level released"
-            )
-        adjusted = {self.levels[0]: noisy[self.levels[0]]}
-        for lv in range(1, self.h.depth):
-            child = noisy[lv + 1].copy()
-            parent = adjusted[lv]
-            for i, cols in self.families[lv]:
-                child[:, cols] = project_rows(child[:, cols], parent[:, i])
-            adjusted[lv + 1] = child
-        return adjusted
 
 
 class _MomentAccumulator:
@@ -195,22 +138,22 @@ def monte_carlo_moments(
     """Empirical release-error moments over all released nodes."""
     if replicates < 100:
         raise DomainError(f"replicates must be >= 100, got {replicates}")
-    sampler = _ReleaseSampler(h, alloc)
-    n_nodes = sum(len(sampler.counts[lv]) for lv in sampler.levels)
+    engine = ReleaseEngine(h, alloc)
+    n_nodes = sum(len(engine.counts[lv]) for lv in engine.levels)
     acc = _MomentAccumulator(n_nodes, replicates)
     col_lo = {}
     offset = 0
-    for lv in sampler.levels:
+    for lv in engine.levels:
         col_lo[lv] = offset
-        offset += len(sampler.counts[lv])
+        offset += len(engine.counts[lv])
 
     for rep_lo in range(0, replicates, _CHUNK):
         rep_hi = min(rep_lo + _CHUNK, replicates)
-        noisy = sampler.noisy_chunk(seed, rep_lo, rep_hi)
+        noisy = engine.noisy(seed, rep_lo, rep_hi)
         if with_hier:
-            noisy = sampler.apply_consistency(noisy)
-        for lv in sampler.levels:
-            err = noisy[lv] - sampler.counts[lv][None, :]
+            noisy = engine.apply_consistency(noisy)
+        for lv in engine.levels:
+            err = noisy[lv] - engine.counts[lv][None, :]
             acc.add(err, rep_lo, rep_hi, col_lo[lv])
     return acc.finalize()
 

@@ -6,6 +6,11 @@ projection of each sibling group onto the scaled simplex
 ``{v >= 0, sum(v) = parent}``, applied top-down so each projection
 targets the parent's already-adjusted value.
 
+:class:`ReleaseEngine` is the one place that computation lives: it
+draws any block of replicates as a ``(replicates, nodes)`` matrix per
+level and projects all of them at once. A single release is replicate
+0; the Monte Carlo harness and the downstream study draw many.
+
 Noise comes from the counter-based streams in :mod:`hierdp.rng`, so a
 release is a pure function of (hierarchy, allocation, seed) no matter
 how the work is chunked. Levels allocated eps = 0 are omitted from the
@@ -18,22 +23,87 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .allocator import BudgetAllocation
 from .errors import AllocationMismatch, DomainError, UnreleasedLevel
 from .hierarchy import Hierarchy, serialize_hierarchy
-from .rng import CounterStream, centered_uniforms, node_keys, standard_laplace
+from .rng import centered_uniform_matrix, node_keys, standard_laplace
 
 
-def laplace_sample(scale: float, stream: CounterStream) -> float:
-    """Draw one Laplace(scale) value from a counter stream by inverse
-    CDF: u uniform on (-1/2, 1/2) maps through -scale*sign(u)*ln(1-2|u|).
+class ReleaseEngine:
+    """Clamped-Laplace noise and top-down projection for one
+    (hierarchy, allocation), over any block of replicates.
+
+    Arrays are keyed by level and shaped ``(replicates, nodes)``, with
+    columns in :meth:`Hierarchy.level_ids` order; only levels with
+    budget appear.
     """
-    if not (scale > 0 and math.isfinite(scale)):
-        raise DomainError(f"scale must be positive, got {scale!r}")
-    return scale * float(standard_laplace(stream.next_uniform()))
+
+    def __init__(self, h: Hierarchy, alloc: BudgetAllocation):
+        if len(alloc.eps) != h.depth:
+            raise AllocationMismatch(
+                f"allocation has {len(alloc.eps)} levels, hierarchy has {h.depth}"
+            )
+        self.h = h
+        self.alloc = alloc
+        self.levels = [
+            lv for lv in range(1, h.depth + 1) if alloc.eps[lv - 1] > 0
+        ]
+
+    @cached_property
+    def keys(self) -> dict[int, np.ndarray]:
+        return {lv: node_keys(self.h.level_ids(lv)) for lv in self.levels}
+
+    @cached_property
+    def counts(self) -> dict[int, np.ndarray]:
+        return {lv: self.h.level_counts(lv) for lv in self.levels}
+
+    @cached_property
+    def families(self) -> dict[int, list[tuple[int, np.ndarray]]]:
+        """Per parent level: (parent column, child columns) per parent."""
+        families = {}
+        for lv in range(1, self.h.depth):
+            child_pos = {
+                nid: j for j, nid in enumerate(self.h.level_ids(lv + 1))
+            }
+            families[lv] = [
+                (i, np.array([child_pos[c] for c in self.h.children_of(pid)]))
+                for i, pid in enumerate(self.h.level_ids(lv))
+            ]
+        return families
+
+    def noisy(self, seed: int, rep_lo: int, rep_hi: int) -> dict[int, np.ndarray]:
+        """``max(0, count + Lap(1/eps))`` for replicates [rep_lo, rep_hi)."""
+        return {
+            lv: np.maximum(
+                0.0,
+                self.counts[lv][None, :]
+                + standard_laplace(
+                    centered_uniform_matrix(seed, self.keys[lv], rep_lo, rep_hi)
+                )
+                / self.alloc.eps[lv - 1],
+            )
+            for lv in self.levels
+        }
+
+    def apply_consistency(self, noisy: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+        """Project every sibling group onto its parent's adjusted value,
+        top-down; the root keeps its released value."""
+        if len(self.levels) != self.h.depth:
+            raise UnreleasedLevel(
+                "consistency requires a released value at every level"
+            )
+        adjusted = {1: noisy[1]}
+        for lv, fams in self.families.items():
+            child = noisy[lv + 1].copy()
+            parent = adjusted[lv]
+            for i, cols in fams:
+                child[:, cols] = project_rows(child[:, cols], parent[:, i])
+            adjusted[lv + 1] = child
+        return adjusted
 
 
 @dataclass(frozen=True)
@@ -77,77 +147,54 @@ class PrivatizedHierarchy:
         )
 
 
+def _row_values(h: Hierarchy, rows: dict[int, np.ndarray]) -> dict[str, float]:
+    values: dict[str, float] = {}
+    for lv, row in rows.items():
+        values.update(zip(h.level_ids(lv), row[0].tolist()))
+    return values
+
+
 def release_no_hier(
     h: Hierarchy, alloc: BudgetAllocation, seed: int
 ) -> PrivatizedHierarchy:
-    """Independent clamped-Laplace release of every level with budget.
-
-    Each node at level l gets ``max(0, count + Lap(1/eps_l))`` from its
-    own stream at replicate 0; byte-identical for a fixed seed.
-    """
-    if len(alloc.eps) != h.depth:
-        raise AllocationMismatch(
-            f"allocation has {len(alloc.eps)} levels, hierarchy has {h.depth}"
-        )
-    values: dict[str, float] = {}
-    for lv in range(1, h.depth + 1):
-        eps = alloc.eps[lv - 1]
-        if eps <= 0:
-            continue
-        ids = h.level_ids(lv)
-        noise = standard_laplace(
-            centered_uniforms(seed, node_keys(ids), 0)
-        ) / eps
-        noisy = np.maximum(0.0, h.level_counts(lv) + noise)
-        values.update(zip(ids, noisy.tolist()))
-    return PrivatizedHierarchy(h, values, alloc, seed, consistency_applied=False)
+    """Independent clamped-Laplace release of every level with budget:
+    replicate 0 of :class:`ReleaseEngine`, byte-identical for a fixed
+    seed."""
+    noisy = ReleaseEngine(h, alloc).noisy(seed, 0, 1)
+    return PrivatizedHierarchy(
+        h, _row_values(h, noisy), alloc, seed, consistency_applied=False
+    )
 
 
 def project_children(
     noisy_children: np.ndarray, target_total: float
 ) -> np.ndarray:
-    """Euclidean projection onto ``{v >= 0, sum(v) = target_total}``.
-
-    Shift-and-clamp with the threshold found by sorting: the unique
-    theta with ``sum(max(y - theta, 0)) = T``. Accepts inputs of either
-    sign (pre- or post-clamp).
-    """
+    """Euclidean projection onto ``{v >= 0, sum(v) = target_total}``:
+    the one-row case of :func:`project_rows`. Accepts inputs of either
+    sign (pre- or post-clamp)."""
     if not (target_total >= 0 and math.isfinite(target_total)):
         raise DomainError(f"target_total must be >= 0, got {target_total!r}")
     y = np.asarray(noisy_children, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise DomainError("noisy_children must be a nonempty 1-d vector")
-    if target_total == 0.0:
-        return np.zeros_like(y)
-
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, y.size + 1)
-    # targets below float resolution of the entries can round the k=1
-    # test false; the support is then the single largest entry
-    rho = max(int(np.count_nonzero(u * k > css - target_total)), 1)
-    theta = (css[rho - 1] - target_total) / rho
-    v = np.maximum(y - theta, 0.0)
-    total = v.sum()
-    if total > 0.0 and total != target_total:
-        v *= target_total / total
-    elif total == 0.0:
-        # y - theta rounded the whole mass away (tiny target): the true
-        # projection parks it all on the largest coordinate
-        v[int(np.argmax(y))] = target_total
-    return v
+    return project_rows(y[None, :], [target_total])[0]
 
 
 def project_rows(noisy: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`project_children`: one sibling group per row,
-    one target per row. Used to push whole replicate batches through
-    the consistency pass at once."""
+    """Row-wise projection onto ``{v >= 0, sum(v) = target}``, one
+    sibling group and one target per row.
+
+    Shift-and-clamp with the threshold found by sorting: the unique
+    theta with ``sum(max(y - theta, 0)) = T``.
+    """
     y = np.asarray(noisy, dtype=float)
     t = np.asarray(targets, dtype=float)
     n = y.shape[1]
     u = -np.sort(-y, axis=1)
     css = np.cumsum(u, axis=1)
     k = np.arange(1, n + 1)
+    # targets below float resolution of the entries can round the k=1
+    # test false; the support is then the single largest entry
     rho = np.count_nonzero(u * k > css - t[:, None], axis=1)
     safe_rho = np.maximum(rho, 1)
     theta = (np.take_along_axis(css, safe_rho[:, None] - 1, axis=1)[:, 0] - t) / safe_rho
@@ -156,6 +203,8 @@ def project_rows(noisy: np.ndarray, targets: np.ndarray) -> np.ndarray:
     scale = np.divide(t, totals, out=np.ones_like(t), where=totals > 0)
     v *= scale[:, None]
     v[t == 0.0] = 0.0
+    # y - theta rounded the whole mass away (tiny target): the true
+    # projection parks it all on the largest coordinate
     rounded_away = (totals == 0.0) & (t > 0.0)
     if rounded_away.any():
         rows = np.nonzero(rounded_away)[0]
@@ -164,24 +213,17 @@ def project_rows(noisy: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def enforce_consistency(p: PrivatizedHierarchy) -> PrivatizedHierarchy:
-    """Top-down consistency pass.
+    """Top-down consistency pass: the one-row case of
+    :meth:`ReleaseEngine.apply_consistency`.
 
     The root keeps its released value; walking down the tree, each
     sibling group is replaced by its projection onto the simplex scaled
     to the parent's adjusted value, so every level sums exactly to the
     root. Projecting an already-consistent tree is a no-op.
     """
-    h = p.source
-    if any(p.allocation.eps[lv - 1] <= 0 for lv in range(1, h.depth + 1)):
-        raise UnreleasedLevel(
-            "consistency requires a released value at every level"
-        )
-    adjusted = dict(p.values)
-    for lv in range(1, h.depth):
-        for pid in h.level_ids(lv):
-            kids = h.children_of(pid)
-            projected = project_children(
-                np.array([adjusted[k] for k in kids]), adjusted[pid]
-            )
-            adjusted.update(zip(kids, projected.tolist()))
-    return replace(p, values=adjusted, consistency_applied=True)
+    engine = ReleaseEngine(p.source, p.allocation)
+    rows = {lv: p.level_values(lv)[None, :] for lv in engine.levels}
+    adjusted = engine.apply_consistency(rows)
+    return replace(
+        p, values=_row_values(p.source, adjusted), consistency_applied=True
+    )

@@ -47,11 +47,6 @@ def node_key(node_id: str) -> int:
     )
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Independent child seed for replicate ``index`` of ``seed``."""
-    return _mix64_int(_mix64_int(seed & _MASK) ^ (index & _MASK))
-
-
 def node_keys(node_ids) -> np.ndarray:
     return np.array([node_key(i) for i in node_ids], dtype=np.uint64)
 
@@ -60,35 +55,17 @@ def _seed_base(seed: int) -> int:
     return _mix64_int((seed & _MASK) ^ 0x5DEECE66D)
 
 
-def _to_unit(out: np.ndarray | int):
+def _to_unit(out: np.ndarray) -> np.ndarray:
     """Map 64-bit words to uniforms strictly inside (-1/2, 1/2)."""
-    if isinstance(out, np.ndarray):
-        u = ((out >> _S11).astype(np.float64) + 0.5) * 2.0**-53
-    else:
-        u = ((out >> 11) + 0.5) * 2.0**-53
-    return u - 0.5
-
-
-def centered_uniforms(seed: int, keys: np.ndarray, replicate: int) -> np.ndarray:
-    """One uniform in (-1/2, 1/2) per node key, for a given replicate."""
-    base = np.uint64(_seed_base(seed))
-    with np.errstate(over="ignore"):
-        k = _mix64_np(keys ^ base)
-        out = _mix64_np(k + np.uint64(replicate & _MASK) * _U64_GAMMA)
-    return _to_unit(out)
-
-
-def centered_uniform(seed: int, key: int, replicate: int) -> float:
-    k = _mix64_int(key ^ _seed_base(seed))
-    out = _mix64_int((k + replicate * _GAMMA) & _MASK)
-    return float(_to_unit(out))
+    return ((out >> _S11).astype(np.float64) + 0.5) * 2.0**-53 - 0.5
 
 
 def centered_uniform_matrix(
     seed: int, keys: np.ndarray, rep_lo: int, rep_hi: int
 ) -> np.ndarray:
     """Matrix of uniforms, rows = replicates [rep_lo, rep_hi), columns =
-    node keys. Row r equals ``centered_uniforms(seed, keys, r)``."""
+    node keys. Entry (r, j) depends only on (seed, key j, replicate r),
+    so any split of the replicate range yields the same rows."""
     base = np.uint64(_seed_base(seed))
     reps = np.arange(rep_lo, rep_hi, dtype=np.uint64)
     with np.errstate(over="ignore"):
@@ -104,21 +81,3 @@ def standard_laplace(u):
     median 0 and variance 2.
     """
     return -np.sign(u) * np.log1p(-2.0 * np.abs(u))
-
-
-class CounterStream:
-    """Sequential view over one node's counter-based stream.
-
-    ``next_uniform()`` advances the replicate counter by one; values
-    agree exactly with the vectorized ``centered_uniforms`` path at the
-    same (seed, node, counter) coordinates.
-    """
-
-    def __init__(self, seed: int, node_id: str, start: int = 0):
-        self._key = _mix64_int(node_key(node_id) ^ _seed_base(seed))
-        self._counter = start
-
-    def next_uniform(self) -> float:
-        out = _mix64_int((self._key + self._counter * _GAMMA) & _MASK)
-        self._counter += 1
-        return float(_to_unit(out))

@@ -4,12 +4,15 @@ import pytest
 from hierdp.downstream import (
     WeightFunction,
     compare_misallocation,
-    make_tract_privatizer,
     misallocation_stats,
     proportions,
+    tract_release,
     weighted_shares,
 )
+from hierdp.allocator import uniform_allocation
 from hierdp.errors import DegenerateWeights, DomainError, ZeroTotal
+from hierdp.hierarchy import parse_hierarchy
+from hierdp.release import ReleaseEngine
 
 
 class TestProportions:
@@ -80,10 +83,8 @@ class TestWeightedShares:
 
 class TestMisallocationStats:
     def test_noiseless_is_zero(self, tract_blocks):
-        truth = np.asarray(tract_blocks)
-        stats = misallocation_stats(
-            tract_blocks, lambda seed: truth.copy(), WeightFunction.LINEAR, 1000, 0
-        )
+        truth = np.tile(tract_blocks, (1000, 1))
+        stats = misallocation_stats(tract_blocks, truth, WeightFunction.LINEAR)
         assert stats.bias_sq_pct == 0.0
         assert stats.variance_pct == 0.0
         assert stats.mse_pct == 0.0
@@ -92,49 +93,68 @@ class TestMisallocationStats:
     def test_replicate_floor(self, tract_blocks):
         with pytest.raises(DomainError):
             misallocation_stats(
-                tract_blocks, lambda s: np.asarray(tract_blocks), WeightFunction.LINEAR, 999, 0
+                tract_blocks, np.tile(tract_blocks, (999, 1)), WeightFunction.LINEAR
             )
 
     def test_all_zero_replicates_excluded(self, tract_blocks):
-        zeros = np.zeros(len(tract_blocks))
+        zeros = np.zeros((1000, len(tract_blocks)))
         with pytest.raises(DegenerateWeights):
-            misallocation_stats(
-                tract_blocks, lambda seed: zeros, WeightFunction.LINEAR, 1000, 0
-            )
+            misallocation_stats(tract_blocks, zeros, WeightFunction.LINEAR)
 
     def test_partial_exclusion_counted(self, tract_blocks):
-        truth = np.asarray(tract_blocks)
-        zeros = np.zeros_like(truth)
-
-        def sometimes_empty(seed):
-            return zeros if seed % 3 == 0 else truth
-
-        stats = misallocation_stats(
-            tract_blocks, sometimes_empty, WeightFunction.LINEAR, 1500, 0
-        )
-        assert stats.excluded_replicates > 0
+        noisy = np.tile(tract_blocks, (1500, 1))
+        noisy[::3] = 0.0
+        stats = misallocation_stats(tract_blocks, noisy, WeightFunction.LINEAR)
+        assert stats.excluded_replicates == 500
         assert stats.replicates_used + stats.excluded_replicates == 1500
 
-    def test_jensen_direction_quadratic_positive(self, tract_blocks):
-        fn = make_tract_privatizer(tract_blocks, 1.0, "optimized")
-        stats = misallocation_stats(
-            tract_blocks, fn, WeightFunction.QUADRATIC, 3000, 0
+    def test_negative_counts_rejected(self, tract_blocks):
+        noisy = np.tile(tract_blocks, (1000, 1))
+        noisy[3, 0] = -1.0
+        with pytest.raises(DomainError):
+            misallocation_stats(tract_blocks, noisy, WeightFunction.LINEAR)
+
+    @pytest.mark.parametrize("w", list(WeightFunction))
+    def test_matches_per_row_shares(self, tract_blocks, w):
+        # reference: shares of each usable replicate computed one at a time
+        noisy = tract_release(tract_blocks, 0.05, 1000, 3)
+        noisy[::7] = 0.0
+        stats = misallocation_stats(tract_blocks, noisy, w)
+        truth = weighted_shares(tract_blocks, w)
+        errors = np.array(
+            [
+                100.0 * (weighted_shares(row, w) - truth)
+                for row in noisy
+                if row.sum() > 0
+            ]
         )
+        assert stats.replicates_used == len(errors)
+        assert stats.excluded_replicates == 1000 - len(errors)
+        assert np.allclose(
+            stats.per_group_mean_error, errors.mean(axis=0), rtol=1e-9, atol=1e-12
+        )
+        assert np.allclose(
+            stats.per_group_var_error, errors.var(axis=0, ddof=1), rtol=1e-9
+        )
+
+    def test_jensen_direction_quadratic_positive(self, tract_blocks):
+        noisy = tract_release(tract_blocks, 1.0, 3000, 0, "optimized")
+        stats = misallocation_stats(tract_blocks, noisy, WeightFunction.QUADRATIC)
         assert stats.jensen_gap > 0.0
 
     def test_jensen_direction_log_negative(self, tract_blocks):
-        fn = make_tract_privatizer(tract_blocks, 1.0, "optimized")
-        stats = misallocation_stats(tract_blocks, fn, WeightFunction.LOG, 3000, 0)
+        noisy = tract_release(tract_blocks, 1.0, 3000, 0, "optimized")
+        stats = misallocation_stats(tract_blocks, noisy, WeightFunction.LOG)
         assert stats.jensen_gap < 0.0
 
     def test_linear_jensen_exactly_zero(self, tract_blocks):
-        fn = make_tract_privatizer(tract_blocks, 1.0, "uniform")
-        stats = misallocation_stats(tract_blocks, fn, WeightFunction.LINEAR, 1000, 0)
+        noisy = tract_release(tract_blocks, 1.0, 1000, 0, "uniform")
+        stats = misallocation_stats(tract_blocks, noisy, WeightFunction.LINEAR)
         assert stats.jensen_gap == pytest.approx(0.0, abs=1e-12)
 
     def test_mse_decomposition(self, tract_blocks):
-        fn = make_tract_privatizer(tract_blocks, 1.0, "optimized")
-        stats = misallocation_stats(tract_blocks, fn, WeightFunction.LINEAR, 1000, 0)
+        noisy = tract_release(tract_blocks, 1.0, 1000, 0, "optimized")
+        stats = misallocation_stats(tract_blocks, noisy, WeightFunction.LINEAR)
         r = stats.replicates_used
         assert stats.mse_pct == pytest.approx(
             stats.bias_sq_pct + stats.variance_pct * (r - 1) / r, rel=1e-9
@@ -144,22 +164,31 @@ class TestMisallocationStats:
 class TestTractPrivatizer:
     def test_unknown_arm(self, tract_blocks):
         with pytest.raises(DomainError):
-            make_tract_privatizer(tract_blocks, 1.0, "magic")
+            tract_release(tract_blocks, 1.0, 10, 0, "magic")
 
     def test_empty_blocks(self):
         with pytest.raises(DomainError):
-            make_tract_privatizer([], 1.0)
+            tract_release([], 1.0, 10, 0)
 
     def test_deterministic_per_seed(self, tract_blocks):
-        fn = make_tract_privatizer(tract_blocks, 1.0, "optimized")
-        assert np.array_equal(fn(12345), fn(12345))
-        assert not np.array_equal(fn(12345), fn(54321))
+        a = tract_release(tract_blocks, 1.0, 50, 12345)
+        assert np.array_equal(a, tract_release(tract_blocks, 1.0, 50, 12345))
+        assert not np.array_equal(a, tract_release(tract_blocks, 1.0, 50, 54321))
 
     def test_blocks_sum_to_noisy_total(self, tract_blocks):
-        # the consistency projection pins blocks to the released total
-        fn = make_tract_privatizer(tract_blocks, 0.5, "uniform")
-        noisy = fn(7)
+        # the consistency projection pins each replicate's blocks to that
+        # replicate's released tract total
+        noisy = tract_release(tract_blocks, 0.5, 200, 7, "uniform")
+        assert noisy.shape == (200, len(tract_blocks))
         assert noisy.min() >= 0
+        # the tract total alone: same node id, count and level budget
+        h = parse_hierarchy(
+            f"node_id,parent_id,level,count\nt,,1,{sum(tract_blocks)!r}\n"
+        )
+        eps_tract = uniform_allocation(2, 0.5).eps[0]
+        engine = ReleaseEngine(h, uniform_allocation(1, eps_tract))
+        totals = engine.noisy(7, 0, 200)[1][:, 0]
+        assert np.allclose(noisy.sum(axis=1), totals, rtol=1e-12, atol=0.0)
 
     def test_common_random_numbers_across_arms(self, tract_blocks):
         report = compare_misallocation(
