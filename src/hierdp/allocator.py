@@ -10,25 +10,36 @@ Two programs over the weighted total-mse objective from
   always binding; every tau > 0 is feasible since mse -> 0 as
   eps -> infinity).
 
-Strict convexity of per-node mse makes each level's marginal
+They are Lagrangian duals of each other and share one stationarity
+condition: every positive-weight level sits at the same marginal
+D_l(e_l) = -lam, where
 
-    D_l(e) = w_l * sum_j d mse(N_j, e)/d e
+    D_l(e) = w_l * sum_j d mse(N_j, e)/d e.
 
-strictly increasing in e with closed bounds
+Strict convexity of per-node mse makes D_l strictly increasing in e
+with closed bounds
 
-    -4 w_l k_l / e^3  <=  D_l(e)  <=  -2 w_l k_l / e^3,
+    -4 w_l k_l / e^3  <=  D_l(e)  <=  -2 w_l k_l / e^3
 
-so for any multiplier lam > 0 the stationarity condition
-D_l(e) = -lam has a unique root bracketed by
+(k_l nodes at level l), so for any lam > 0 the level budget e_l(lam)
+is the unique root in
 
-    (2 w_l k_l / lam)^{1/3}  <=  e_l(lam)  <=  (4 w_l k_l / lam)^{1/3},
+    (2 w_l k_l / lam)^{1/3}  <=  e_l(lam)  <=  (4 w_l k_l / lam)^{1/3}.
 
-found by bisection refined with safeguarded Newton (the analytic second
-derivative is available). The outer loop bisects the shared multiplier:
-sum(e_l(lam)) is strictly decreasing in lam for the fixed-budget
-program, and the objective at e(lam) is strictly increasing in lam for
-the target-mse program. Both outer brackets have ratio at most 2, so
-200 halvings always reach float resolution.
+The programs differ only in the outer equation for lam. With
+C = sum_l (w_l k_l)^{1/3} over positive-weight levels:
+
+* fixed budget: eps_total - sum_l e_l(lam) = 0, bracketed by
+  lam in [2 (C/eps_total)^3, 4 (C/eps_total)^3];
+* target mse: sum_l w_l mse_l(e_l(lam)) - tau = 0, bracketed by
+  lam in [2 (tau/2C)^{3/2}, 4 (tau/C)^{3/2}] via 1/e^2 <= mse < 2/e^2
+  per node.
+
+Both outer residuals increase in lam, with slopes from the implicit
+derivative de_l/dlam = -1/D_l'(e_l). One safeguarded-Newton root
+routine solves the inner and the outer equations alike: Newton steps
+from the bracket midpoint, bisection whenever a step leaves the
+bracket.
 
 Levels with zero weight contribute nothing to the objective; any budget
 given to them would be wasted, so they receive eps = 0 and are excluded
@@ -45,7 +56,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -53,12 +64,11 @@ from .analytics import (
     EPS_MIN,
     LevelWeights,
     as_weights,
-    mse_deps2_sum,
-    mse_deps_sum,
+    mse_deps_sums,
     mse_sum,
     weighted_total_mse,
 )
-from .errors import ConvergenceFailure, DomainError, NoPositiveWeight
+from .errors import ConvergenceFailure, DomainError
 from .hierarchy import LevelStats
 
 PROGRAM_FIXED_BUDGET = "fixed_budget"
@@ -66,16 +76,6 @@ PROGRAM_TARGET_MSE = "target_mse"
 PROGRAM_UNIFORM = "uniform"
 
 _MAX_ITER = 200
-_BRACKET_TOL = 1e-12
-
-
-def _bracket_done(lo: float, hi: float) -> bool:
-    # 1e-12 on the interval relative to its scale: multipliers span
-    # many orders of magnitude (tiny for huge budgets, huge for tiny
-    # ones), so an absolute stop would cut convergence short on one end
-    # and never trigger on the other; the iteration cap and the
-    # midpoint-exhaustion guard bound the work regardless
-    return hi - lo <= _BRACKET_TOL * hi
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,28 @@ class BudgetAllocation:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+def _root(
+    f: Callable[[float], tuple[float, float]], lo: float, hi: float, tol: float
+) -> tuple[float, float, float]:
+    """Zero of an increasing ``f`` on [lo, hi]; ``f(x)`` returns its
+    value and slope. Newton steps from the midpoint, bisection whenever
+    a step leaves the bracket. Stops once |f| <= tol or the bracket is
+    down to float resolution, and returns x with f's value and slope
+    there."""
+    x = 0.5 * (lo + hi)
+    for _ in range(_MAX_ITER):
+        fx, slope = f(x)
+        if fx <= 0.0:
+            lo = x
+        else:
+            hi = x
+        if abs(fx) <= tol or hi - lo <= 1e-15 * hi:
+            break
+        step = x - fx / slope
+        x = step if lo < step < hi else 0.5 * (lo + hi)
+    return x, fx, slope
+
+
 class _Level:
     """One level's deduplicated counts with weight attached."""
 
@@ -121,14 +143,27 @@ class _Level:
         self.k = float(mults.sum())
         self.w = w
 
-    def marginal(self, eps: float) -> float:
-        return self.w * mse_deps_sum(self.vals, eps, self.mults)
-
-    def marginal_slope(self, eps: float) -> float:
-        return self.w * mse_deps2_sum(self.vals, eps, self.mults)
+    def marginal(self, eps: float) -> tuple[float, float]:
+        """D_l(eps) and its slope D_l'(eps)."""
+        d1, d2 = mse_deps_sums(self.vals, eps, self.mults)
+        return self.w * d1, self.w * d2
 
     def mse(self, eps: float) -> float:
         return mse_sum(self.vals, eps, self.mults)
+
+    def solve(self, lam: float) -> tuple[float, float, float]:
+        """e_l(lam), the root of D_l(e) + lam, with the KKT residual
+        D_l(e) + lam and D_l'(e) there."""
+        base = self.w * self.k
+        # widen a hair so float rounding cannot strand the root outside
+        lo = max((2.0 * base / lam) ** (1.0 / 3.0) * (1.0 - 1e-9), EPS_MIN)
+        hi = (4.0 * base / lam) ** (1.0 / 3.0) * (1.0 + 1e-9)
+
+        def f(e: float) -> tuple[float, float]:
+            d, slope = self.marginal(e)
+            return d + lam, slope
+
+        return _root(f, lo, hi, 1e-12 * lam)
 
 
 def level_marginal(
@@ -142,88 +177,76 @@ def level_marginal(
         raise DomainError(f"level {level} out of range 1..{stats.depth}")
     if w[level - 1] <= 0:
         raise DomainError(f"level {level} has nonpositive weight")
-    return _Level(stats.counts[level - 1], w[level - 1]).marginal(eps)
+    return _Level(stats.counts[level - 1], w[level - 1]).marginal(eps)[0]
 
 
-def _solve_level_eps(level: _Level, lam: float) -> float:
-    """Root of D_l(e) = -lam, unique by strict monotonicity."""
-    base = level.w * level.k
-    lo = (2.0 * base / lam) ** (1.0 / 3.0)
-    hi = (4.0 * base / lam) ** (1.0 / 3.0)
-    # widen a hair so float rounding cannot strand the root outside
-    lo = max(lo * (1.0 - 1e-9), EPS_MIN)
-    hi = hi * (1.0 + 1e-9)
-
-    def f(e: float) -> float:
-        return level.marginal(e) + lam
-
-    flo, fhi = f(lo), f(hi)
-    expand = 0
-    while flo > 0 and expand < 8:
-        lo = max(lo * 0.5, EPS_MIN)
-        flo = f(lo)
-        expand += 1
-    while fhi < 0 and expand < 16:
-        hi *= 2.0
-        fhi = f(hi)
-        expand += 1
-    if flo > 0 or fhi < 0:
-        raise ConvergenceFailure(
-            f"marginal root not bracketed: f({lo:g})={flo:g}, f({hi:g})={fhi:g}"
-        )
-
-    e = 0.5 * (lo + hi)
-    for _ in range(_MAX_ITER):
-        fe = f(e)
-        if fe <= 0.0:
-            lo = e
-        else:
-            hi = e
-        if abs(fe) <= 1e-10 * lam or _bracket_done(lo, hi):
-            break
-        step = e - fe / level.marginal_slope(e)
-        e = step if lo < step < hi else 0.5 * (lo + hi)
-    return e
-
-
-def _build_levels(
-    stats: LevelStats, weights: LevelWeights
-) -> tuple[list[Optional[_Level]], list[int]]:
+def _solve(
+    stats: LevelStats,
+    w: Sequence[float] | LevelWeights,
+    program: str,
+    target: float,
+) -> BudgetAllocation:
+    """Shared dual solve: drive the outer residual of ``program`` to
+    zero in lam, each level at its stationary e_l(lam), then check the
+    KKT residuals and the constraint."""
+    weights = as_weights(w)
     if len(weights) != stats.depth:
         raise DomainError(
             f"stats has {stats.depth} levels but {len(weights)} weights given"
         )
-    levels: list[Optional[_Level]] = []
-    active: list[int] = []
-    for i in range(stats.depth):
-        if weights[i] > 0:
-            levels.append(_Level(stats.counts[i], weights[i]))
-            active.append(i)
+    levels = {
+        i: _Level(stats.counts[i], weights[i])
+        for i in range(stats.depth)
+        if weights[i] > 0
+    }
+    fixed = program == PROGRAM_FIXED_BUDGET
+    eps = [0.0] * stats.depth
+
+    if fixed and len(levels) == 1:
+        # the whole budget goes to the only level that matters; exact
+        [(only, level)] = levels.items()
+        eps[only] = target
+        lam = -level.marginal(target)[0]
+    else:
+        c = sum((lv.w * lv.k) ** (1.0 / 3.0) for lv in levels.values())
+        if fixed:
+            lo, hi = 2.0 * (c / target) ** 3, 4.0 * (c / target) ** 3
         else:
-            levels.append(None)
-    if not active:
-        raise NoPositiveWeight("all level weights are zero")
-    return levels, active
+            lo, hi = 2.0 * (target / (2.0 * c)) ** 1.5, 4.0 * (target / c) ** 1.5
 
+        def residual(lam: float) -> tuple[float, float]:
+            es, _, slopes = zip(*(lv.solve(lam) for lv in levels.values()))
+            if fixed:
+                return target - sum(es), sum(1.0 / s for s in slopes)
+            mse = sum(lv.w * lv.mse(e) for lv, e in zip(levels.values(), es))
+            return mse - target, sum(lam / s for s in slopes)
 
-def _eps_vector(levels: list[Optional[_Level]], lam: float) -> list[float]:
-    return [
-        _solve_level_eps(lv, lam) if lv is not None else 0.0 for lv in levels
-    ]
+        # inner roots stop at 1e-12 * lam, usually already at rounding
+        # level after Newton's quadratic steps, so the outer residual can
+        # reach 1e-13 of target; the 1e-9 checks below keep a wide margin
+        lam = _root(residual, lo * (1.0 - 1e-9), hi * (1.0 + 1e-9), 1e-13 * target)[0]
+        worst = 0.0
+        for i, lv in levels.items():
+            eps[i], kkt, _ = lv.solve(lam)
+            worst = max(worst, abs(kkt))
+        if worst > 1e-8 * lam:
+            raise ConvergenceFailure(
+                f"{program}: KKT residual {worst:g} exceeds 1e-8 * lambda ({lam:g})"
+            )
 
-
-def _kkt_check(
-    levels: list[Optional[_Level]], eps: list[float], lam: float, context: str
-) -> None:
-    worst = max(
-        abs(lv.marginal(e) + lam)
-        for lv, e in zip(levels, eps)
-        if lv is not None
+    objective = weighted_total_mse(stats, weights, eps)
+    achieved = sum(eps) if fixed else objective
+    if abs(achieved - target) > 1e-9 * target:
+        what = "sum(eps)" if fixed else "objective"
+        raise ConvergenceFailure(f"{program}: {what}={achieved!r} misses {target!r}")
+    return BudgetAllocation(
+        eps=tuple(eps),
+        eps_total_used=sum(eps),
+        objective_value=objective,
+        program=program,
+        weights=tuple(weights.w),
+        multiplier=lam if fixed else 1.0 / lam,
     )
-    if worst > 1e-8 * lam:
-        raise ConvergenceFailure(
-            f"{context}: KKT residual {worst:g} exceeds 1e-8 * lambda ({lam:g})"
-        )
 
 
 def allocate_fixed_budget(
@@ -238,61 +261,7 @@ def allocate_fixed_budget(
     """
     if not (eps_total > 0 and math.isfinite(eps_total)):
         raise DomainError(f"eps_total must be positive, got {eps_total!r}")
-    weights = as_weights(w)
-    levels, active = _build_levels(stats, weights)
-
-    if len(active) == 1:
-        # the whole budget goes to the only level that matters; exact
-        only = active[0]
-        eps = [0.0] * stats.depth
-        eps[only] = eps_total
-        return BudgetAllocation(
-            eps=tuple(eps),
-            eps_total_used=eps_total,
-            objective_value=weighted_total_mse(stats, weights, eps),
-            program=PROGRAM_FIXED_BUDGET,
-            weights=tuple(weights.w),
-            multiplier=-levels[only].marginal(eps_total),
-        )
-
-    # closed-form multiplier bracket from the marginal bounds:
-    # sum of lower eps bounds >= eps_total at lam_lo, upper <= at lam_hi
-    c_lo = sum((2.0 * levels[i].w * levels[i].k) ** (1.0 / 3.0) for i in active)
-    c_hi = sum((4.0 * levels[i].w * levels[i].k) ** (1.0 / 3.0) for i in active)
-    lam_lo = (c_lo / eps_total) ** 3 * (1.0 - 1e-9)
-    lam_hi = (c_hi / eps_total) ** 3 * (1.0 + 1e-9)
-
-    def budget_used(lam: float) -> float:
-        return sum(_solve_level_eps(levels[i], lam) for i in active)
-
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lam_lo + lam_hi)
-        if mid == lam_lo or mid == lam_hi:
-            break
-        if budget_used(mid) >= eps_total:
-            lam_lo = mid
-        else:
-            lam_hi = mid
-        if _bracket_done(lam_lo, lam_hi):
-            break
-
-    lam = 0.5 * (lam_lo + lam_hi)
-    eps = _eps_vector(levels, lam)
-    used = sum(eps)
-    if abs(used - eps_total) > 1e-9 * eps_total:
-        raise ConvergenceFailure(
-            f"fixed-budget: sum(eps)={used!r} misses eps_total={eps_total!r}"
-        )
-    _kkt_check(levels, eps, lam, "fixed-budget")
-
-    return BudgetAllocation(
-        eps=tuple(eps),
-        eps_total_used=used,
-        objective_value=weighted_total_mse(stats, weights, eps),
-        program=PROGRAM_FIXED_BUDGET,
-        weights=tuple(weights.w),
-        multiplier=lam,
-    )
+    return _solve(stats, w, PROGRAM_FIXED_BUDGET, eps_total)
 
 
 def allocate_target_mse(
@@ -303,65 +272,13 @@ def allocate_target_mse(
     """Minimize sum(eps) subject to weighted total mse <= tau.
 
     Stationarity gives a common marginal -1/mu across positive-weight
-    levels, so the same inner solve applies with lam = 1/mu; the outer
-    bisection drives the objective onto tau (always feasible: the
+    levels, so the same solve applies with lam = 1/mu; the outer
+    equation drives the objective onto tau (always feasible: the
     objective falls to zero as budgets grow).
     """
     if not (tau > 0 and math.isfinite(tau)):
         raise DomainError(f"tau must be positive, got {tau!r}")
-    weights = as_weights(w)
-    levels, active = _build_levels(stats, weights)
-
-    def objective(lam: float) -> float:
-        return sum(
-            levels[i].w * levels[i].mse(_solve_level_eps(levels[i], lam))
-            for i in active
-        )
-
-    lam_lo = lam_hi = 1.0
-    for _ in range(_MAX_ITER):
-        if objective(lam_lo) <= tau:
-            break
-        lam_lo /= 16.0
-    else:
-        raise ConvergenceFailure(f"target-mse: no lower multiplier for tau={tau!r}")
-    for _ in range(_MAX_ITER):
-        if objective(lam_hi) >= tau:
-            break
-        lam_hi *= 16.0
-    else:
-        raise ConvergenceFailure(f"target-mse: no upper multiplier for tau={tau!r}")
-
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lam_lo + lam_hi)
-        if mid == lam_lo or mid == lam_hi:
-            break
-        val = objective(mid)
-        if val <= tau:
-            lam_lo = mid
-        else:
-            lam_hi = mid
-        if abs(val - tau) <= 1e-12 * tau:
-            lam_lo = lam_hi = mid
-            break
-
-    lam = 0.5 * (lam_lo + lam_hi)
-    eps = _eps_vector(levels, lam)
-    achieved = weighted_total_mse(stats, weights, eps)
-    if abs(achieved - tau) > 1e-9 * tau:
-        raise ConvergenceFailure(
-            f"target-mse: objective {achieved!r} misses tau={tau!r}"
-        )
-    _kkt_check(levels, eps, lam, "target-mse")
-
-    return BudgetAllocation(
-        eps=tuple(eps),
-        eps_total_used=sum(eps),
-        objective_value=achieved,
-        program=PROGRAM_TARGET_MSE,
-        weights=tuple(weights.w),
-        multiplier=1.0 / lam,
-    )
+    return _solve(stats, w, PROGRAM_TARGET_MSE, tau)
 
 
 def uniform_allocation(depth: int, eps_total: float) -> BudgetAllocation:

@@ -126,20 +126,19 @@ def mse_sum(counts: np.ndarray, eps: float, mults: np.ndarray | None = None) -> 
     return total / eps**2
 
 
-def mse_deps_sum(counts: np.ndarray, eps: float, mults: np.ndarray | None = None) -> float:
+def mse_deps_sums(
+    counts: np.ndarray, eps: float, mults: np.ndarray | None = None
+) -> tuple[float, float]:
+    """Summed first and second eps-derivatives of per-count mse at a
+    common eps, from one exp per count."""
     counts = _check_vec(counts, eps)
     x = np.minimum(eps * counts, _X_UNDERFLOW)
-    terms = np.exp(-x) * (x * x + 2.0 * x + 2.0) - 4.0
-    total = float(np.dot(mults, terms)) if mults is not None else float(terms.sum())
-    return total / eps**3
-
-
-def mse_deps2_sum(counts: np.ndarray, eps: float, mults: np.ndarray | None = None) -> float:
-    counts = _check_vec(counts, eps)
-    x = np.minimum(eps * counts, _X_UNDERFLOW)
-    terms = 12.0 - np.exp(-x) * (x**3 + 3.0 * x * x + 6.0 * x + 6.0)
-    total = float(np.dot(mults, terms)) if mults is not None else float(terms.sum())
-    return total / eps**4
+    t = np.exp(-x)
+    d1 = t * (x * x + 2.0 * x + 2.0) - 4.0
+    d2 = 12.0 - t * (x**3 + 3.0 * x * x + 6.0 * x + 6.0)
+    if mults is None:
+        return float(d1.sum()) / eps**3, float(d2.sum()) / eps**4
+    return float(np.dot(mults, d1)) / eps**3, float(np.dot(mults, d2)) / eps**4
 
 
 @dataclass(frozen=True)

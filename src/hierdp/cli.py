@@ -16,7 +16,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -201,6 +201,9 @@ def cmd_allocate(config: RunConfig) -> str:
 
 def cmd_release(config: RunConfig) -> tuple[str, str]:
     alloc = _allocate(config)
+    if config.prior is None:
+        # computed from the true counts: not for publication
+        alloc = replace(alloc, objective_value=None, multiplier=None)
     released = release_no_hier(config.hierarchy, alloc, config.seed)
     if config.hier:
         released = enforce_consistency(released)

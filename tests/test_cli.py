@@ -4,6 +4,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from hierdp.allocator import allocate_fixed_budget
 from hierdp.analytics import weighted_total_mse
 from hierdp.cli import main
 from hierdp.hierarchy import level_stats, parse_hierarchy
@@ -116,6 +117,25 @@ class TestRelease:
         sidecar = json.loads((workdir / "r1" / "release.json").read_text())
         assert sidecar["consistency_applied"] is True
         assert sidecar["seed"] == 11
+
+    @pytest.mark.parametrize("with_prior", [False, True])
+    def test_sidecar_publishes_no_true_count_statistics(
+        self, runner, workdir, va_hierarchy, with_prior
+    ):
+        args = ["release", "--input", str(workdir / "va.csv"), "--eps-total", "2",
+                "--out-dir", str(workdir / "out")]
+        if with_prior:
+            args += ["--prior", str(workdir / "va.csv")]
+        assert _invoke(runner, args).exit_code == 0
+        sidecar = json.loads((workdir / "out" / "release.json").read_text())
+        allocation = sidecar["allocation"]
+        expected = allocate_fixed_budget(level_stats(va_hierarchy), (1.0,) * 3, 2.0)
+        assert allocation["eps"] == list(expected.eps)
+        for field in ("objective", "multiplier"):
+            if with_prior:
+                assert isinstance(allocation[field], float)
+            else:
+                assert allocation[field] is None
 
     def test_huge_budget_recovers_input(self, runner, workdir, va_hierarchy):
         args = ["release", "--input", str(workdir / "va.csv"),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,7 +120,10 @@ class TestReleaseNoHier:
     # Rerun checks only compare one version with itself; these pin the
     # bytes across versions. Changing how noise keys are derived (to
     # keep the release key secret) changes them on purpose; any other
-    # change to them is a regression.
+    # change to them is a regression. The allocation is a literal (the
+    # fixed-budget optimum, checked in test_allocator_reference.py) so
+    # that the solver's last bits cannot move the noise scale.
+    PINNED_EPS = (0.5037914086253155, 0.6347374004832246, 0.8614711908916605)
     PINNED_CSV_SHA256 = {
         (0, False): "a24a6503dcb07c3b29399177a053c214beeabde4bd4617623c0b8b739dfeaf03",
         (0, True): "e2d2b571e6fe720453dcf5c69a1139e0206304b27504499654128ad90a7af215",
@@ -129,7 +133,7 @@ class TestReleaseNoHier:
 
     @pytest.mark.parametrize("seed,hier", sorted(PINNED_CSV_SHA256))
     def test_bytes_pinned_across_versions(self, va_hierarchy, seed, hier):
-        alloc = allocate_fixed_budget(level_stats(va_hierarchy), (1.0, 1.0, 1.0), 2.0)
+        alloc = replace(uniform_allocation(3, 2.0), eps=self.PINNED_EPS)
         released = release_no_hier(va_hierarchy, alloc, seed)
         if hier:
             released = enforce_consistency(released)
