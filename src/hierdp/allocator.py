@@ -63,9 +63,11 @@ import numpy as np
 from .analytics import (
     EPS_MIN,
     LevelWeights,
+    _check_counts,
+    _check_eps,
+    _mse_deps_sums,
+    _mse_sum,
     as_weights,
-    mse_deps_sums,
-    mse_sum,
     weighted_total_mse,
 )
 from .errors import ConvergenceFailure, DomainError
@@ -132,12 +134,13 @@ def _root(
 
 
 class _Level:
-    """One level's deduplicated counts with weight attached."""
+    """One level's deduplicated counts with weight attached. The counts
+    are validated here, once, so the solver's passes need not."""
 
     __slots__ = ("vals", "mults", "k", "w")
 
     def __init__(self, counts: np.ndarray, w: float):
-        vals, mults = np.unique(np.asarray(counts, dtype=float), return_counts=True)
+        vals, mults = np.unique(_check_counts(counts), return_counts=True)
         self.vals = vals
         self.mults = mults.astype(float)
         self.k = float(mults.sum())
@@ -145,11 +148,11 @@ class _Level:
 
     def marginal(self, eps: float) -> tuple[float, float]:
         """D_l(eps) and its slope D_l'(eps)."""
-        d1, d2 = mse_deps_sums(self.vals, eps, self.mults)
+        d1, d2 = _mse_deps_sums(self.vals, eps, self.mults)
         return self.w * d1, self.w * d2
 
     def mse(self, eps: float) -> float:
-        return mse_sum(self.vals, eps, self.mults)
+        return _mse_sum(self.vals, eps, self.mults)
 
     def solve(self, lam: float) -> tuple[float, float, float]:
         """e_l(lam), the root of D_l(e) + lam, with the KKT residual
@@ -177,6 +180,7 @@ def level_marginal(
         raise DomainError(f"level {level} out of range 1..{stats.depth}")
     if w[level - 1] <= 0:
         raise DomainError(f"level {level} has nonpositive weight")
+    _check_eps(eps)
     return _Level(stats.counts[level - 1], w[level - 1]).marginal(eps)[0]
 
 

@@ -105,11 +105,16 @@ def mse_deps2(n: float, eps: float) -> float:
 
 
 # vectorized forms over a count vector at a shared eps; used by the
-# allocator and harness on whole levels at once
+# allocator and harness on whole levels at once. The public forms check
+# their inputs; the allocator checks a level's counts once and then
+# calls the unchecked kernels (leading underscore) on every pass.
 
-def _check_vec(counts: np.ndarray, eps: float) -> np.ndarray:
+def _check_eps(eps: float) -> None:
     if not (eps >= EPS_MIN and math.isfinite(eps)):
         raise DomainError(f"eps must be >= {EPS_MIN:g}, got {eps!r}")
+
+
+def _check_counts(counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=float)
     if counts.size and (counts.min() < 0 or not np.isfinite(counts).all()):
         raise DomainError("counts must be nonnegative reals")
@@ -119,7 +124,11 @@ def _check_vec(counts: np.ndarray, eps: float) -> np.ndarray:
 def mse_sum(counts: np.ndarray, eps: float, mults: np.ndarray | None = None) -> float:
     """Sum of per-count mse at a common eps (optionally weighted by
     multiplicities for deduplicated count vectors)."""
-    counts = _check_vec(counts, eps)
+    _check_eps(eps)
+    return _mse_sum(_check_counts(counts), eps, mults)
+
+
+def _mse_sum(counts: np.ndarray, eps: float, mults: np.ndarray | None) -> float:
     x = np.minimum(eps * counts, _X_UNDERFLOW)
     terms = 2.0 - (1.0 + x) * np.exp(-x)
     total = float(np.dot(mults, terms)) if mults is not None else float(terms.sum())
@@ -131,7 +140,13 @@ def mse_deps_sums(
 ) -> tuple[float, float]:
     """Summed first and second eps-derivatives of per-count mse at a
     common eps, from one exp per count."""
-    counts = _check_vec(counts, eps)
+    _check_eps(eps)
+    return _mse_deps_sums(_check_counts(counts), eps, mults)
+
+
+def _mse_deps_sums(
+    counts: np.ndarray, eps: float, mults: np.ndarray | None
+) -> tuple[float, float]:
     x = np.minimum(eps * counts, _X_UNDERFLOW)
     t = np.exp(-x)
     d1 = t * (x * x + 2.0 * x + 2.0) - 4.0

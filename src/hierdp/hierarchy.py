@@ -4,15 +4,23 @@ A hierarchy is a complete-depth rooted tree: one root at level 1, every
 non-root hangs off a node at the previous level, and all leaves sit at
 the bottom level. Counts are stored as nonnegative reals because
 privatized pipelines produce reals; integrality is never required.
-Instances are immutable after construction and safe to share across
-workers.
+
+The tree is stored as columns, with nodes in level-major, id-sorted
+order: an id tuple, a parent-index array, a level array and a count
+array. Each level is a contiguous slice, so per-level ids, counts and
+parent links are slices rather than walks over node objects;
+:class:`HierNode` values are built on demand when asked for. Instances
+are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress, repeat
 from typing import Iterable, Optional
 
 import numpy as np
@@ -28,6 +36,11 @@ from .errors import (
 
 CSV_HEADER = ["node_id", "parent_id", "level", "count"]
 
+# parent index of the root, and of a node whose parent id is unknown
+_ROOT = -1
+_ORPHAN = -2
+_LEVEL_MAX = np.iinfo(np.int64).max
+
 
 @dataclass(frozen=True)
 class HierNode:
@@ -40,71 +53,139 @@ class HierNode:
 
 
 class Hierarchy:
-    """Validated, immutable tree of :class:`HierNode`.
+    """Validated, immutable tree, stored as columns.
 
-    Construction enforces the structural invariants and precomputes the
-    per-level orderings (stable by node id) used everywhere else, so
-    downstream results are reproducible across runs and platforms.
+    Construction enforces the structural invariants and orders the
+    nodes by level, then by id, so downstream results are reproducible
+    across runs and platforms. ``Hierarchy(nodes)`` and
+    :func:`parse_hierarchy` share one validator; when several nodes are
+    at fault, the error names the first of them in input order.
     """
 
     def __init__(self, nodes: Iterable[HierNode]):
         nodes = list(nodes)
-        if not nodes:
+        parent_ids = [n.parent_id for n in nodes]
+        self._build(
+            [n.id for n in nodes],
+            parent_ids,
+            np.array([p is None for p in parent_ids], dtype=bool),
+            np.array([n.level for n in nodes], dtype=np.int64),
+            np.array([n.count for n in nodes], dtype=float),
+        )
+
+    @classmethod
+    def _from_columns(
+        cls,
+        ids: list[str],
+        parent_ids: list[str],
+        is_root: np.ndarray,
+        levels: np.ndarray,
+        counts: np.ndarray,
+    ) -> "Hierarchy":
+        """Hierarchy from per-node columns in input order; the parent
+        id of a node flagged in ``is_root`` is ignored."""
+        h = cls.__new__(cls)
+        h._build(ids, parent_ids, is_root, levels, counts)
+        return h
+
+    def _build(self, ids, parent_ids, is_root, levels, counts) -> None:
+        """Validate the columns and store them in level-major, id-sorted
+        order. Checks run in a fixed order (duplicate ids and bad
+        counts, the root, parent links and levels, ragged leaves); each
+        raises for the first offending node in input order."""
+        n = len(ids)
+        if n == 0:
             raise MissingRoot("hierarchy has no nodes")
+        # level-major, id-sorted: the node order everything else uses
+        order = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.intp)
+        order = order[np.argsort(levels[order], kind="stable")]
+        rows = order.tolist()
+        sorted_ids = list(map(ids.__getitem__, rows))
+        index = dict(zip(sorted_ids, range(n)))
 
-        by_id: dict[str, HierNode] = {}
-        for n in nodes:
-            if n.id in by_id:
-                raise DuplicateId(f"duplicate node id {n.id!r}")
-            if n.count < 0 or not np.isfinite(n.count):
-                raise NegativeCount(
-                    f"node {n.id!r} has invalid count {n.count!r}"
-                )
-            by_id[n.id] = n
+        bad_count = ~(np.isfinite(counts) & (counts >= 0))
+        if len(index) < n or bad_count.any():
+            seen = set()
+            for nid, bad, count in zip(ids, bad_count.tolist(), counts.tolist()):
+                if nid in seen:
+                    raise DuplicateId(f"duplicate node id {nid!r}")
+                if bad:
+                    raise NegativeCount(f"node {nid!r} has invalid count {count!r}")
+                seen.add(nid)
 
-        roots = [n for n in nodes if n.parent_id is None]
-        if not roots:
+        parent_ids = list(map(parent_ids.__getitem__, rows))
+        parent = np.fromiter(
+            map(index.get, parent_ids, repeat(_ORPHAN)), dtype=np.intp, count=n
+        )
+        parent[is_root[order]] = _ROOT
+        levels = levels[order]
+
+        roots = np.flatnonzero(parent == _ROOT)
+        if roots.size == 0:
             raise MissingRoot("no root row (empty parent_id) found")
-        if len(roots) > 1:
-            ids = ", ".join(sorted(r.id for r in roots))
-            raise DuplicateId(f"multiple roots: {ids}")
-        root = roots[0]
-        if root.level != 1:
+        if roots.size > 1:
+            names = ", ".join(sorted(sorted_ids[r] for r in roots))
+            raise DuplicateId(f"multiple roots: {names}")
+        root = int(roots[0])
+        if levels[root] != 1:
             raise LevelMismatch(
-                f"root {root.id!r} must be at level 1, got {root.level}"
+                f"root {sorted_ids[root]!r} must be at level 1, got {int(levels[root])}"
             )
 
-        children: dict[str, list[str]] = {n.id: [] for n in nodes}
-        for n in nodes:
-            if n.parent_id is None:
-                continue
-            parent = by_id.get(n.parent_id)
-            if parent is None:
-                raise OrphanNode(
-                    f"node {n.id!r} references missing parent {n.parent_id!r}"
-                )
-            if n.level != parent.level + 1:
-                raise LevelMismatch(
-                    f"node {n.id!r} at level {n.level} under parent "
-                    f"{parent.id!r} at level {parent.level}"
-                )
-            children[parent.id].append(n.id)
+        def first(mask: np.ndarray) -> Optional[int]:
+            """Position of the offending node that came first in the input."""
+            at = np.flatnonzero(mask)
+            return int(at[np.argmin(order[at])]) if at.size else None
 
-        depth = max(n.level for n in nodes)
-        for n in nodes:
-            if not children[n.id] and n.level != depth:
-                raise LevelMismatch(
-                    f"leaf {n.id!r} at level {n.level} but tree depth is "
-                    f"{depth}; all leaves must sit at the bottom level"
-                )
+        linked = parent >= 0
+        parent_level = levels[np.where(linked, parent, root)]
+        orphan = parent == _ORPHAN
+        i = first(orphan | (linked & (levels != parent_level + 1)))
+        if i is not None:
+            nid, pid = sorted_ids[i], parent_ids[i]
+            if orphan[i]:
+                raise OrphanNode(f"node {nid!r} references missing parent {pid!r}")
+            raise LevelMismatch(
+                f"node {nid!r} at level {int(levels[i])} under parent "
+                f"{pid!r} at level {int(parent_level[i])}"
+            )
 
-        self._by_id = by_id
-        self._children = {k: tuple(sorted(v)) for k, v in children.items()}
-        self._root_id = root.id
+        depth = int(levels.max())
+        i = first((np.bincount(parent[linked], minlength=n) == 0) & (levels != depth))
+        if i is not None:
+            raise LevelMismatch(
+                f"leaf {sorted_ids[i]!r} at level {int(levels[i])} but tree depth is "
+                f"{depth}; all leaves must sit at the bottom level"
+            )
+
+        self._ids = tuple(sorted_ids)
+        self._index = index
+        self._parent = parent
+        self._level = levels
+        self._count = counts[order]
+        for column in (self._parent, self._level, self._count):
+            column.flags.writeable = False
         self._depth = depth
-        self._level_ids: tuple[tuple[str, ...], ...] = tuple(
-            tuple(sorted(n.id for n in nodes if n.level == lv))
-            for lv in range(1, depth + 1)
+        # level l occupies positions [_start[l - 1], _start[l])
+        self._start = np.searchsorted(levels, np.arange(1, depth + 2)).tolist()
+
+    @cached_property
+    def _children(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR child lists: the children of position i are
+        ``kids[offsets[i]:offsets[i + 1]]``, in id order."""
+        parent = self._parent[1:]
+        offsets = np.zeros(len(self) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(parent, minlength=len(self)), out=offsets[1:])
+        kids = np.argsort(parent, kind="stable") + 1
+        return offsets, kids
+
+    def _node_at(self, i: int) -> HierNode:
+        p = int(self._parent[i])
+        return HierNode(
+            self._ids[i],
+            self._ids[p] if p >= 0 else None,
+            int(self._level[i]),
+            float(self._count[i]),
         )
 
     # accessors
@@ -115,35 +196,54 @@ class Hierarchy:
 
     @property
     def root(self) -> HierNode:
-        return self._by_id[self._root_id]
+        return self._node_at(0)
 
     def node(self, node_id: str) -> HierNode:
-        return self._by_id[node_id]
+        return self._node_at(self._index[node_id])
 
     def children_of(self, node_id: str) -> tuple[str, ...]:
-        return self._children[node_id]
+        offsets, kids = self._children
+        i = self._index[node_id]
+        return tuple(self._ids[k] for k in kids[offsets[i] : offsets[i + 1]].tolist())
+
+    def _level_slice(self, level: int) -> slice:
+        if not 1 <= level <= self._depth:
+            raise IndexError(f"level {level} out of range 1..{self._depth}")
+        return slice(self._start[level - 1], self._start[level])
 
     def level_ids(self, level: int) -> tuple[str, ...]:
         """Node ids at ``level`` (1-based), sorted by id."""
-        return self._level_ids[level - 1]
+        return self._ids[self._level_slice(level)]
 
     def level_counts(self, level: int) -> np.ndarray:
-        return np.array(
-            [self._by_id[i].count for i in self.level_ids(level)], dtype=float
-        )
+        """Counts at ``level``, in :meth:`level_ids` order (a copy)."""
+        return self._count[self._level_slice(level)].copy()
+
+    def level_parents(self, level: int) -> np.ndarray:
+        """For each node at ``level``, its parent's position in
+        :meth:`level_ids` of the level above (-1 for the root)."""
+        parents = self._parent[self._level_slice(level)]
+        return parents - self._start[level - 2] if level > 1 else parents.copy()
 
     def __len__(self) -> int:
-        return len(self._by_id)
+        return len(self._ids)
 
     def __iter__(self):
-        for lv in range(1, self._depth + 1):
-            for nid in self.level_ids(lv):
-                yield self._by_id[nid]
+        """Nodes in level order, then id order."""
+        ids = self._ids
+        for nid, p, lv, count in zip(
+            ids, self._parent.tolist(), self._level.tolist(), self._count.tolist()
+        ):
+            yield HierNode(nid, ids[p] if p >= 0 else None, lv, count)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hierarchy):
             return NotImplemented
-        return list(self) == list(other)
+        return (
+            self._ids == other._ids
+            and np.array_equal(self._parent, other._parent)
+            and np.array_equal(self._count, other._count)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +297,9 @@ def parse_hierarchy(csv_text: str) -> Hierarchy:
     """Build a hierarchy from CSV text.
 
     Expected header: ``node_id,parent_id,level,count``. The root row has
-    an empty parent_id. Every validation error names the offending row.
+    an empty parent_id; whitespace-only rows are skipped. Every row
+    error names the offending row, every structural error the
+    offending node.
     """
     reader = csv.reader(io.StringIO(csv_text))
     try:
@@ -208,14 +310,48 @@ def parse_hierarchy(csv_text: str) -> Hierarchy:
         raise InvalidSpec(
             f"bad header {header!r}; expected {','.join(CSV_HEADER)}"
         )
+    columns = _columns(list(reader))
+    if columns is None:
+        _raise_row_fault(csv_text)  # always raises: some row is malformed
+    return Hierarchy._from_columns(*columns)
 
-    nodes = []
+
+def _columns(rows: list[list[str]]):
+    """Stripped per-node columns (ids, parent ids, levels, counts) of
+    the data rows, or None when any row is malformed."""
+    if set(map(len, rows)) - {4}:
+        rows = [r for r in rows if len(r) == 4 or any(c.strip() for c in r)]
+        if set(map(len, rows)) - {4}:
+            return None
+    cols = [list(map(str.strip, map(operator.itemgetter(k), rows))) for k in range(4)]
+    del rows
+    if not all(cols[0]):
+        keep = [any(fields) for fields in zip(*cols)]
+        cols = [list(compress(c, keep)) for c in cols]
+        if not all(cols[0]):
+            return None
+    ids, parent_ids, level_text, count_text = cols
+    try:
+        levels = np.fromiter(map(int, level_text), np.int64, len(ids))
+        counts = np.fromiter(map(float, count_text), float, len(ids))
+    except (ValueError, OverflowError):
+        return None
+    if (levels < 1).any() or not (np.isfinite(counts) & (counts >= 0)).all():
+        return None
+    is_root = np.fromiter(map(operator.not_, parent_ids), dtype=bool, count=len(ids))
+    return ids, parent_ids, is_root, levels, counts
+
+
+def _raise_row_fault(csv_text: str) -> None:
+    """Raise the error of the first malformed data row."""
+    reader = csv.reader(io.StringIO(csv_text))
+    next(reader)
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != 4:
             raise InvalidSpec(f"row {lineno}: expected 4 fields, got {len(row)}")
-        nid, pid, level_s, count_s = (c.strip() for c in row)
+        nid, _, level_s, count_s = (c.strip() for c in row)
         if not nid:
             raise InvalidSpec(f"row {lineno}: empty node_id")
         try:
@@ -226,6 +362,8 @@ def parse_hierarchy(csv_text: str) -> Hierarchy:
             ) from None
         if level < 1:
             raise LevelMismatch(f"row {lineno} ({nid!r}): level must be >= 1")
+        if level > _LEVEL_MAX:
+            raise LevelMismatch(f"row {lineno} ({nid!r}): level {level} is out of range")
         try:
             count = float(count_s)
         except ValueError:
@@ -237,40 +375,46 @@ def parse_hierarchy(csv_text: str) -> Hierarchy:
                 f"row {lineno} ({nid!r}): count must be a nonnegative real, "
                 f"got {count_s}"
             )
-        nodes.append(HierNode(nid, pid or None, level, count))
-
-    return Hierarchy(nodes)
 
 
 def serialize_hierarchy(h: Hierarchy, counts: Optional[dict[str, float]] = None) -> str:
     """Write a hierarchy back to CSV, rows in level order then id order.
 
     ``counts`` optionally substitutes per-node values (used to emit
-    privatized trees through the same schema).
+    privatized trees through the same schema); nodes it has no value
+    for are left out.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for node in h:
-        if counts is not None and node.id not in counts:
-            continue
-        value = node.count if counts is None else counts[node.id]
-        writer.writerow(
-            [node.id, node.parent_id or "", node.level, repr(float(value))]
+    for lv in range(1, h.depth + 1):
+        ids = h.level_ids(lv)
+        parent_ids = (
+            [""] if lv == 1
+            else list(map(h.level_ids(lv - 1).__getitem__, h.level_parents(lv).tolist()))
         )
+        if counts is None:
+            values = h.level_counts(lv).tolist()
+        else:
+            values = list(map(counts.get, ids))
+            keep = [v is not None for v in values]
+            ids, parent_ids, values = (
+                list(compress(c, keep)) for c in (ids, parent_ids, values)
+            )
+        writer.writerows(zip(ids, parent_ids, repeat(lv), map(repr, map(float, values))))
     return out.getvalue()
 
 
 def check_consistency(h: Hierarchy, tol: float = 0.0) -> ConsistencyReport:
     """Report ``count - sum(children)`` for every internal node."""
     entries = []
-    for node in h:
-        kids = h.children_of(node.id)
-        if not kids:
-            continue
-        residual = node.count - sum(h.node(k).count for k in kids)
-        entries.append(
-            ConsistencyEntry(node.id, residual, abs(residual) > tol)
+    for lv in range(1, h.depth):
+        # children summed in id order, as a running total
+        child_sums = np.bincount(h.level_parents(lv + 1), weights=h.level_counts(lv + 1))
+        residuals = (h.level_counts(lv) - child_sums).tolist()
+        entries.extend(
+            ConsistencyEntry(nid, r, abs(r) > tol)
+            for nid, r in zip(h.level_ids(lv), residuals)
         )
     return ConsistencyReport(tuple(entries), tol)
 
@@ -319,32 +463,26 @@ def synth_hierarchy(spec: SynthSpec) -> Hierarchy:
 
     # ids per level, zero-padded so lexicographic order is genealogic
     ids: list[list[str]] = [["r"]]
-    parents: dict[str, str] = {}
-    for lv in range(2, spec.levels + 1):
-        fan = spec.fanouts[lv - 2]
+    parent_ids: list[list[str]] = [[""]]
+    for fan in spec.fanouts:
         width = len(str(fan))
-        new_ids = []
-        for pid in ids[-1]:
-            for j in range(1, fan + 1):
-                cid = f"{pid}-{j:0{width}d}"
-                parents[cid] = pid
-                new_ids.append(cid)
-        ids.append(new_ids)
+        suffixes = [f"-{j:0{width}d}" for j in range(1, fan + 1)]
+        parent_ids.append([pid for pid in ids[-1] for _ in suffixes])
+        ids.append([pid + s for pid in ids[-1] for s in suffixes])
 
-    leaf_ids = ids[-1]
     leaves = np.rint(
-        rng.lognormal(mean=spec.leaf_mu, sigma=spec.leaf_sigma, size=len(leaf_ids))
+        rng.lognormal(mean=spec.leaf_mu, sigma=spec.leaf_sigma, size=len(ids[-1]))
     )
-    counts = {nid: float(c) for nid, c in zip(leaf_ids, leaves)}
-    for lv in range(spec.levels - 1, 0, -1):
-        for pid in ids[lv - 1]:
-            counts[pid] = 0.0
-        for cid in ids[lv]:
-            counts[parents[cid]] += counts[cid]
+    counts = [leaves]
+    for fan in reversed(spec.fanouts):
+        # each parent's children added in id order, as a running total
+        counts.insert(0, counts[0].reshape(-1, fan).cumsum(axis=1)[:, -1])
 
-    nodes = [
-        HierNode(nid, parents.get(nid), lv + 1, counts[nid])
-        for lv, level_ids in enumerate(ids)
-        for nid in level_ids
-    ]
-    return Hierarchy(nodes)
+    levels = np.repeat(np.arange(1, spec.levels + 1), [len(level) for level in ids])
+    return Hierarchy._from_columns(
+        list(chain.from_iterable(ids)),
+        list(chain.from_iterable(parent_ids)),
+        levels == 1,
+        levels,
+        np.concatenate(counts),
+    )

@@ -63,16 +63,15 @@ class ReleaseEngine:
 
     @cached_property
     def families(self) -> dict[int, list[tuple[int, np.ndarray]]]:
-        """Per parent level: (parent column, child columns) per parent."""
+        """Per parent level: (parent column, child columns) per parent,
+        child columns in id order."""
         families = {}
         for lv in range(1, self.h.depth):
-            child_pos = {
-                nid: j for j, nid in enumerate(self.h.level_ids(lv + 1))
-            }
-            families[lv] = [
-                (i, np.array([child_pos[c] for c in self.h.children_of(pid)]))
-                for i, pid in enumerate(self.h.level_ids(lv))
-            ]
+            parents = self.h.level_parents(lv + 1)
+            cols = np.argsort(parents, kind="stable")
+            # every node above the bottom level has children
+            ends = np.cumsum(np.bincount(parents))
+            families[lv] = list(enumerate(np.split(cols, ends[:-1])))
         return families
 
     def noisy(self, seed: int, rep_lo: int, rep_hi: int) -> dict[int, np.ndarray]:

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from hierdp.errors import (
     OrphanNode,
 )
 from hierdp.hierarchy import (
+    CSV_HEADER,
     Hierarchy,
     HierNode,
     SynthSpec,
@@ -98,6 +102,240 @@ class TestParse:
         assert parse_hierarchy(serialize_hierarchy(h)) == h
 
 
+HEADER = "node_id,parent_id,level,count\n"
+
+# Malformed CSVs with two faults on different rows: the class and the
+# message of the error raised, unchanged from the row-by-row parser.
+# Row faults (field count, id, level, count) come first, in row order;
+# then duplicates, roots, parent links and ragged leaves, each naming
+# the first offending node in input order.
+PRECEDENCE = [
+    ("bad_level_before_bad_count", "A,,1,3\nB,A,x,1\nC,A,2,-2\n",
+     LevelMismatch, "row 3 ('B'): level 'x' is not an integer"),
+    ("bad_count_before_bad_level", "A,,1,3\nB,A,2,-2\nC,A,x,1\n",
+     NegativeCount, "row 3 ('B'): count must be a nonnegative real, got -2"),
+    ("bad_level_and_count_same_row", "A,,1,3\nB,A,0,-2\n",
+     LevelMismatch, "row 3 ('B'): level must be >= 1"),
+    ("field_count_before_empty_id", "A,,1,3\nB,A,2\n,A,2,1\n",
+     InvalidSpec, "row 3: expected 4 fields, got 3"),
+    ("empty_id_before_bad_level", "A,,1,3\n ,A,2,1\nB,A,x,1\n",
+     InvalidSpec, "row 3: empty node_id"),
+    ("bad_count_before_earlier_duplicate", "A,,1,3\nB,A,2,1\nB,A,2,1\nC,A,2,nan\n",
+     NegativeCount, "row 5 ('C'): count must be a nonnegative real, got nan"),
+    ("duplicate_before_orphan", "A,,1,3\nB,A,2,1\nB,A,2,2\nC,Z,2,1\n",
+     DuplicateId, "duplicate node id 'B'"),
+    ("duplicate_before_earlier_orphan", "A,,1,3\nC,Z,2,1\nB,A,2,1\nB,A,2,2\n",
+     DuplicateId, "duplicate node id 'B'"),
+    ("level_mismatch_before_orphan", "A,,1,3\nB,A,3,1\nC,Z,2,1\n",
+     LevelMismatch, "node 'B' at level 3 under parent 'A' at level 1"),
+    ("orphan_before_level_mismatch", "A,,1,3\nC,Z,2,1\nB,A,3,1\n",
+     OrphanNode, "node 'C' references missing parent 'Z'"),
+    ("orphans_named_in_input_order", "A,,1,3\nz,Q,2,1\nb,P,2,1\n",
+     OrphanNode, "node 'z' references missing parent 'Q'"),
+    ("mismatch_named_in_input_order", "A,,1,3\nB,A,2,1\nz,A,3,1\nb,B,3,1\nc,B,4,1\n",
+     LevelMismatch, "node 'z' at level 3 under parent 'A' at level 1"),
+    ("orphan_before_ragged_leaf", "A,,1,3\nB,A,2,1\nC,A,2,2\nD,C,3,2\nE,Z,3,1\n",
+     OrphanNode, "node 'E' references missing parent 'Z'"),
+    ("ragged_leaf_first_named", "A,,1,3\nB,A,2,1\nC,A,2,2\nD,C,3,2\nF,A,2,0\n",
+     LevelMismatch, "leaf 'B' at level 2 but tree depth is 3; "
+     "all leaves must sit at the bottom level"),
+    ("no_root_before_orphan", "B,A,2,1\nC,B,3,1\n",
+     MissingRoot, "no root row (empty parent_id) found"),
+    ("two_roots_before_orphan", "A,,1,1\nC,Z,2,1\nB,,1,1\n",
+     DuplicateId, "multiple roots: A, B"),
+    ("root_at_level_2_before_orphan", "A,,2,1\nC,Z,3,1\nB,A,3,1\n",
+     LevelMismatch, "root 'A' must be at level 1, got 2"),
+    ("duplicate_root_id", "A,,1,1\nA,,1,1\n",
+     DuplicateId, "duplicate node id 'A'"),
+    ("header_only", "", MissingRoot, "hierarchy has no nodes"),
+    ("whitespace_rows_only", "  \n , , , \n", MissingRoot, "hierarchy has no nodes"),
+]
+
+# the same precedence through the node-list constructor
+NODE_PRECEDENCE = [
+    ("bad_count_before_duplicate",
+     [HierNode("A", None, 1, 3.0), HierNode("B", "A", 2, -1.0),
+      HierNode("C", "A", 2, 1.0), HierNode("C", "A", 2, 2.0)],
+     NegativeCount, "node 'B' has invalid count -1.0"),
+    ("duplicate_before_bad_count",
+     [HierNode("A", None, 1, 3.0), HierNode("C", "A", 2, 1.0),
+      HierNode("C", "A", 2, 2.0), HierNode("B", "A", 2, float("nan"))],
+     DuplicateId, "duplicate node id 'C'"),
+    ("duplicate_before_missing_root",
+     [HierNode("B", "A", 2, 1.0), HierNode("B", "A", 2, 1.0)],
+     DuplicateId, "duplicate node id 'B'"),
+    ("orphans_named_in_input_order",
+     [HierNode("A", None, 1, 3.0), HierNode("z", "Q", 2, 1.0), HierNode("b", "P", 2, 1.0)],
+     OrphanNode, "node 'z' references missing parent 'Q'"),
+    ("empty", [], MissingRoot, "hierarchy has no nodes"),
+]
+
+
+class TestErrorPrecedence:
+    @pytest.mark.parametrize(
+        "body,error,message", [c[1:] for c in PRECEDENCE], ids=[c[0] for c in PRECEDENCE]
+    )
+    def test_csv(self, body, error, message):
+        with pytest.raises(error) as info:
+            parse_hierarchy(HEADER + body)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "nodes,error,message",
+        [c[1:] for c in NODE_PRECEDENCE],
+        ids=[c[0] for c in NODE_PRECEDENCE],
+    )
+    def test_nodes(self, nodes, error, message):
+        with pytest.raises(error) as info:
+            Hierarchy(nodes)
+        assert str(info.value) == message
+
+    def test_level_beyond_int64_names_row(self):
+        with pytest.raises(LevelMismatch, match="row 3"):
+            parse_hierarchy(HEADER + "A,,1,3\nB,A,99999999999999999999,1\n")
+
+
+class TestInputForms:
+    def test_whitespace_rows_skipped(self):
+        text = HEADER + "A,,1,3\n   \n , , , \n\t\nB,A,2,3\n"
+        assert parse_hierarchy(text) == parse_hierarchy(HEADER + "A,,1,3\nB,A,2,3\n")
+
+    def test_fields_are_stripped(self):
+        h = parse_hierarchy(HEADER + " A , , 1 , 3 \n B , A , 2 , 3 \n")
+        assert h.level_ids(2) == ("B",)
+        assert h.node("B").parent_id == "A"
+
+    def test_quoted_id_with_comma_roundtrips(self):
+        text = HEADER + '"a,1",,1,2\n"a,1-x","a,1",2,2\n'
+        h = parse_hierarchy(text)
+        assert h.root.id == "a,1"
+        assert h.children_of("a,1") == ("a,1-x",)
+        out = serialize_hierarchy(h)
+        assert out == HEADER + '"a,1",,1,2.0\n"a,1-x","a,1",2,2.0\n'
+        assert parse_hierarchy(out) == h
+
+    def test_crlf_line_endings(self, va_csv):
+        assert parse_hierarchy(va_csv.replace("\n", "\r\n")) == parse_hierarchy(va_csv)
+
+    def test_shuffled_order_gives_same_tree(self, va_hierarchy):
+        nodes = list(va_hierarchy)
+        for seed in range(5):
+            shuffled = nodes[:]
+            random.Random(seed).shuffle(shuffled)
+            h = Hierarchy(shuffled)
+            assert h == va_hierarchy
+            assert list(h) == nodes
+            assert serialize_hierarchy(h) == serialize_hierarchy(va_hierarchy)
+            rows = serialize_hierarchy(h).splitlines()[1:]
+            random.Random(seed).shuffle(rows)
+            assert parse_hierarchy(HEADER + "\n".join(rows) + "\n") == va_hierarchy
+
+
+class TestColumns:
+    def test_level_parents(self, va_hierarchy):
+        assert list(va_hierarchy.level_parents(1)) == [-1]
+        assert list(va_hierarchy.level_parents(2)) == [0, 0]
+        assert list(va_hierarchy.level_parents(3)) == [0, 0, 0, 1, 1]
+
+    def test_children_in_id_order_whatever_the_input_order(self):
+        h = Hierarchy([
+            HierNode("r-b", "r", 2, 1.0), HierNode("r-a-2", "r-a", 3, 1.0),
+            HierNode("r-b-1", "r-b", 3, 1.0), HierNode("r", None, 1, 3.0),
+            HierNode("r-a-1", "r-a", 3, 1.0), HierNode("r-a", "r", 2, 2.0),
+        ])
+        assert h.children_of("r") == ("r-a", "r-b")
+        assert h.children_of("r-a") == ("r-a-1", "r-a-2")
+        assert h.children_of("r-a-1") == ()
+        assert list(h.level_parents(3)) == [0, 0, 1]
+
+    def test_level_out_of_range(self, va_hierarchy):
+        for level in (0, 4):
+            with pytest.raises(IndexError):
+                va_hierarchy.level_ids(level)
+
+    def test_level_counts_is_a_copy(self, va_hierarchy):
+        va_hierarchy.level_counts(2)[:] = -1.0
+        assert list(va_hierarchy.level_counts(2)) == [300.0, 150.0]
+
+    def test_node_views(self, va_hierarchy):
+        assert va_hierarchy.node("VA-200-1") == HierNode("VA-200-1", "VA-200", 3, 90.0)
+        assert va_hierarchy.root == HierNode("VA", None, 1, 450.0)
+        with pytest.raises(KeyError):
+            va_hierarchy.node("nope")
+
+
+def random_tree(seed: int, widths=(1, 7, 40, 150)) -> list[HierNode]:
+    """Random complete-depth tree with unordered, non-genealogic ids,
+    real-valued counts, in shuffled order."""
+    rng = random.Random(seed)
+    nodes, above = [], []
+    for lv, width in enumerate(widths, start=1):
+        ids = rng.sample(range(10**6), width)
+        level = [f"n{i}" for i in ids]
+        # every node above gets a child, the rest pick a parent at random
+        parents = above + [rng.choice(above) for _ in range(width - len(above))] if above else [None]
+        rng.shuffle(parents)
+        nodes += [HierNode(nid, pid, lv, rng.uniform(0.0, 1e3)) for nid, pid in zip(level, parents)]
+        above = level
+    rng.shuffle(nodes)
+    return nodes
+
+
+class TestAgainstNodeLoops:
+    """The column code against the per-node loops it replaced."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_check_consistency(self, seed):
+        nodes = random_tree(seed)
+        h = Hierarchy(nodes)
+        expected = []
+        for node in sorted(nodes, key=lambda n: (n.level, n.id)):
+            kids = [k for k in nodes if k.parent_id == node.id]
+            if kids:
+                residual = node.count - sum(k.count for k in sorted(kids, key=lambda k: k.id))
+                expected.append((node.id, residual))
+        report = check_consistency(h, tol=1.0)
+        assert [(e.node_id, e.residual) for e in report.entries] == expected
+        assert [e.flagged for e in report.entries] == [abs(r) > 1.0 for _, r in expected]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_structure(self, seed):
+        nodes = random_tree(seed)
+        h = Hierarchy(nodes)
+        assert list(h) == sorted(nodes, key=lambda n: (n.level, n.id))
+        for node in nodes:
+            assert h.node(node.id) == node
+            kids = tuple(sorted(k.id for k in nodes if k.parent_id == node.id))
+            assert h.children_of(node.id) == kids
+        for lv in range(2, h.depth + 1):
+            above = h.level_ids(lv - 1)
+            assert [above[j] for j in h.level_parents(lv)] == [
+                h.node(nid).parent_id for nid in h.level_ids(lv)
+            ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_serialize_partial_counts(self, seed):
+        h = Hierarchy(random_tree(seed))
+        rng = random.Random(seed)
+        counts = {n.id: rng.uniform(0, 5) for n in h if n.level != 2 and rng.random() < 0.8}
+        expected = [",".join(CSV_HEADER)] + [
+            f"{n.id},{n.parent_id or ''},{n.level},{counts[n.id]!r}" for n in h if n.id in counts
+        ]
+        assert serialize_hierarchy(h, counts) == "\n".join(expected) + "\n"
+
+    def test_synth_sums_in_child_order(self):
+        # leaves near 1e17 are not exact in float64 sums, so the order
+        # of additions shows in the last bits
+        spec = SynthSpec(seed=4, levels=3, fanouts=(3, 50), leaf_mu=40.0, leaf_sigma=2.0)
+        h = synth_hierarchy(spec)
+        for lv in (1, 2):
+            for nid in h.level_ids(lv):
+                total = 0.0
+                for kid in h.children_of(nid):
+                    total += h.node(kid).count
+                assert h.node(nid).count == total
+
+
 class TestConsistency:
     def test_va_all_zero(self, va_hierarchy):
         report = check_consistency(va_hierarchy, tol=0.0)
@@ -171,6 +409,19 @@ class TestSynth:
     def test_consistent_by_construction(self):
         h = synth_hierarchy(SynthSpec(seed=5, levels=4, fanouts=(3, 4, 2)))
         assert check_consistency(h, tol=0.0).consistent
+
+    # sha256 of serialize_hierarchy(synth_hierarchy(spec)), unchanged
+    # since synthesis built a dict per node
+    PINNED_SHA256 = {
+        (0, 3, (128, 164)): "f4408158451d3ca2834e69ee74eb336beec788fe128640ed4618f17cc8e6ee0a",
+        (0, 4, (3, 2, 4)): "3e3db05d7e28af4d3345ca24b8381438ab6b825f8d8ab9a53317d1954b62609b",
+    }
+
+    @pytest.mark.parametrize("seed,levels,fanouts", sorted(PINNED_SHA256))
+    def test_bytes_pinned(self, seed, levels, fanouts):
+        h = synth_hierarchy(SynthSpec(seed=seed, levels=levels, fanouts=fanouts))
+        digest = hashlib.sha256(serialize_hierarchy(h).encode()).hexdigest()
+        assert digest == self.PINNED_SHA256[seed, levels, fanouts]
 
     def test_default_shape(self):
         h = synth_hierarchy(SynthSpec(seed=0))

@@ -9,8 +9,9 @@ import pytest
 from hierdp.allocator import allocate_fixed_budget, uniform_allocation
 from hierdp.errors import AllocationMismatch, DomainError, UnreleasedLevel
 from hierdp.evaluation import monte_carlo_moments
-from hierdp.hierarchy import level_stats, parse_hierarchy
+from hierdp.hierarchy import Hierarchy, level_stats, parse_hierarchy
 from hierdp.release import (
+    ReleaseEngine,
     enforce_consistency,
     project_children,
     project_rows,
@@ -19,6 +20,7 @@ from hierdp.release import (
 from hierdp.rng import centered_uniform_matrix, node_keys, standard_laplace
 
 from oracles import qp_projection
+from test_hierarchy import random_tree
 
 
 def _laplace(scale, seed, node_id, replicates):
@@ -231,6 +233,20 @@ class TestProjectRows:
             assert np.allclose(
                 rows[i], project_children(y[i], float(t[i])), atol=1e-12
             )
+
+
+class TestReleaseEngine:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_families_match_child_walk(self, seed):
+        h = Hierarchy(random_tree(seed))
+        engine = ReleaseEngine(h, uniform_allocation(h.depth, 1.0))
+        for lv in range(1, h.depth):
+            column = {nid: j for j, nid in enumerate(h.level_ids(lv + 1))}
+            expected = [
+                (i, [column[c] for c in h.children_of(pid)])
+                for i, pid in enumerate(h.level_ids(lv))
+            ]
+            assert [(i, cols.tolist()) for i, cols in engine.families[lv]] == expected
 
 
 class TestEnforceConsistency:
