@@ -1,10 +1,7 @@
 """Command-line entry points.
 
 Every command is a pure function of its inputs, flags, and seed:
-identical invocations produce identical bytes. ``--threads`` (or the
-HIERDP_THREADS environment variable) is accepted as a scheduling hint
-and never influences output; the implementation is vectorized rather
-than multi-threaded.
+identical invocations produce identical bytes.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 solver failure.
 """
@@ -12,13 +9,12 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 solver failure.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
-import os
-import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import click
 
@@ -66,7 +62,6 @@ class RunConfig:
     seed: int = 0
     replicates: int = 1000
     hier: bool = False
-    out_dir: Path = Path(".")
     weight_fns: tuple[WeightFunction, ...] = ()
     prior: Optional[Hierarchy] = None
     prior_given: bool = False
@@ -86,76 +81,36 @@ class RunConfig:
         return stats
 
 
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise click.UsageError(f"{flag} expects comma-separated numbers, got {text!r}")
-    if not values:
-        raise click.UsageError(f"{flag} is empty")
-    return values
-
-
-def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise click.UsageError(f"{flag} expects comma-separated integers, got {text!r}")
-
-
-def _load_hierarchy(
-    input_path: Optional[str],
-    synth: bool,
-    synth_seed: int,
-    synth_levels: int,
-    synth_fanouts: Optional[str],
-    synth_mu: float,
-    synth_sigma: float,
-) -> Hierarchy:
-    if (input_path is None) == (not synth):
-        raise click.UsageError("give exactly one of --input or --synth")
-    if input_path is not None:
-        return parse_hierarchy(Path(input_path).read_text(encoding="utf-8"))
-    fanouts = (
-        _parse_ints(synth_fanouts, "--synth-fanouts")
-        if synth_fanouts
-        else SynthSpec.__dataclass_fields__["fanouts"].default
-    )
-    if synth_levels != 3 and synth_fanouts is None:
-        raise click.UsageError("--synth-levels other than 3 needs --synth-fanouts")
-    return synth_hierarchy(
-        SynthSpec(
-            seed=synth_seed,
-            levels=synth_levels,
-            fanouts=fanouts,
-            leaf_mu=synth_mu,
-            leaf_sigma=synth_sigma,
-        )
-    )
+def _read_tree(path: str) -> Hierarchy:
+    return parse_hierarchy(Path(path).read_text(encoding="utf-8"))
 
 
 def _config(
     input_path: Optional[str],
     synth: bool,
     synth_seed: int,
-    synth_levels: int,
-    synth_fanouts: Optional[str],
+    synth_fanouts: tuple[int, ...],
     synth_mu: float,
     synth_sigma: float,
-    weights: Optional[str],
     prior_path: Optional[str],
     **fields,
 ) -> RunConfig:
-    """RunConfig from the shared input, weight and prior flags; the
-    command's own resolved flags pass through as ``fields``."""
-    h = _load_hierarchy(input_path, synth, synth_seed, synth_levels,
-                        synth_fanouts, synth_mu, synth_sigma)
+    """RunConfig from the shared input and prior flags; the command's
+    own resolved flags pass through as ``fields``."""
+    if (input_path is None) == (not synth):
+        raise click.UsageError("give exactly one of --input or --synth")
+    h = _read_tree(input_path) if input_path is not None else synth_hierarchy(
+        SynthSpec(
+            seed=synth_seed,
+            levels=len(synth_fanouts) + 1,
+            fanouts=synth_fanouts,
+            leaf_mu=synth_mu,
+            leaf_sigma=synth_sigma,
+        )
+    )
     return RunConfig(
         hierarchy=h,
-        weights=_parse_floats(weights, "--weights") if weights is not None else None,
-        prior=parse_hierarchy(Path(prior_path).read_text(encoding="utf-8"))
-        if prior_path
-        else None,
+        prior=_read_tree(prior_path) if prior_path else None,
         prior_given=prior_path is not None,
         **fields,
     )
@@ -173,8 +128,8 @@ def _allocate(config: RunConfig) -> BudgetAllocation:
     return allocate_target_mse(stats, weights, config.tau)
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output is None or output == "-":
+def _emit(text: str, output: str) -> None:
+    if output == "-":
         click.echo(text, nl=False)
     else:
         Path(output).write_text(text, encoding="utf-8")
@@ -190,6 +145,14 @@ def _write_files(out_dir: str, files: dict[str, str]) -> None:
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 # operation bodies, separated from the click wiring so they are callable
@@ -214,17 +177,14 @@ def cmd_evaluate(config: RunConfig, eps_grid: Sequence[float]) -> dict[str, str]
     h = config.hierarchy
     stats = config.prior_stats()
     weights = config.level_weights()
-
-    curve = io.StringIO()
-    writer = csv.writer(curve, lineterminator="\n")
-    writer.writerow(["eps_total", "arm", "analytic_mse"])
-    for eps_total in eps_grid:
+    curve = [
+        [eps_total, arm, repr(analytic_total_mse(h, alloc))]
+        for eps_total in eps_grid
         for arm, alloc in (
             ("optimized", allocate_fixed_budget(stats, weights, eps_total)),
             ("uniform", uniform_allocation(h.depth, eps_total)),
-        ):
-            writer.writerow([eps_total, arm, repr(analytic_total_mse(h, alloc))])
-
+        )
+    ]
     report = compare_allocations(
         h,
         config.eps_total,
@@ -233,27 +193,16 @@ def cmd_evaluate(config: RunConfig, eps_grid: Sequence[float]) -> dict[str, str]
         config.seed,
         stats=stats,
     )
-    arms = io.StringIO()
-    writer = csv.writer(arms, lineterminator="\n")
-    writer.writerow(
-        ["arm", "bias_sq", "variance", "mse", "se_bias_sq", "se_variance", "se_mse"]
+    arms = (
+        [name, *map(repr, (est.bias_sq, est.variance, est.mse,
+                           est.se_bias_sq, est.se_variance, est.se_mse))]
+        for name, est in sorted(report.arms.items())
     )
-    for name, est in sorted(report.arms.items()):
-        writer.writerow(
-            [
-                name,
-                repr(est.bias_sq),
-                repr(est.variance),
-                repr(est.mse),
-                repr(est.se_bias_sq),
-                repr(est.se_variance),
-                repr(est.se_mse),
-            ]
-        )
     return {
         "report.json": _json_dumps(report.to_json_dict()),
-        "mse_curve.csv": curve.getvalue(),
-        "arms.csv": arms.getvalue(),
+        "mse_curve.csv": _csv(["eps_total", "arm", "analytic_mse"], curve),
+        "arms.csv": _csv(["arm", "bias_sq", "variance", "mse",
+                          "se_bias_sq", "se_variance", "se_mse"], arms),
     }
 
 
@@ -286,161 +235,154 @@ def cmd_downstream(config: RunConfig) -> str:
 
 
 def cmd_skew(total: int, regions: int, eps_grid: Sequence[float]) -> str:
-    points = skewness_bias_curve(total, regions, eps_grid)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["split", "eps", "total_bias"])
-    for p in points:
-        writer.writerow(["|".join(str(x) for x in p.split), p.eps, repr(p.bias)])
-    return out.getvalue()
+    return _csv(
+        ["split", "eps", "total_bias"],
+        (["|".join(str(x) for x in p.split), p.eps, repr(p.bias)]
+         for p in skewness_bias_curve(total, regions, eps_grid)),
+    )
 
 
 # click wiring
 
-def _input_options(fn):
-    fn = click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), help="Hierarchy CSV (node_id,parent_id,level,count).")(fn)
-    fn = click.option("--synth", is_flag=True, help="Generate the built-in synthetic hierarchy instead of reading a file.")(fn)
-    fn = click.option("--synth-seed", type=int, default=0, show_default=True)(fn)
-    fn = click.option("--synth-levels", type=int, default=3, show_default=True)(fn)
-    fn = click.option("--synth-fanouts", type=str, default=None, help="Comma-separated fanouts, one per level transition.")(fn)
-    fn = click.option("--synth-mu", type=float, default=3.0, show_default=True)(fn)
-    fn = click.option("--synth-sigma", type=float, default=1.2, show_default=True)(fn)
-    return fn
+class _ListParam(click.ParamType):
+    """Comma-separated values of one kind; an empty list is a usage
+    error."""
 
+    def __init__(self, kind: type):
+        self.kind = kind
+        self.name = f"{kind.__name__}s"
 
-def _budget_options(fn):
-    fn = click.option("--eps-total", type=float, default=None, help="Total privacy budget to split across levels.")(fn)
-    fn = click.option("--tau", type=float, default=None, help="Target weighted mse; minimizes total budget instead.")(fn)
-    fn = click.option("--weights", type=str, default=None, help="Comma-separated per-level weights (default: equal).")(fn)
-    fn = click.option("--prior", "prior_path", type=click.Path(exists=True, dir_okay=False), default=None, help="CSV of previously released counts to drive the allocation.")(fn)
-    return fn
-
-
-def _run(body):
-    try:
-        body()
-    except ConvergenceFailure as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(4)
-    except DataError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-
-
-@click.group()
-@click.option(
-    "--threads",
-    type=int,
-    default=1,
-    help="Worker hint; affects wall time only, never output bytes. "
-    "The HIERDP_THREADS environment variable overrides this flag.",
-)
-def main(threads: int) -> None:
-    """Privacy budget allocation and release for hierarchical counts."""
-    env = os.environ.get("HIERDP_THREADS")
-    if env is not None:
+    def convert(self, value, param, ctx):
+        if isinstance(value, tuple):
+            return value
         try:
-            threads = int(env)
+            values = tuple(self.kind(x) for x in value.split(",") if x.strip())
         except ValueError:
-            raise click.UsageError(f"HIERDP_THREADS={env!r} is not an integer")
-    if threads < 1:
-        raise click.UsageError("--threads must be >= 1")
+            self.fail(f"expects comma-separated {self.name}, got {value!r}", param, ctx)
+        if not values:
+            self.fail("is empty", param, ctx)
+        return values
+
+
+_FLOATS = _ListParam(float)
+
+
+def _options(*options):
+    """Apply click options as if stacked as decorators in this order."""
+    return lambda fn: functools.reduce(lambda f, opt: opt(f), reversed(options), fn)
+
+
+_INPUT = _options(
+    click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), help="Hierarchy CSV (node_id,parent_id,level,count)."),
+    click.option("--synth", is_flag=True, help="Generate the built-in synthetic hierarchy instead of reading a file."),
+    click.option("--synth-seed", type=int, default=0, show_default=True),
+    click.option("--synth-fanouts", type=_ListParam(int), show_default=True,
+                 default=",".join(map(str, SynthSpec.__dataclass_fields__["fanouts"].default)),
+                 help="Comma-separated fanouts, one per level transition; the tree has one level more."),
+    click.option("--synth-mu", type=float, default=3.0, show_default=True),
+    click.option("--synth-sigma", type=float, default=1.2, show_default=True),
+)
+_WEIGHTS_PRIOR = _options(
+    click.option("--weights", type=_FLOATS, default=None, help="Comma-separated per-level weights (default: equal)."),
+    click.option("--prior", "prior_path", type=click.Path(exists=True, dir_okay=False), default=None, help="CSV of previously released counts to drive the allocation."),
+)
+_BUDGET = _options(
+    click.option("--eps-total", type=float, default=None, help="Total privacy budget to split across levels."),
+    click.option("--tau", type=float, default=None, help="Target weighted mse; minimizes total budget instead."),
+    _WEIGHTS_PRIOR,
+)
+_SEED = click.option("--seed", type=int, default=0, show_default=True)
+_OUTPUT = click.option("-o", "--output", type=str, default="-", show_default=True)
+
+
+class _Group(click.Group):
+    """Maps data errors to exit code 3 and solver failures to 4, for
+    every command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ConvergenceFailure, DataError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(4 if isinstance(exc, ConvergenceFailure) else 3)
+
+
+@click.group(cls=_Group)
+def main() -> None:
+    """Privacy budget allocation and release for hierarchical counts."""
 
 
 @main.command("allocate")
-@_input_options
-@_budget_options
-@click.option("-o", "--output", type=str, default="-", show_default=True)
+@_INPUT
+@_BUDGET
+@_OUTPUT
 def allocate_cmd(output, **flags):
     """Solve the budget split and emit it as JSON."""
-    _run(lambda: _emit(cmd_allocate(_config(**flags)), output))
+    _emit(cmd_allocate(_config(**flags)), output)
 
 
 @main.command("release")
-@_input_options
-@_budget_options
-@click.option("--seed", type=int, default=0, show_default=True)
+@_INPUT
+@_BUDGET
+@_SEED
 @click.option("--hier", is_flag=True, help="Apply the top-down consistency projection.")
 @click.option("--out-prefix", type=str, default="release", show_default=True,
               help="Writes PREFIX.csv and PREFIX.json under --out-dir.")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".", show_default=True)
 def release_cmd(out_prefix, out_dir, **flags):
     """Privatize a hierarchy: noisy CSV plus a JSON sidecar."""
-
-    def body():
-        csv_text, sidecar = cmd_release(_config(**flags))
-        _write_files(out_dir, {f"{out_prefix}.csv": csv_text,
-                               f"{out_prefix}.json": sidecar})
-
-    _run(body)
+    csv_text, sidecar = cmd_release(_config(**flags))
+    _write_files(out_dir, {f"{out_prefix}.csv": csv_text, f"{out_prefix}.json": sidecar})
 
 
 @main.command("evaluate")
-@_input_options
+@_INPUT
 @click.option("--eps-total", type=float, default=1.0, show_default=True,
               help="Budget for the four-arm Monte Carlo comparison.")
-@click.option("--eps-grid", type=str, default=",".join(str(x) for x in EPS_GRID_DEFAULT),
+@click.option("--eps-grid", type=_FLOATS, default=",".join(str(x) for x in EPS_GRID_DEFAULT),
               show_default=True, help="Budgets for the analytic mse curve.")
-@click.option("--weights", type=str, default=None)
-@click.option("--prior", "prior_path", type=click.Path(exists=True, dir_okay=False), default=None)
+@_WEIGHTS_PRIOR
 @click.option("--replicates", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_SEED
 @click.option("--out-dir", type=click.Path(file_okay=False), default="evaluation", show_default=True)
 def evaluate_cmd(eps_grid, out_dir, **flags):
     """Optimized-versus-uniform comparison report and plot data."""
-
-    def body():
-        config = _config(**flags)
-        _write_files(out_dir, cmd_evaluate(config, _parse_floats(eps_grid, "--eps-grid")))
-
-    _run(body)
+    _write_files(out_dir, cmd_evaluate(_config(**flags), eps_grid))
 
 
 @main.command("downstream")
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
               help="Two-level tract CSV (root plus blocks).")
-@click.option("--blocks", type=str, default=None,
+@click.option("--blocks", type=_FLOATS, default=None,
               help="Comma-separated block counts; builds the tract inline.")
 @click.option("--eps-total", type=float, required=True)
 @click.option("--weight-fns", type=str, default="log,linear,quadratic", show_default=True)
 @click.option("--replicates", type=int, default=10000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("-o", "--output", type=str, default="-", show_default=True)
-def downstream_cmd(input_path, blocks, eps_total, weight_fns, replicates, seed, output):
+@_SEED
+@_OUTPUT
+def downstream_cmd(input_path, blocks, weight_fns, output, **flags):
     """Misallocation of budget shares computed from privatized counts."""
-
-    def body():
-        if (input_path is None) == (blocks is None):
-            raise click.UsageError("give exactly one of --input or --blocks")
-        config = RunConfig(
-            hierarchy=parse_hierarchy(Path(input_path).read_text(encoding="utf-8"))
-            if input_path is not None
-            else None,
-            blocks=_parse_floats(blocks, "--blocks") if blocks is not None else None,
-            eps_total=eps_total,
-            replicates=replicates,
-            seed=seed,
-            weight_fns=tuple(
-                WeightFunction.parse(n) for n in weight_fns.split(",") if n.strip()
-            ),
-        )
-        _emit(cmd_downstream(config), output)
-
-    _run(body)
+    if (input_path is None) == (blocks is None):
+        raise click.UsageError("give exactly one of --input or --blocks")
+    config = RunConfig(
+        hierarchy=_read_tree(input_path) if input_path is not None else None,
+        blocks=blocks,
+        weight_fns=tuple(
+            WeightFunction.parse(n) for n in weight_fns.split(",") if n.strip()
+        ),
+        **flags,
+    )
+    _emit(cmd_downstream(config), output)
 
 
 @main.command("skew")
 @click.option("--total", type=int, default=100, show_default=True)
 @click.option("--regions", type=int, default=2, show_default=True)
-@click.option("--eps-grid", type=str, default="0.05,0.1,0.5", show_default=True)
-@click.option("-o", "--output", type=str, default="-", show_default=True)
+@click.option("--eps-grid", type=_FLOATS, default="0.05,0.1,0.5", show_default=True)
+@_OUTPUT
 def skew_cmd(total, regions, eps_grid, output):
     """Total clamp bias over every integer split of a fixed population."""
-
-    def body():
-        _emit(cmd_skew(total, regions, _parse_floats(eps_grid, "--eps-grid")), output)
-
-    _run(body)
+    _emit(cmd_skew(total, regions, eps_grid), output)
 
 
 if __name__ == "__main__":

@@ -33,6 +33,9 @@ EPS_GRID_DEFAULT = (0.1, 0.25, 0.5, 1.0, 1.5, 2.0)
 
 _CHUNK = 256
 
+# most (split, eps) points skewness_bias_curve enumerates
+MAX_SKEW_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class MomentEstimate:
@@ -314,8 +317,16 @@ def skewness_bias_curve(
     split_grid: Optional[Sequence[Sequence[int]]] = None,
 ) -> list[SkewnessPoint]:
     """Total clamp bias per (split, eps); exhausts all integer splits of
-    ``total_n`` when no split grid is given. The most even split always
-    attains the minimum at every eps."""
+    ``total_n`` when no split grid is given, and refuses to when they
+    come to more than :data:`MAX_SKEW_POINTS` points. The most even
+    split always attains the minimum at every eps."""
+    if split_grid is None and total_n >= 0 and num_regions >= 1:
+        points = math.comb(total_n + num_regions - 1, num_regions - 1) * len(eps_grid)
+        if points > MAX_SKEW_POINTS:
+            raise InvalidSplit(
+                f"{total_n} into {num_regions} regions over {len(eps_grid)} eps "
+                f"values is {points} points, more than {MAX_SKEW_POINTS}"
+            )
     splits = (
         [tuple(s) for s in split_grid]
         if split_grid is not None

@@ -21,13 +21,14 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from .errors import (
     DuplicateId,
     InvalidSpec,
+    LengthMismatch,
     LevelMismatch,
     MissingRoot,
     NegativeCount,
@@ -377,31 +378,35 @@ def _raise_row_fault(csv_text: str) -> None:
             )
 
 
-def serialize_hierarchy(h: Hierarchy, counts: Optional[dict[str, float]] = None) -> str:
+def serialize_hierarchy(
+    h: Hierarchy, counts: Optional[Mapping[int, np.ndarray]] = None
+) -> str:
     """Write a hierarchy back to CSV, rows in level order then id order.
 
-    ``counts`` optionally substitutes per-node values (used to emit
-    privatized trees through the same schema); nodes it has no value
-    for are left out.
+    ``counts`` optionally substitutes per-level values, each in
+    :meth:`Hierarchy.level_ids` order (used to emit privatized trees
+    through the same schema); levels it has no entry for are left out.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for lv in range(1, h.depth + 1):
+        if counts is None:
+            values = h.level_counts(lv)
+        elif lv in counts:
+            values = np.asarray(counts[lv], dtype=float)
+        else:
+            continue
         ids = h.level_ids(lv)
+        if len(values) != len(ids):
+            raise LengthMismatch(
+                f"level {lv} has {len(ids)} nodes but {len(values)} counts"
+            )
         parent_ids = (
             [""] if lv == 1
             else list(map(h.level_ids(lv - 1).__getitem__, h.level_parents(lv).tolist()))
         )
-        if counts is None:
-            values = h.level_counts(lv).tolist()
-        else:
-            values = list(map(counts.get, ids))
-            keep = [v is not None for v in values]
-            ids, parent_ids, values = (
-                list(compress(c, keep)) for c in (ids, parent_ids, values)
-            )
-        writer.writerows(zip(ids, parent_ids, repeat(lv), map(repr, map(float, values))))
+        writer.writerows(zip(ids, parent_ids, repeat(lv), map(repr, values.tolist())))
     return out.getvalue()
 
 

@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -105,35 +106,47 @@ class ReleaseEngine:
         return adjusted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrivatizedHierarchy:
     """Noisy counts over the shape of a source hierarchy.
 
-    ``values`` holds one nonnegative noisy count per released node;
-    nodes of levels allocated eps = 0 are absent. The source tree is
-    kept for structure only and never serialized with true counts.
+    ``levels`` maps each released level to its nonnegative noisy counts
+    as a read-only array in :meth:`Hierarchy.level_ids` order; levels
+    allocated eps = 0 are absent. The source tree is kept for structure
+    only and never serialized with true counts.
     """
 
     source: Hierarchy
-    values: dict[str, float]
+    levels: dict[int, np.ndarray]
     allocation: BudgetAllocation
     seed: int
     consistency_applied: bool
 
+    def __post_init__(self):
+        levels = {}
+        for lv in sorted(self.levels):
+            levels[lv] = np.array(self.levels[lv], dtype=float)
+            levels[lv].flags.writeable = False
+        object.__setattr__(self, "levels", levels)
+
+    @property
+    def values(self) -> MappingProxyType:
+        """Read-only ``{node id: noisy count}`` over the released
+        levels, built from :attr:`levels` on each access."""
+        return MappingProxyType({
+            nid: v
+            for lv, row in self.levels.items()
+            for nid, v in zip(self.source.level_ids(lv), row.tolist())
+        })
+
     def released_levels(self) -> list[int]:
-        return [
-            lv
-            for lv in range(1, self.source.depth + 1)
-            if self.allocation.eps[lv - 1] > 0
-        ]
+        return list(self.levels)
 
     def level_values(self, level: int) -> np.ndarray:
-        return np.array(
-            [self.values[i] for i in self.source.level_ids(level)], dtype=float
-        )
+        return self.levels[level].copy()
 
     def to_csv(self) -> str:
-        return serialize_hierarchy(self.source, counts=self.values)
+        return serialize_hierarchy(self.source, counts=self.levels)
 
     def sidecar_json(self) -> str:
         return json.dumps(
@@ -146,13 +159,6 @@ class PrivatizedHierarchy:
         )
 
 
-def _row_values(h: Hierarchy, rows: dict[int, np.ndarray]) -> dict[str, float]:
-    values: dict[str, float] = {}
-    for lv, row in rows.items():
-        values.update(zip(h.level_ids(lv), row[0].tolist()))
-    return values
-
-
 def release_no_hier(
     h: Hierarchy, alloc: BudgetAllocation, seed: int
 ) -> PrivatizedHierarchy:
@@ -161,7 +167,8 @@ def release_no_hier(
     seed."""
     noisy = ReleaseEngine(h, alloc).noisy(seed, 0, 1)
     return PrivatizedHierarchy(
-        h, _row_values(h, noisy), alloc, seed, consistency_applied=False
+        h, {lv: row[0] for lv, row in noisy.items()}, alloc, seed,
+        consistency_applied=False,
     )
 
 
@@ -221,8 +228,10 @@ def enforce_consistency(p: PrivatizedHierarchy) -> PrivatizedHierarchy:
     root. Projecting an already-consistent tree is a no-op.
     """
     engine = ReleaseEngine(p.source, p.allocation)
-    rows = {lv: p.level_values(lv)[None, :] for lv in engine.levels}
-    adjusted = engine.apply_consistency(rows)
+    adjusted = engine.apply_consistency(
+        {lv: row[None, :] for lv, row in p.levels.items()}
+    )
     return replace(
-        p, values=_row_values(p.source, adjusted), consistency_applied=True
+        p, levels={lv: row[0] for lv, row in adjusted.items()},
+        consistency_applied=True,
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -202,29 +203,82 @@ class TestSkew:
         expected = (math.exp(-0.5 * left) + math.exp(-0.5 * right)) / (2 * 0.5)
         assert float(row["bias"]) == pytest.approx(expected, rel=1e-12)
 
+    def test_enumeration_too_large_exits_3(self, runner):
+        # C(1004, 4) splits of 1000 into 5 regions: refused before any
+        # split is built
+        result = runner.invoke(main, ["skew", "--total", "1000", "--regions", "5"])
+        assert result.exit_code == 3
+        assert "more than 1000000" in result.stderr
 
-class TestDeterminismAcrossThreads:
-    def test_threads_flag_and_env(self, runner, workdir):
-        base = ["allocate", "--input", str(workdir / "va.csv"), "--eps-total", "2"]
-        plain = _invoke(runner, base)
-        with_flag = _invoke(runner, ["--threads", "4"] + base)
-        with_env = _invoke(runner, base, env={"HIERDP_THREADS": "8"})
-        assert plain.stdout == with_flag.stdout == with_env.stdout
 
-    def test_bad_thread_count(self, runner, workdir):
-        result = runner.invoke(
-            main,
-            ["--threads", "0", "allocate",
-             "--input", str(workdir / "va.csv"), "--eps-total", "1"],
+class TestSynth:
+    # sha256 of release.csv, taken at the commit before the synthetic
+    # tree's depth came from --synth-fanouts alone
+    SYNTH_SHA256 = {
+        (0, False): "bf92b8cb599473dd024ce5db7e8442bbb7c1d87cc179a2a83b1c2b39174fc432",
+        (0, True): "4ba82c3bfac82b76dfa28b484912ff36427e9e9ba3d642fcbe3f2e50e6441680",
+        (5, False): "06fabe7180af3fd321f5cefd27751e4bd6d1cf36923eb11ae3981c8619f8aba2",
+        (5, True): "0f04aa67b42ac35797db9dd530df85167985078fb51f8363e3849548d9ba3803",
+    }
+    # the VA fixture with its middle level withheld (weights 1,0,1)
+    WITHHELD_SHA256 = "b2c027038354807de565adbfdf7247dd83f1ea1478bf86d47f9978aec396871f"
+
+    @staticmethod
+    def _release_csv(runner, out, args):
+        assert _invoke(runner, ["release", *args, "--out-dir", str(out)]).exit_code == 0
+        return (out / "release.csv").read_text()
+
+    @pytest.mark.parametrize("seed,hier", sorted(SYNTH_SHA256))
+    def test_release_bytes_pinned(self, runner, tmp_path, seed, hier):
+        args = ["--synth", "--synth-seed", "3", "--eps-total", "2", "--seed", str(seed)]
+        text = self._release_csv(runner, tmp_path, args + (["--hier"] if hier else []))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SYNTH_SHA256[seed, hier]
+
+    def test_withheld_level_bytes_pinned(self, runner, workdir):
+        text = self._release_csv(
+            runner, workdir / "out",
+            ["--input", str(workdir / "va.csv"), "--eps-total", "2", "--weights", "1,0,1"],
         )
-        assert result.exit_code == 2
+        assert {row.split(",")[2] for row in text.splitlines()[1:]} == {"1", "3"}
+        assert hashlib.sha256(text.encode()).hexdigest() == self.WITHHELD_SHA256
 
-    def test_env_overrides_flag(self, runner, workdir):
-        # a valid flag loses to an invalid environment value
-        result = runner.invoke(
-            main,
-            ["--threads", "4", "allocate",
-             "--input", str(workdir / "va.csv"), "--eps-total", "1"],
-            env={"HIERDP_THREADS": "0"},
+    def test_fanouts_set_the_depth(self, runner, tmp_path):
+        text = self._release_csv(
+            runner, tmp_path,
+            ["--synth", "--synth-fanouts", "5,4,3", "--eps-total", "2"],
         )
+        released = parse_hierarchy(text)
+        assert released.depth == 4
+        assert [len(released.level_ids(lv)) for lv in range(1, 5)] == [1, 5, 20, 60]
+
+
+class TestListFlags:
+    @pytest.mark.parametrize("args", [
+        ["release", "--synth", "--synth-fanouts", ",", "--eps-total", "1"],
+        ["release", "--synth", "--eps-total", "1", "--weights", " , "],
+        ["evaluate", "--synth", "--eps-grid", ","],
+        ["downstream", "--blocks", ",", "--eps-total", "1"],
+        ["skew", "--eps-grid", ""],
+    ])
+    def test_empty_list_is_usage_error(self, runner, args):
+        result = runner.invoke(main, args)
         assert result.exit_code == 2
+        assert "is empty" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["release", "--synth", "--synth-fanouts", "4,2.5", "--eps-total", "1"],
+        ["allocate", "--synth", "--eps-total", "1", "--weights", "1,x,1"],
+    ])
+    def test_malformed_list_is_usage_error(self, runner, args):
+        assert runner.invoke(main, args).exit_code == 2
+
+
+class TestRemovedKnobs:
+    @pytest.mark.parametrize("args", [
+        ["--threads", "4", "skew"],
+        ["release", "--synth", "--synth-levels", "3", "--eps-total", "1"],
+    ])
+    def test_unknown_option(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "No such option" in result.output

@@ -6,6 +6,7 @@ import pytest
 from hierdp.allocator import uniform_allocation
 from hierdp.analytics import bias, mse, variance
 from hierdp.errors import DomainError, InvalidSplit
+import hierdp.evaluation as evaluation
 from hierdp.evaluation import (
     analytic_total_mse,
     compare_allocations,
@@ -208,6 +209,22 @@ class TestSkewnessCurve:
         for a, b in zip(chain, chain[1:]):
             assert majorizes(b, a)
             assert total_clamp_bias(b, 0.1) >= total_clamp_bias(a, 0.1)
+
+    def test_refuses_more_points_than_the_cap(self):
+        # C(103, 3) splits of 100 into 4 regions times 6 eps values is
+        # 1,061,106 points: counted, not enumerated
+        grid = [0.05, 0.1, 0.25, 0.5, 1.0, 2.0]
+        assert math.comb(103, 3) * len(grid) == 1_061_106
+        with pytest.raises(InvalidSplit, match="1061106 points"):
+            skewness_bias_curve(100, 4, grid)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        # 11 splits of 10 into 2 regions times 2 eps values
+        monkeypatch.setattr(evaluation, "MAX_SKEW_POINTS", 22)
+        assert len(skewness_bias_curve(10, 2, [0.1, 0.5])) == 22
+        monkeypatch.setattr(evaluation, "MAX_SKEW_POINTS", 21)
+        with pytest.raises(InvalidSplit):
+            skewness_bias_curve(10, 2, [0.1, 0.5])
 
     def test_curve_matches_per_region_bias(self):
         split = (12, 5, 3)

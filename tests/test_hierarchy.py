@@ -7,6 +7,7 @@ import pytest
 from hierdp.errors import (
     DuplicateId,
     InvalidSpec,
+    LengthMismatch,
     LevelMismatch,
     MissingRoot,
     NegativeCount,
@@ -317,11 +318,24 @@ class TestAgainstNodeLoops:
     def test_serialize_partial_counts(self, seed):
         h = Hierarchy(random_tree(seed))
         rng = random.Random(seed)
-        counts = {n.id: rng.uniform(0, 5) for n in h if n.level != 2 and rng.random() < 0.8}
+        # whole levels withheld: level 2 always, one more at random
+        withheld = {2, rng.choice([1, 3, 4])}
+        counts = {
+            lv: np.array([rng.uniform(0, 5) for _ in h.level_ids(lv)])
+            for lv in range(1, h.depth + 1) if lv not in withheld
+        }
+        value = {
+            nid: v for lv, row in counts.items()
+            for nid, v in zip(h.level_ids(lv), row.tolist())
+        }
         expected = [",".join(CSV_HEADER)] + [
-            f"{n.id},{n.parent_id or ''},{n.level},{counts[n.id]!r}" for n in h if n.id in counts
+            f"{n.id},{n.parent_id or ''},{n.level},{value[n.id]!r}" for n in h if n.id in value
         ]
         assert serialize_hierarchy(h, counts) == "\n".join(expected) + "\n"
+
+    def test_serialize_rejects_short_level(self, va_hierarchy):
+        with pytest.raises(LengthMismatch, match="level 2 has 2 nodes but 1 counts"):
+            serialize_hierarchy(va_hierarchy, {1: [450.0], 2: [300.0]})
 
     def test_synth_sums_in_child_order(self):
         # leaves near 1e17 are not exact in float64 sums, so the order

@@ -151,6 +151,49 @@ class TestReleaseNoHier:
         assert sidecar["allocation"]["eps"] == [0.5, 0.5, 0.5]
 
 
+class TestReleasedLevels:
+    @pytest.mark.parametrize("hier", [False, True])
+    def test_levels_are_read_only_rows_in_id_order(self, va_hierarchy, hier):
+        alloc = uniform_allocation(3, 1.0)
+        released = release_no_hier(va_hierarchy, alloc, seed=4)
+        if hier:
+            released = enforce_consistency(released)
+        assert list(released.levels) == released.released_levels() == [1, 2, 3]
+        noisy = ReleaseEngine(va_hierarchy, alloc).noisy(4, 0, 1)
+        if hier:
+            noisy = ReleaseEngine(va_hierarchy, alloc).apply_consistency(noisy)
+        for lv, row in released.levels.items():
+            assert row.tolist() == noisy[lv][0].tolist()
+            assert list(zip(va_hierarchy.level_ids(lv), row.tolist())) == [
+                (nid, released.values[nid]) for nid in va_hierarchy.level_ids(lv)
+            ]
+            with pytest.raises(ValueError):
+                row[0] = 0.0
+            copy = released.level_values(lv)
+            copy[0] = -1.0
+            assert row[0] != -1.0
+
+    def test_levels_are_copied_from_the_caller(self, va_hierarchy):
+        released = release_no_hier(va_hierarchy, uniform_allocation(3, 1.0), seed=4)
+        rows = {lv: released.level_values(lv) for lv in released.levels}
+        again = replace(released, levels=rows)
+        rows[3][0] = -1.0
+        assert again.levels[3][0] == released.levels[3][0] >= 0.0
+
+    def test_values_is_a_read_only_view_of_the_levels(self, va_hierarchy):
+        released = release_no_hier(va_hierarchy, uniform_allocation(3, 1.0), seed=4)
+        assert len(released.values) == len(va_hierarchy)
+        with pytest.raises(TypeError):
+            released.values["VA"] = 0.0
+
+    def test_withheld_level_is_absent(self, va_hierarchy):
+        alloc = replace(uniform_allocation(3, 2.0), eps=(1.0, 0.0, 1.0))
+        released = release_no_hier(va_hierarchy, alloc, seed=0)
+        assert list(released.levels) == [1, 3]
+        assert [row.split(",")[2] for row in released.to_csv().splitlines()[1:]] == \
+            ["1"] + ["3"] * 5
+
+
 class TestProjectChildren:
     def test_feasible_point_untouched(self):
         assert project_children(np.array([1.0, 1.0]), 2.0).tolist() == [1.0, 1.0]
@@ -266,7 +309,7 @@ class TestEnforceConsistency:
         # overwrite with the pinned scenario, then project
         released = released.__class__(
             source=h,
-            values={"P": 10.0, "P-1": 3.0, "P-2": 3.0},
+            levels={1: np.array([10.0]), 2: np.array([3.0, 3.0])},
             allocation=alloc,
             seed=0,
             consistency_applied=False,
