@@ -53,7 +53,6 @@ stats source; the CLI's --prior flag exists for exactly that.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -106,9 +105,6 @@ class BudgetAllocation:
             "program": self.program,
             "weights": list(self.weights),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _root(

@@ -35,9 +35,13 @@ EPS_MIN = 1e-12
 _X_UNDERFLOW = 745.0
 
 
-def _check(n: float, eps: float) -> None:
+def _check_eps(eps: float) -> None:
     if not (eps >= EPS_MIN and math.isfinite(eps)):
         raise DomainError(f"eps must be >= {EPS_MIN:g}, got {eps!r}")
+
+
+def _check(n: float, eps: float) -> None:
+    _check_eps(eps)
     if not (n >= 0 and math.isfinite(n)):
         raise DomainError(f"count must be a nonnegative real, got {n!r}")
 
@@ -104,15 +108,10 @@ def mse_deps2(n: float, eps: float) -> float:
     return (12.0 - t * (x**3 + 3.0 * x * x + 6.0 * x + 6.0)) / eps**4
 
 
-# vectorized forms over a count vector at a shared eps; used by the
-# allocator and harness on whole levels at once. The public forms check
-# their inputs; the allocator checks a level's counts once and then
-# calls the unchecked kernels (leading underscore) on every pass.
-
-def _check_eps(eps: float) -> None:
-    if not (eps >= EPS_MIN and math.isfinite(eps)):
-        raise DomainError(f"eps must be >= {EPS_MIN:g}, got {eps!r}")
-
+# vectorized forms over a count vector at a shared eps, for whole
+# levels at once. mse_sum checks its inputs; the allocator checks a
+# level's counts once and then calls the unchecked kernels _mse_sum and
+# _mse_deps_sums on every pass.
 
 def _check_counts(counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=float)
@@ -135,18 +134,11 @@ def _mse_sum(counts: np.ndarray, eps: float, mults: np.ndarray | None) -> float:
     return total / eps**2
 
 
-def mse_deps_sums(
-    counts: np.ndarray, eps: float, mults: np.ndarray | None = None
-) -> tuple[float, float]:
-    """Summed first and second eps-derivatives of per-count mse at a
-    common eps, from one exp per count."""
-    _check_eps(eps)
-    return _mse_deps_sums(_check_counts(counts), eps, mults)
-
-
 def _mse_deps_sums(
     counts: np.ndarray, eps: float, mults: np.ndarray | None
 ) -> tuple[float, float]:
+    """Summed first and second eps-derivatives of per-count mse at a
+    common eps, from one exp per count."""
     x = np.minimum(eps * counts, _X_UNDERFLOW)
     t = np.exp(-x)
     d1 = t * (x * x + 2.0 * x + 2.0) - 4.0

@@ -248,9 +248,9 @@ class _ListParam(click.ParamType):
     """Comma-separated values of one kind; an empty list is a usage
     error."""
 
-    def __init__(self, kind: type):
+    def __init__(self, kind, name: str = ""):
         self.kind = kind
-        self.name = f"{kind.__name__}s"
+        self.name = name or f"{kind.__name__}s"
 
     def convert(self, value, param, ctx):
         if isinstance(value, tuple):
@@ -356,7 +356,8 @@ def evaluate_cmd(eps_grid, out_dir, **flags):
 @click.option("--blocks", type=_FLOATS, default=None,
               help="Comma-separated block counts; builds the tract inline.")
 @click.option("--eps-total", type=float, required=True)
-@click.option("--weight-fns", type=str, default="log,linear,quadratic", show_default=True)
+@click.option("--weight-fns", type=_ListParam(WeightFunction.parse, "names"),
+              default="log,linear,quadratic", show_default=True)
 @click.option("--replicates", type=int, default=10000, show_default=True)
 @_SEED
 @_OUTPUT
@@ -367,9 +368,7 @@ def downstream_cmd(input_path, blocks, weight_fns, output, **flags):
     config = RunConfig(
         hierarchy=_read_tree(input_path) if input_path is not None else None,
         blocks=blocks,
-        weight_fns=tuple(
-            WeightFunction.parse(n) for n in weight_fns.split(",") if n.strip()
-        ),
+        weight_fns=weight_fns,
         **flags,
     )
     _emit(cmd_downstream(config), output)

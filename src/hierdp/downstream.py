@@ -223,8 +223,9 @@ def tract_release(
     else:
         raise DomainError(f"unknown arm {arm!r}")
 
-    engine = ReleaseEngine(h, alloc)
-    return engine.apply_consistency(engine.noisy(seed, 0, replicates))[2]
+    engine = ReleaseEngine(h)
+    noisy = engine.noisy(alloc, engine.laplace(seed, 0, replicates, [alloc]))
+    return engine.apply_consistency(noisy)[2]
 
 
 def compare_misallocation(

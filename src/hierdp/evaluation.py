@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,13 +25,14 @@ from .allocator import (
     uniform_allocation,
 )
 from .analytics import mse_sum
-from .errors import AllocationMismatch, DomainError, InvalidSplit
+from .errors import DomainError, InvalidSplit
 from .hierarchy import Hierarchy, LevelStats, level_stats
 from .release import ReleaseEngine
 
 EPS_GRID_DEFAULT = (0.1, 0.25, 0.5, 1.0, 1.5, 2.0)
 
-_CHUNK = 256
+# most (replicate, node) entries a Monte Carlo chunk draws at once
+CHUNK_ELEMENTS = 2**20
 
 # most (split, eps) points skewness_bias_curve enumerates
 MAX_SKEW_POINTS = 10**6
@@ -50,15 +51,7 @@ class MomentEstimate:
     replicates: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "bias_sq": self.bias_sq,
-            "variance": self.variance,
-            "mse": self.mse,
-            "se_bias_sq": self.se_bias_sq,
-            "se_variance": self.se_variance,
-            "se_mse": self.se_mse,
-            "replicates": self.replicates,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -87,31 +80,32 @@ class ComparisonReport:
 
 
 class _MomentAccumulator:
-    def __init__(self, n_nodes: int, replicates: int):
-        self.e1 = np.zeros(n_nodes)
-        self.e2 = np.zeros(n_nodes)
-        self.e3 = np.zeros(n_nodes)
-        self.e4 = np.zeros(n_nodes)
+    """Per-node power sums of the error, one ``(4, nodes)`` array per
+    level, and the per-replicate squared error summed over nodes."""
+
+    def __init__(self, replicates: int):
+        self.sums: dict[int, np.ndarray] = {}
         self.per_rep_sq = np.zeros(replicates)
         self.replicates = replicates
 
-    def add(self, err: np.ndarray, rep_lo: int, rep_hi: int, col_lo: int):
-        sl = slice(col_lo, col_lo + err.shape[1])
+    def add(self, err: np.ndarray, level: int, rep_lo: int, rep_hi: int):
+        sums = self.sums.setdefault(level, np.zeros((4, err.shape[1])))
         sq = err * err
-        self.e1[sl] += err.sum(axis=0)
-        self.e2[sl] += sq.sum(axis=0)
-        self.e3[sl] += (sq * err).sum(axis=0)
-        self.e4[sl] += (sq * sq).sum(axis=0)
+        sums[0] += err.sum(axis=0)
+        sums[1] += sq.sum(axis=0)
+        sums[2] += (sq * err).sum(axis=0)
+        sums[3] += (sq * sq).sum(axis=0)
         self.per_rep_sq[rep_lo:rep_hi] += sq.sum(axis=1)
 
     def finalize(self) -> MomentEstimate:
         r = self.replicates
-        m1 = self.e1 / r
-        s2 = (self.e2 - r * m1 * m1) / (r - 1)
+        e1, e2, e3, e4 = np.hstack(list(self.sums.values()))
+        m1 = e1 / r
+        s2 = (e2 - r * m1 * m1) / (r - 1)
         m4 = (
-            self.e4 / r
-            - 4.0 * m1 * self.e3 / r
-            + 6.0 * m1 * m1 * self.e2 / r
+            e4 / r
+            - 4.0 * m1 * e3 / r
+            + 6.0 * m1 * m1 * e2 / r
             - 3.0 * m1**4
         )
         bias_sq = float(np.sum(m1 * m1))
@@ -131,6 +125,32 @@ class _MomentAccumulator:
         )
 
 
+def _moment_pass(
+    h: Hierarchy,
+    arms: Sequence[tuple[BudgetAllocation, bool]],
+    replicates: int,
+    seed: int,
+) -> list[MomentEstimate]:
+    """Release-error moments of every (allocation, with consistency)
+    arm from one pass: each chunk of replicates is drawn once and
+    scaled for every allocation, so all arms share their noise."""
+    if replicates < 100:
+        raise DomainError(f"replicates must be >= 100, got {replicates}")
+    engine = ReleaseEngine(h)
+    accs = [_MomentAccumulator(replicates) for _ in arms]
+    step = max(1, CHUNK_ELEMENTS // len(h))
+    for rep_lo in range(0, replicates, step):
+        rep_hi = min(rep_lo + step, replicates)
+        laplace = engine.laplace(seed, rep_lo, rep_hi, [alloc for alloc, _ in arms])
+        for (alloc, with_hier), acc in zip(arms, accs):
+            noisy = engine.noisy(alloc, laplace)
+            if with_hier:
+                noisy = engine.apply_consistency(noisy)
+            for lv, rows in noisy.items():
+                acc.add(rows - engine.counts[lv][None, :], lv, rep_lo, rep_hi)
+    return [acc.finalize() for acc in accs]
+
+
 def monte_carlo_moments(
     h: Hierarchy,
     alloc: BudgetAllocation,
@@ -138,40 +158,16 @@ def monte_carlo_moments(
     seed: int,
     with_hier: bool = False,
 ) -> MomentEstimate:
-    """Empirical release-error moments over all released nodes."""
-    if replicates < 100:
-        raise DomainError(f"replicates must be >= 100, got {replicates}")
-    engine = ReleaseEngine(h, alloc)
-    n_nodes = sum(len(engine.counts[lv]) for lv in engine.levels)
-    acc = _MomentAccumulator(n_nodes, replicates)
-    col_lo = {}
-    offset = 0
-    for lv in engine.levels:
-        col_lo[lv] = offset
-        offset += len(engine.counts[lv])
-
-    for rep_lo in range(0, replicates, _CHUNK):
-        rep_hi = min(rep_lo + _CHUNK, replicates)
-        noisy = engine.noisy(seed, rep_lo, rep_hi)
-        if with_hier:
-            noisy = engine.apply_consistency(noisy)
-        for lv in engine.levels:
-            err = noisy[lv] - engine.counts[lv][None, :]
-            acc.add(err, rep_lo, rep_hi, col_lo[lv])
-    return acc.finalize()
+    """Empirical release-error moments over all released nodes: the
+    one-arm case of the Monte Carlo pass."""
+    return _moment_pass(h, [(alloc, with_hier)], replicates, seed)[0]
 
 
 def analytic_total_mse(h: Hierarchy, alloc: BudgetAllocation) -> float:
     """Unweighted closed-form total mse of the independent release."""
-    if len(alloc.eps) != h.depth:
-        raise AllocationMismatch(
-            f"allocation has {len(alloc.eps)} levels, hierarchy {h.depth}"
-        )
     total = 0.0
-    for lv in range(1, h.depth + 1):
-        eps = alloc.eps[lv - 1]
-        if eps > 0:
-            total += mse_sum(h.level_counts(lv), eps)
+    for lv in ReleaseEngine(h).levels(alloc):
+        total += mse_sum(h.level_counts(lv), alloc.eps[lv - 1])
     return total
 
 
@@ -193,14 +189,14 @@ def compare_allocations(
     optimized = allocate_fixed_budget(stats, w, eps_total)
     uniform = uniform_allocation(h.depth, eps_total)
 
-    arms: dict[str, MomentEstimate] = {}
-    analytic: dict[str, float] = {}
-    for name, alloc in (("optimized", optimized), ("uniform", uniform)):
-        for hier_tag, with_hier in (("no_hier", False), ("with_hier", True)):
-            arms[f"{name}_{hier_tag}"] = monte_carlo_moments(
-                h, alloc, replicates, seed, with_hier=with_hier
-            )
-        analytic[name] = analytic_total_mse(h, alloc)
+    allocs = {"optimized": optimized, "uniform": uniform}
+    arms = {
+        f"{name}_{tag}": (alloc, with_hier)
+        for name, alloc in allocs.items()
+        for tag, with_hier in (("no_hier", False), ("with_hier", True))
+    }
+    arms = dict(zip(arms, _moment_pass(h, list(arms.values()), replicates, seed)))
+    analytic = {name: analytic_total_mse(h, alloc) for name, alloc in allocs.items()}
 
     opt = arms["optimized_no_hier"]
     uni = arms["uniform_no_hier"]
@@ -223,17 +219,6 @@ class WeightSweepRow:
     total_mse: float
     empirical_mse: Optional[float] = None
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "w3": self.w3,
-            "eps": list(self.allocation.eps),
-            "mse_levels": list(self.mse_levels),
-            "total_mse": self.total_mse,
-        }
-        if self.empirical_mse is not None:
-            d["empirical_mse"] = self.empirical_mse
-        return d
-
 
 def weight_sweep(
     h: Hierarchy,
@@ -247,7 +232,13 @@ def weight_sweep(
 
     For each w3, the remaining weight splits evenly across levels 1 and
     2; rows carry the resulting allocation and unweighted per-level
-    analytic mse (plus an empirical total when replicates > 0).
+    analytic mse (plus an empirical total when replicates > 0, all
+    grid points from one Monte Carlo pass).
+
+    It stays three-level on purpose: it is the paper's w3 ablation over
+    (state, tract, block) weights, pinned by acceptance test C10, and a
+    deeper sweep would need a rule for spreading the rest of the weight
+    that the paper does not give.
     """
     if h.depth != 3:
         raise DomainError(f"weight sweep needs a 3-level hierarchy, got {h.depth}")
@@ -261,18 +252,18 @@ def weight_sweep(
         per_level = tuple(
             mse_sum(h.level_counts(lv), alloc.eps[lv - 1]) for lv in (1, 2, 3)
         )
-        empirical = None
-        if replicates > 0:
-            empirical = monte_carlo_moments(h, alloc, replicates, seed).mse
         rows.append(
             WeightSweepRow(
                 w3=float(w3),
                 allocation=alloc,
                 mse_levels=per_level,
                 total_mse=float(sum(per_level)),
-                empirical_mse=empirical,
             )
         )
+    if replicates > 0 and rows:
+        arms = [(row.allocation, False) for row in rows]
+        moments = _moment_pass(h, arms, replicates, seed)
+        rows = [replace(row, empirical_mse=m.mse) for row, m in zip(rows, moments)]
     return rows
 
 
@@ -282,13 +273,8 @@ def integer_splits(total: int, parts: int):
     if total < 0 or parts < 1:
         raise InvalidSplit(f"need total >= 0 and parts >= 1, got {total}, {parts}")
     for dividers in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        split = []
-        for d in dividers:
-            split.append(d - prev - 1)
-            prev = d
-        split.append(total + parts - 2 - prev)
-        yield tuple(split)
+        bounds = (-1, *dividers, total + parts - 1)
+        yield tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
 
 
 def uniform_split(total: int, parts: int) -> tuple[int, ...]:

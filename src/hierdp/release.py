@@ -6,10 +6,11 @@ projection of each sibling group onto the scaled simplex
 ``{v >= 0, sum(v) = parent}``, applied top-down so each projection
 targets the parent's already-adjusted value.
 
-:class:`ReleaseEngine` is the one place that computation lives: it
-draws any block of replicates as a ``(replicates, nodes)`` matrix per
-level and projects all of them at once. A single release is replicate
-0; the Monte Carlo harness and the downstream study draw many.
+:class:`ReleaseEngine` is the one place that computation lives: per
+tree, it draws any block of replicates as a ``(replicates, nodes)``
+matrix per level, scales that one draw for each allocation, and
+projects all of them at once. A single release is replicate 0, bit for
+bit; the Monte Carlo harness and the downstream study draw many.
 
 Noise comes from the counter-based streams in :mod:`hierdp.rng`, so a
 release is a pure function of (hierarchy, allocation, seed) no matter
@@ -35,74 +36,98 @@ from .rng import centered_uniform_matrix, node_keys, standard_laplace
 
 
 class ReleaseEngine:
-    """Clamped-Laplace noise and top-down projection for one
-    (hierarchy, allocation), over any block of replicates.
+    """Clamped-Laplace noise and top-down projection for one hierarchy,
+    over any block of replicates and any allocation.
 
     Arrays are keyed by level and shaped ``(replicates, nodes)``, with
-    columns in :meth:`Hierarchy.level_ids` order; only levels with
-    budget appear.
+    columns in :meth:`Hierarchy.level_ids` order. Node keys, counts and
+    sibling groups are computed once per tree, keys only for levels
+    drawn; :meth:`laplace` draws a block of unit-scale noise that
+    :meth:`noisy` scales for any number of allocations.
     """
 
-    def __init__(self, h: Hierarchy, alloc: BudgetAllocation):
-        if len(alloc.eps) != h.depth:
-            raise AllocationMismatch(
-                f"allocation has {len(alloc.eps)} levels, hierarchy has {h.depth}"
-            )
+    def __init__(self, h: Hierarchy):
         self.h = h
-        self.alloc = alloc
-        self.levels = [
-            lv for lv in range(1, h.depth + 1) if alloc.eps[lv - 1] > 0
-        ]
-
-    @cached_property
-    def keys(self) -> dict[int, np.ndarray]:
-        return {lv: node_keys(self.h.level_ids(lv)) for lv in self.levels}
+        self.keys: dict[int, np.ndarray] = {}
 
     @cached_property
     def counts(self) -> dict[int, np.ndarray]:
-        return {lv: self.h.level_counts(lv) for lv in self.levels}
+        return {lv: self.h.level_counts(lv) for lv in range(1, self.h.depth + 1)}
+
+    def levels(self, alloc: BudgetAllocation) -> list[int]:
+        """The levels ``alloc`` gives budget to."""
+        if len(alloc.eps) != self.h.depth:
+            raise AllocationMismatch(
+                f"allocation has {len(alloc.eps)} levels, hierarchy has {self.h.depth}"
+            )
+        return [lv for lv, eps in enumerate(alloc.eps, start=1) if eps > 0]
 
     @cached_property
-    def families(self) -> dict[int, list[tuple[int, np.ndarray]]]:
-        """Per parent level: (parent column, child columns) per parent,
-        child columns in id order."""
+    def families(self) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
+        """Per parent level, one block per distinct sibling-group size:
+        (parent columns, child columns), the latter shaped ``(parents,
+        size)`` with each row's children in id order."""
         families = {}
         for lv in range(1, self.h.depth):
             parents = self.h.level_parents(lv + 1)
             cols = np.argsort(parents, kind="stable")
             # every node above the bottom level has children
-            ends = np.cumsum(np.bincount(parents))
-            families[lv] = list(enumerate(np.split(cols, ends[:-1])))
+            sizes = np.bincount(parents)
+            starts = np.cumsum(sizes) - sizes
+            families[lv] = []
+            for size in np.flatnonzero(np.bincount(sizes)):
+                group = np.flatnonzero(sizes == size)
+                families[lv].append(
+                    (group, cols[starts[group][:, None] + np.arange(size)])
+                )
         return families
 
-    def noisy(self, seed: int, rep_lo: int, rep_hi: int) -> dict[int, np.ndarray]:
-        """``max(0, count + Lap(1/eps))`` for replicates [rep_lo, rep_hi)."""
+    def laplace(
+        self, seed: int, rep_lo: int, rep_hi: int, allocs: list[BudgetAllocation]
+    ) -> dict[int, np.ndarray]:
+        """Unit-scale Laplace noise for replicates [rep_lo, rep_hi) of
+        every level one of ``allocs`` gives budget to."""
+        levels = sorted({lv for alloc in allocs for lv in self.levels(alloc)})
+        for lv in levels:
+            if lv not in self.keys:
+                self.keys[lv] = node_keys(self.h.level_ids(lv))
         return {
-            lv: np.maximum(
-                0.0,
-                self.counts[lv][None, :]
-                + standard_laplace(
-                    centered_uniform_matrix(seed, self.keys[lv], rep_lo, rep_hi)
-                )
-                / self.alloc.eps[lv - 1],
+            lv: standard_laplace(
+                centered_uniform_matrix(seed, self.keys[lv], rep_lo, rep_hi)
             )
-            for lv in self.levels
+            for lv in levels
+        }
+
+    def noisy(
+        self, alloc: BudgetAllocation, laplace: dict[int, np.ndarray]
+    ) -> dict[int, np.ndarray]:
+        """``max(0, count + Lap(1/eps))`` of every level with budget,
+        from a :meth:`laplace` block drawn for it."""
+        eps = alloc.eps
+        return {
+            lv: np.maximum(0.0, self.counts[lv][None, :] + laplace[lv] / eps[lv - 1])
+            for lv in self.levels(alloc)
         }
 
     def apply_consistency(self, noisy: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Project every sibling group onto its parent's adjusted value,
         top-down; the root keeps its released value."""
-        if len(self.levels) != self.h.depth:
+        if len(noisy) != self.h.depth:
             raise UnreleasedLevel(
                 "consistency requires a released value at every level"
             )
         adjusted = {1: noisy[1]}
-        for lv, fams in self.families.items():
-            child = noisy[lv + 1].copy()
-            parent = adjusted[lv]
-            for i, cols in fams:
-                child[:, cols] = project_rows(child[:, cols], parent[:, i])
-            adjusted[lv + 1] = child
+        for lv, blocks in self.families.items():
+            parent, child = adjusted[lv], noisy[lv + 1]
+            # the blocks cover every child column
+            out = np.empty_like(child)
+            for group, cols in blocks:
+                # np.take gathers C-contiguous rows, which sum alike for
+                # one replicate or many; never pass a transposed view
+                rows = np.take(child, cols, axis=1).reshape(-1, cols.shape[1])
+                targets = np.take(parent, group, axis=1).reshape(-1)
+                out[:, cols] = project_rows(rows, targets).reshape(-1, *cols.shape)
+            adjusted[lv + 1] = out
         return adjusted
 
 
@@ -165,7 +190,8 @@ def release_no_hier(
     """Independent clamped-Laplace release of every level with budget:
     replicate 0 of :class:`ReleaseEngine`, byte-identical for a fixed
     seed."""
-    noisy = ReleaseEngine(h, alloc).noisy(seed, 0, 1)
+    engine = ReleaseEngine(h)
+    noisy = engine.noisy(alloc, engine.laplace(seed, 0, 1, [alloc]))
     return PrivatizedHierarchy(
         h, {lv: row[0] for lv, row in noisy.items()}, alloc, seed,
         consistency_applied=False,
@@ -227,8 +253,7 @@ def enforce_consistency(p: PrivatizedHierarchy) -> PrivatizedHierarchy:
     to the parent's adjusted value, so every level sums exactly to the
     root. Projecting an already-consistent tree is a no-op.
     """
-    engine = ReleaseEngine(p.source, p.allocation)
-    adjusted = engine.apply_consistency(
+    adjusted = ReleaseEngine(p.source).apply_consistency(
         {lv: row[None, :] for lv, row in p.levels.items()}
     )
     return replace(

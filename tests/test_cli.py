@@ -177,6 +177,16 @@ class TestDownstream:
         gap = payload["mse_gap_uniform_minus_optimized"]
         assert set(gap) == {"linear", "quadratic"}
 
+    def test_weight_fn_names(self, runner):
+        args = ["downstream", "--blocks", "500,200", "--eps-total", "1",
+                "--replicates", "1000", "--weight-fns"]
+        result = runner.invoke(main, args + [" Log ,linear"])
+        assert result.exit_code == 0
+        assert set(json.loads(result.stdout)["optimized"]) == {"log", "linear"}
+        result = runner.invoke(main, args + ["linear,cubic"])
+        assert result.exit_code == 3
+        assert "unknown weight function 'cubic'" in result.output
+
     def test_needs_exactly_one_source(self, runner, workdir):
         result = runner.invoke(main, ["downstream", "--eps-total", "1"])
         assert result.exit_code == 2
@@ -259,6 +269,8 @@ class TestListFlags:
         ["evaluate", "--synth", "--eps-grid", ","],
         ["downstream", "--blocks", ",", "--eps-total", "1"],
         ["skew", "--eps-grid", ""],
+        ["downstream", "--blocks", "5,3", "--eps-total", "1", "--weight-fns", ""],
+        ["downstream", "--blocks", "5,3", "--eps-total", "1", "--weight-fns", ","],
     ])
     def test_empty_list_is_usage_error(self, runner, args):
         result = runner.invoke(main, args)

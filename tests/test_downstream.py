@@ -186,8 +186,9 @@ class TestTractPrivatizer:
             f"node_id,parent_id,level,count\nt,,1,{sum(tract_blocks)!r}\n"
         )
         eps_tract = uniform_allocation(2, 0.5).eps[0]
-        engine = ReleaseEngine(h, uniform_allocation(1, eps_tract))
-        totals = engine.noisy(7, 0, 200)[1][:, 0]
+        engine = ReleaseEngine(h)
+        alloc = uniform_allocation(1, eps_tract)
+        totals = engine.noisy(alloc, engine.laplace(7, 0, 200, [alloc]))[1][:, 0]
         assert np.allclose(noisy.sum(axis=1), totals, rtol=1e-12, atol=0.0)
 
     def test_common_random_numbers_across_arms(self, tract_blocks):

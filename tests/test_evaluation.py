@@ -5,8 +5,9 @@ import pytest
 
 from hierdp.allocator import uniform_allocation
 from hierdp.analytics import bias, mse, variance
-from hierdp.errors import DomainError, InvalidSplit
+from hierdp.errors import AllocationMismatch, DomainError, InvalidSplit
 import hierdp.evaluation as evaluation
+import hierdp.release as release
 from hierdp.evaluation import (
     analytic_total_mse,
     compare_allocations,
@@ -52,13 +53,29 @@ class TestMonteCarloMoments:
             est.bias_sq + est.variance * (r - 1) / r, rel=1e-9
         )
 
-    def test_chunking_invisible(self, va_hierarchy):
-        # 2000 replicates span several chunks; a differently seeded run
-        # at the same coordinates must be identical
+    def test_chunking_invisible(self, va_hierarchy, monkeypatch):
+        # one chunk against chunks of 128, 128 and 44 replicates, with and
+        # without consistency: the per-replicate sums behind mse are
+        # identical, the per-node sums only regroup their additions
         alloc = uniform_allocation(3, 0.7)
-        a = monte_carlo_moments(va_hierarchy, alloc, 300, seed=5)
-        b = monte_carlo_moments(va_hierarchy, alloc, 300, seed=5)
-        assert a == b
+        for with_hier in (False, True):
+            monkeypatch.setattr(evaluation, "CHUNK_ELEMENTS", 2**20)
+            whole = monte_carlo_moments(va_hierarchy, alloc, 300, 5, with_hier)
+            monkeypatch.setattr(evaluation, "CHUNK_ELEMENTS", 128 * len(va_hierarchy))
+            chunked = monte_carlo_moments(va_hierarchy, alloc, 300, 5, with_hier)
+            assert chunked.mse == whole.mse
+            assert chunked.se_mse == whole.se_mse
+            for field in ("bias_sq", "variance", "se_bias_sq", "se_variance"):
+                assert getattr(chunked, field) == pytest.approx(
+                    getattr(whole, field), rel=1e-12, abs=0.0
+                )
+
+    def test_allocation_must_match_the_tree(self, va_hierarchy):
+        alloc = uniform_allocation(2, 1.0)
+        with pytest.raises(AllocationMismatch):
+            analytic_total_mse(va_hierarchy, alloc)
+        with pytest.raises(AllocationMismatch):
+            monte_carlo_moments(va_hierarchy, alloc, 100, seed=0)
 
     def test_replicate_floor(self, va_hierarchy):
         with pytest.raises(DomainError):
@@ -66,6 +83,32 @@ class TestMonteCarloMoments:
 
 
 class TestCompareAllocations:
+    def test_one_draw_per_level_per_chunk(self, monkeypatch):
+        h = synth_hierarchy(SynthSpec(seed=2, levels=3, fanouts=(8, 12)))
+        counted = {"centered_uniform_matrix": 0, "node_keys": 0}
+        for name in counted:
+            original = getattr(release, name)
+
+            def counting(*args, _name=name, _original=original):
+                counted[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(release, name, counting)
+        # 50 replicates per chunk: 150 replicates in 3 chunks, each drawn
+        # once per level for all four arms
+        monkeypatch.setattr(evaluation, "CHUNK_ELEMENTS", 50 * len(h))
+        report = compare_allocations(h, 1.0, (1.0, 1.0, 1.0), 150, seed=7)
+        assert len(report.arms) == 4
+        assert counted == {"centered_uniform_matrix": 3 * 3, "node_keys": 3}
+
+    def test_arms_match_one_arm_passes(self, va_hierarchy):
+        report = compare_allocations(va_hierarchy, 1.0, (1, 1, 1), 200, seed=3)
+        allocs = {"optimized": report.optimized, "uniform": report.uniform}
+        for name, alloc in allocs.items():
+            for tag, with_hier in (("no_hier", False), ("with_hier", True)):
+                alone = monte_carlo_moments(va_hierarchy, alloc, 200, 3, with_hier)
+                assert report.arms[f"{name}_{tag}"] == alone
+
     def test_single_level_arms_coincide(self):
         h = _single_node(20.0)
         report = compare_allocations(h, 1.0, (1.0,), 500, seed=6)
@@ -144,6 +187,12 @@ class TestWeightSweep:
         rows = weight_sweep(small_tree, 1.0, [0.5], replicates=150, seed=0)
         assert rows[0].empirical_mse is not None
         assert rows[0].empirical_mse > 0
+
+    def test_empirical_column_is_each_allocations_mse(self, small_tree):
+        rows = weight_sweep(small_tree, 1.0, [0.2, 0.5, 0.8], replicates=150, seed=1)
+        for row in rows:
+            alone = monte_carlo_moments(small_tree, row.allocation, 150, seed=1)
+            assert row.empirical_mse == alone.mse
 
 
 class TestSplits:

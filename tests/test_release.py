@@ -9,7 +9,14 @@ import pytest
 from hierdp.allocator import allocate_fixed_budget, uniform_allocation
 from hierdp.errors import AllocationMismatch, DomainError, UnreleasedLevel
 from hierdp.evaluation import monte_carlo_moments
-from hierdp.hierarchy import Hierarchy, level_stats, parse_hierarchy
+import hierdp.release as release
+from hierdp.hierarchy import (
+    Hierarchy,
+    SynthSpec,
+    level_stats,
+    parse_hierarchy,
+    synth_hierarchy,
+)
 from hierdp.release import (
     ReleaseEngine,
     enforce_consistency,
@@ -109,10 +116,18 @@ class TestReleaseNoHier:
         with pytest.raises(AllocationMismatch):
             release_no_hier(va_hierarchy, uniform_allocation(2, 1.0), seed=0)
 
-    def test_zero_budget_level_withheld(self, va_hierarchy):
+    def test_zero_budget_level_withheld(self, va_hierarchy, monkeypatch):
         stats = level_stats(va_hierarchy)
         alloc = allocate_fixed_budget(stats, (1.0, 0.0, 1.0), 1.0)
+        hashed = []
+        monkeypatch.setattr(
+            release, "node_keys", lambda ids: hashed.append(ids) or node_keys(ids)
+        )
         released = release_no_hier(va_hierarchy, alloc, seed=0)
+        # no noise is hashed or drawn for the withheld level
+        assert [list(ids) for ids in hashed] == [
+            ["VA"], list(va_hierarchy.level_ids(3))
+        ]
         assert "VA-100" not in released.values
         assert "VA-200" not in released.values
         assert "VA" in released.values
@@ -159,9 +174,10 @@ class TestReleasedLevels:
         if hier:
             released = enforce_consistency(released)
         assert list(released.levels) == released.released_levels() == [1, 2, 3]
-        noisy = ReleaseEngine(va_hierarchy, alloc).noisy(4, 0, 1)
+        engine = ReleaseEngine(va_hierarchy)
+        noisy = engine.noisy(alloc, engine.laplace(4, 0, 1, [alloc]))
         if hier:
-            noisy = ReleaseEngine(va_hierarchy, alloc).apply_consistency(noisy)
+            noisy = engine.apply_consistency(noisy)
         for lv, row in released.levels.items():
             assert row.tolist() == noisy[lv][0].tolist()
             assert list(zip(va_hierarchy.level_ids(lv), row.tolist())) == [
@@ -282,14 +298,65 @@ class TestReleaseEngine:
     @pytest.mark.parametrize("seed", range(3))
     def test_families_match_child_walk(self, seed):
         h = Hierarchy(random_tree(seed))
-        engine = ReleaseEngine(h, uniform_allocation(h.depth, 1.0))
+        engine = ReleaseEngine(h)
         for lv in range(1, h.depth):
             column = {nid: j for j, nid in enumerate(h.level_ids(lv + 1))}
-            expected = [
-                (i, [column[c] for c in h.children_of(pid)])
+            expected = {
+                i: [column[c] for c in h.children_of(pid)]
                 for i, pid in enumerate(h.level_ids(lv))
-            ]
-            assert [(i, cols.tolist()) for i, cols in engine.families[lv]] == expected
+            }
+            got = {}
+            sizes = []
+            for group, cols in engine.families[lv]:
+                assert cols.shape == (len(group), cols.shape[1])
+                sizes.append(cols.shape[1])
+                got.update(zip(group.tolist(), cols.tolist()))
+            assert got == expected
+            # one block per distinct group size, in increasing size
+            assert sizes == sorted({len(kids) for kids in expected.values()})
+        # the random trees mix sibling-group sizes below the root
+        assert any(len(engine.families[lv]) > 1 for lv in range(2, h.depth))
+
+    def test_one_projection_call_per_group_size(self, monkeypatch):
+        # 20,000 groups of 10 under one root group: one call per level
+        h = synth_hierarchy(SynthSpec(seed=0, fanouts=(20000, 10)))
+        calls = []
+
+        def counting(noisy, targets):
+            calls.append(noisy.shape)
+            assert noisy.flags.c_contiguous
+            return project_rows(noisy, targets)
+
+        monkeypatch.setattr(release, "project_rows", counting)
+        engine = ReleaseEngine(h)
+        alloc = uniform_allocation(3, 1.0)
+        engine.apply_consistency(engine.noisy(alloc, engine.laplace(0, 0, 2, [alloc])))
+        assert calls == [(2, 20000), (2 * 20000, 10)]
+
+    @pytest.mark.parametrize("hier", [False, True])
+    def test_replicate_zero_is_the_release_bit_for_bit(self, hier):
+        # groups of 20 leaves are summed the same way in a one-row and
+        # a many-row projection
+        h = synth_hierarchy(SynthSpec(seed=1, fanouts=(4, 20)))
+        alloc = uniform_allocation(3, 1.0)
+        released = release_no_hier(h, alloc, seed=0)
+        engine = ReleaseEngine(h)
+        block = engine.noisy(alloc, engine.laplace(0, 0, 50, [alloc]))
+        if hier:
+            released = enforce_consistency(released)
+            block = engine.apply_consistency(block)
+        for lv in range(1, 4):
+            assert released.levels[lv].tobytes() == block[lv][0].tobytes()
+
+    def test_one_draw_scaled_per_allocation(self, va_hierarchy):
+        engine = ReleaseEngine(va_hierarchy)
+        allocs = [uniform_allocation(3, 1.0), uniform_allocation(3, 0.2)]
+        laplace = engine.laplace(3, 0, 4, allocs)
+        for alloc in allocs:
+            noisy = engine.noisy(alloc, laplace)
+            for lv, eps in enumerate(alloc.eps, start=1):
+                want = np.maximum(0.0, engine.counts[lv] + laplace[lv] / eps)
+                assert noisy[lv].tolist() == want.tolist()
 
 
 class TestEnforceConsistency:
