@@ -31,8 +31,11 @@ from .release import ReleaseEngine
 
 EPS_GRID_DEFAULT = (0.1, 0.25, 0.5, 1.0, 1.5, 2.0)
 
-# most (replicate, node) entries a Monte Carlo chunk draws at once
-CHUNK_ELEMENTS = 2**20
+# most (replicate, node) entries a Monte Carlo chunk draws at once; a
+# level block of at most 512 KiB stays in cache, and malloc recycles it
+# from chunk to chunk, where 8 MiB blocks (2**20) are mapped afresh and
+# page-faulted every chunk
+CHUNK_ELEMENTS = 2**16
 
 # most (split, eps) points skewness_bias_curve enumerates
 MAX_SKEW_POINTS = 10**6
