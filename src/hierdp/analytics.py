@@ -11,9 +11,10 @@ Writing x = eps * N, its exact moments are
 
 In this x-parameterized form the identity mse = bias^2 + variance holds
 term for term, the bounds 1/eps^2 <= mse < 2/eps^2 are manifest
-(0 < (1+x)e^{-x} <= 1), and nothing overflows: once x exceeds the
-float64 exp underflow threshold every expression degrades to its
-asymptote (bias 0, variance and mse 2/eps^2) instead of producing NaN.
+(0 < (1+x)e^{-x} <= 1), and nothing overflows: the kernels clamp x
+at the float64 exp underflow threshold, past which every expression
+rounds to its asymptote (variance and mse 2/eps^2, bias a subnormal or
+0) instead of producing NaN.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .hierarchy import LevelStats
 # business operating anyway (mse -> infinity as eps -> 0)
 EPS_MIN = 1e-12
 
-# exp(-x) underflows to exactly 0.0 past here
+# the kernels clamp x here: exp(-745) is the smallest subnormal, and
+# exp(-x) underflows to exactly 0.0 just past it
 _X_UNDERFLOW = 745.0
 
 
@@ -54,21 +56,13 @@ def bias(n: float, eps: float) -> float:
     clamping.
     """
     _check(n, eps)
-    x = eps * n
-    if x > _X_UNDERFLOW:
-        return 0.0
-    return math.exp(-x) / (2.0 * eps)
+    return _bias_sum(np.array([n]), eps)
 
 
 def variance(n: float, eps: float) -> float:
     """Variance of the clamped release; approaches 2/eps^2 (the raw
     Laplace variance) as n grows and is reduced below it by clamping."""
-    _check(n, eps)
-    x = eps * n
-    if x > _X_UNDERFLOW:
-        return 2.0 / eps**2
-    t = math.exp(-x)
-    return (2.0 - (1.0 + x) * t - 0.25 * t * t) / eps**2
+    return mse(n, eps) - bias(n, eps) ** 2
 
 
 def mse(n: float, eps: float) -> float:
@@ -78,10 +72,7 @@ def mse(n: float, eps: float) -> float:
     range [1/eps^2, 2/eps^2).
     """
     _check(n, eps)
-    x = eps * n
-    if x > _X_UNDERFLOW:
-        return 2.0 / eps**2
-    return (2.0 - (1.0 + x) * math.exp(-x)) / eps**2
+    return _mse_sum(np.array([n]), eps, None)
 
 
 def mse_deps(n: float, eps: float) -> float:
@@ -92,26 +83,20 @@ def mse_deps(n: float, eps: float) -> float:
     n -> infinity and n = 0. Strictly increasing in eps.
     """
     _check(n, eps)
-    x = eps * n
-    if x > _X_UNDERFLOW:
-        return -4.0 / eps**3
-    return (math.exp(-x) * (x * x + 2.0 * x + 2.0) - 4.0) / eps**3
+    return _mse_deps_sums(np.array([n]), eps, None)[0]
 
 
 def mse_deps2(n: float, eps: float) -> float:
     """Second derivative of mse in eps; strictly positive (convexity)."""
     _check(n, eps)
-    x = eps * n
-    if x > _X_UNDERFLOW:
-        return 12.0 / eps**4
-    t = math.exp(-x)
-    return (12.0 - t * (x**3 + 3.0 * x * x + 6.0 * x + 6.0)) / eps**4
+    return _mse_deps_sums(np.array([n]), eps, None)[1]
 
 
 # vectorized forms over a count vector at a shared eps, for whole
-# levels at once. mse_sum checks its inputs; the allocator checks a
-# level's counts once and then calls the unchecked kernels _mse_sum and
-# _mse_deps_sums on every pass.
+# levels at once; the per-count functions above are their one-count
+# case. mse_sum checks its inputs; the allocator checks a level's counts
+# once and then calls the unchecked kernels _mse_sum and _mse_deps_sums
+# on every pass.
 
 def _check_counts(counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=float)
@@ -125,6 +110,11 @@ def mse_sum(counts: np.ndarray, eps: float, mults: np.ndarray | None = None) -> 
     multiplicities for deduplicated count vectors)."""
     _check_eps(eps)
     return _mse_sum(_check_counts(counts), eps, mults)
+
+
+def _bias_sum(counts: np.ndarray, eps: float) -> float:
+    """Summed clamp bias of the counts at a common eps."""
+    return float(np.sum(np.exp(-np.minimum(eps * counts, _X_UNDERFLOW)))) / (2.0 * eps)
 
 
 def _mse_sum(counts: np.ndarray, eps: float, mults: np.ndarray | None) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -95,19 +95,7 @@ class MisallocationStats:
     excluded_replicates: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "bias_sq_pct": self.bias_sq_pct,
-            "variance_pct": self.variance_pct,
-            "mse_pct": self.mse_pct,
-            "se_bias_sq_pct": self.se_bias_sq_pct,
-            "se_variance_pct": self.se_variance_pct,
-            "se_mse_pct": self.se_mse_pct,
-            "jensen_gap": self.jensen_gap,
-            "per_group_mean_error": list(self.per_group_mean_error),
-            "per_group_var_error": list(self.per_group_var_error),
-            "replicates_used": self.replicates_used,
-            "excluded_replicates": self.excluded_replicates,
-        }
+        return asdict(self)
 
 
 def misallocation_stats(

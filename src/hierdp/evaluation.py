@@ -24,7 +24,7 @@ from .allocator import (
     allocate_fixed_budget,
     uniform_allocation,
 )
-from .analytics import mse_sum
+from .analytics import _bias_sum, mse_sum, weighted_total_mse
 from .errors import DomainError, InvalidSplit
 from .hierarchy import Hierarchy, LevelStats, level_stats
 from .release import ReleaseEngine
@@ -60,7 +60,8 @@ class MomentEstimate:
 @dataclass(frozen=True)
 class ComparisonReport:
     """Four-arm comparison: {optimized, uniform} x {no hier, with hier},
-    all arms driven by the same noise streams."""
+    all arms driven by the same noise streams; three arms when the
+    optimized split withholds a level and so has no with-hier arm."""
 
     arms: dict[str, MomentEstimate]
     analytic_mse: dict[str, float]
@@ -167,11 +168,11 @@ def monte_carlo_moments(
 
 
 def analytic_total_mse(h: Hierarchy, alloc: BudgetAllocation) -> float:
-    """Unweighted closed-form total mse of the independent release."""
-    total = 0.0
-    for lv in ReleaseEngine(h).levels(alloc):
-        total += mse_sum(h.level_counts(lv), alloc.eps[lv - 1])
-    return total
+    """Unweighted closed-form total mse of the independent release: the
+    weighted total with weight 1 on each released level."""
+    released = ReleaseEngine(h).levels(alloc)
+    w = [float(lv in released) for lv in range(1, h.depth + 1)]
+    return weighted_total_mse(level_stats(h), w, alloc.eps)
 
 
 def compare_allocations(
@@ -197,6 +198,7 @@ def compare_allocations(
         f"{name}_{tag}": (alloc, with_hier)
         for name, alloc in allocs.items()
         for tag, with_hier in (("no_hier", False), ("with_hier", True))
+        if not with_hier or min(alloc.eps) > 0
     }
     arms = dict(zip(arms, _moment_pass(h, list(arms.values()), replicates, seed)))
     analytic = {name: analytic_total_mse(h, alloc) for name, alloc in allocs.items()}
@@ -288,8 +290,7 @@ def uniform_split(total: int, parts: int) -> tuple[int, ...]:
 
 def total_clamp_bias(split: Sequence[float], eps: float) -> float:
     """Closed-form total clamp bias of a flat region split."""
-    arr = np.asarray(split, dtype=float)
-    return float(np.sum(np.exp(-np.minimum(eps * arr, 745.0)))) / (2.0 * eps)
+    return _bias_sum(np.asarray(split, dtype=float), eps)
 
 
 @dataclass(frozen=True)

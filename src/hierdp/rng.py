@@ -12,23 +12,15 @@ import hashlib
 
 import numpy as np
 
-_GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
-_U64_GAMMA = np.uint64(_GAMMA)
+_U64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
-
-
-def _mix64_int(z: int) -> int:
-    z = (z + _GAMMA) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
@@ -51,10 +43,6 @@ def node_keys(node_ids) -> np.ndarray:
     return np.array([node_key(i) for i in node_ids], dtype=np.uint64)
 
 
-def _seed_base(seed: int) -> int:
-    return _mix64_int((seed & _MASK) ^ 0x5DEECE66D)
-
-
 def _to_unit(out: np.ndarray) -> np.ndarray:
     """Map 64-bit words to uniforms strictly inside (-1/2, 1/2)."""
     return ((out >> _S11).astype(np.float64) + 0.5) * 2.0**-53 - 0.5
@@ -66,7 +54,7 @@ def centered_uniform_matrix(
     """Matrix of uniforms, rows = replicates [rep_lo, rep_hi), columns =
     node keys. Entry (r, j) depends only on (seed, key j, replicate r),
     so any split of the replicate range yields the same rows."""
-    base = np.uint64(_seed_base(seed))
+    base = _mix64_np(np.uint64((seed & _MASK) ^ 0x5DEECE66D))
     reps = np.arange(rep_lo, rep_hi, dtype=np.uint64)
     with np.errstate(over="ignore"):
         k = _mix64_np(keys ^ base)

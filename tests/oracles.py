@@ -63,6 +63,13 @@ def mse_closed_form(n, eps):
     return (2.0 - np.exp(-eps * n)) / eps**2 - (n / eps) * np.exp(-eps * n)
 
 
+def bias_closed_form(n, eps):
+    """Direct transcription of the clamp bias e^{-eps n} / (2 eps),
+    unclamped: past the exp underflow threshold it reads exactly 0."""
+    n = np.asarray(n, dtype=float)
+    return np.exp(-eps * n) / (2.0 * eps)
+
+
 def grid_search_two_level(root: float, leaves, w, eps_total: float, step: float = 1e-4):
     """Brute-force minimum of the two-level weighted objective over an
     eps_1 grid of the given step. Returns (objective, eps_1)."""

@@ -6,19 +6,24 @@ import pytest
 from hierdp.analytics import (
     EPS_MIN,
     LevelWeights,
+    _mse_deps_sums,
     bias,
     mse,
     mse_deps,
     mse_deps2,
+    mse_sum,
     variance,
     weighted_total_mse,
 )
 from hierdp.errors import DomainError, LengthMismatch
+from hierdp.evaluation import total_clamp_bias
 from hierdp.hierarchy import LevelStats, level_stats
 
 from oracles import (
+    bias_closed_form,
     central_difference,
     mc_clamped_moments,
+    mse_closed_form,
     quad_clamped_moments,
     second_central_difference,
 )
@@ -193,6 +198,59 @@ class TestGracefulDegradation:
             mse(math.inf, 1.0)
         with pytest.raises(DomainError):
             mse(1.0, math.nan)
+
+
+class TestLevelKernels:
+    """The level kernels, which every closed form in the package goes
+    through, against direct transcriptions of the formulas."""
+
+    @staticmethod
+    def _counts(rng, eps):
+        # a zero, counts where clamping matters, and counts with eps * n
+        # from 700 to 1e6, where every term sits at its asymptote
+        small = rng.uniform(0.0, 40.0, size=rng.integers(1, 30)) / eps
+        x = np.exp(rng.uniform(np.log(700.0), np.log(1e6), size=rng.integers(1, 30)))
+        return np.concatenate(([0.0], small)), x / eps
+
+    def test_sums_match_direct_formulas(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            eps = rng.uniform(0.05, 3.0)
+            low, huge = self._counts(rng, eps)
+            counts = rng.permutation(np.concatenate((low, huge)))
+
+            def mse_total(e):
+                return float(np.sum(mse_closed_form(counts, e)))
+
+            assert mse_sum(counts, eps) == pytest.approx(mse_total(eps), rel=1e-12)
+            d1, d2 = _mse_deps_sums(counts, eps, None)
+            assert d1 == pytest.approx(
+                central_difference(mse_total, eps, 1e-5 * eps), rel=1e-6
+            )
+            assert d2 == pytest.approx(
+                second_central_difference(mse_total, eps, 1e-3 * eps), rel=1e-4
+            )
+            # the kernels clamp eps * n at 745, where the oracle's exp
+            # underflows to 0: at most one smallest subnormal per count
+            slack = huge.size * np.nextafter(0.0, 1.0) / eps
+            assert total_clamp_bias(counts, eps) == pytest.approx(
+                float(np.sum(bias_closed_form(counts, eps))), rel=1e-12, abs=slack
+            )
+
+    def test_huge_counts_sum_to_asymptotes_exactly(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            eps = rng.uniform(0.05, 3.0)
+            _, huge = self._counts(rng, eps)
+            k = huge.size
+            assert mse_sum(huge, eps) == 2.0 * k / eps**2
+            assert _mse_deps_sums(huge, eps, None) == (-4.0 * k / eps**3, 12.0 * k / eps**4)
+            assert total_clamp_bias(huge, eps) <= k * math.exp(-700.0) / (2.0 * eps)
+
+    def test_bias_clamp_pinned(self):
+        # eps * n = 750 clamps to 745: each region adds the smallest
+        # subnormal, exp(-745), rather than underflowing to 0
+        assert total_clamp_bias((1500, 1500), 0.5) == 2 * np.nextafter(0.0, 1.0)
 
 
 class TestWeightedTotal:

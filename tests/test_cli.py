@@ -162,6 +162,22 @@ class TestEvaluate:
         assert curve[0] == "eps_total,arm,analytic_mse"
         assert len(curve) == 1 + 2 * 2  # two grid points, two arms
 
+    def test_withheld_level_reports_three_arms(self, runner, workdir):
+        out = workdir / "eval"
+        args = ["evaluate", "--input", str(workdir / "va.csv"),
+                "--eps-total", "1", "--weights", "1,0,1",
+                "--replicates", "100", "--out-dir", str(out)]
+        result = _invoke(runner, args)
+        assert result.exit_code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(report["arms"]) == [
+            "optimized_no_hier", "uniform_no_hier", "uniform_with_hier"
+        ]
+        arms = (out / "arms.csv").read_text()
+        assert len(arms.splitlines()) == 1 + 3
+        assert "optimized_with_hier" not in arms
+        assert "optimized_with_hier" not in result.output
+
 
 class TestDownstream:
     def test_smoke_blocks(self, runner):

@@ -109,6 +109,22 @@ class TestCompareAllocations:
                 alone = monte_carlo_moments(va_hierarchy, alloc, 200, 3, with_hier)
                 assert report.arms[f"{name}_{tag}"] == alone
 
+    def test_withheld_level_drops_only_its_with_hier_arm(self, va_hierarchy):
+        # weight 0 on level 2 withholds it from the optimized split, and
+        # the consistency projection needs a value at every level
+        report = compare_allocations(va_hierarchy, 1.0, (1, 0, 1), 200, seed=3)
+        assert report.optimized.eps[1] == 0.0
+        allocs = {"optimized": report.optimized, "uniform": report.uniform}
+        expected = {
+            "optimized_no_hier": ("optimized", False),
+            "uniform_no_hier": ("uniform", False),
+            "uniform_with_hier": ("uniform", True),
+        }
+        assert set(report.arms) == set(expected)
+        for arm, (name, with_hier) in expected.items():
+            alone = monte_carlo_moments(va_hierarchy, allocs[name], 200, 3, with_hier)
+            assert report.arms[arm] == alone
+
     def test_single_level_arms_coincide(self):
         h = _single_node(20.0)
         report = compare_allocations(h, 1.0, (1.0,), 500, seed=6)
