@@ -102,7 +102,6 @@ def _config(
     h = _read_tree(input_path) if input_path is not None else synth_hierarchy(
         SynthSpec(
             seed=synth_seed,
-            levels=len(synth_fanouts) + 1,
             fanouts=synth_fanouts,
             leaf_mu=synth_mu,
             leaf_sigma=synth_sigma,

@@ -173,25 +173,20 @@ def misallocation_stats(
     )
 
 
-ARM_OPTIMIZED = "optimized"
-ARM_UNIFORM = "uniform"
-
-
 def tract_release(
     block_counts: Sequence[float],
     eps_total: float,
     replicates: int,
     seed: int,
-    arm: str = ARM_OPTIMIZED,
-) -> np.ndarray:
+) -> dict[str, np.ndarray]:
     """Consistent privatized block counts of one tract, one replicate
-    per row.
+    per row, for the optimized and the uniform arm.
 
-    Builds the two-level tract hierarchy (total over blocks), allocates
-    the budget (evenly split across levels for the uniform arm,
-    optimally otherwise), releases every replicate with clamping and
-    projects the blocks onto the noisy total. Arms differ only in the
-    allocation step, so equal seeds give common random numbers.
+    Builds the two-level tract hierarchy (total over blocks) and both
+    allocations (optimal, and evenly split across levels), then
+    releases every replicate of both arms from one draw with clamping
+    and projects the blocks onto the noisy total. The arms differ only
+    in their allocation: common random numbers.
     """
     blocks = np.asarray(block_counts, dtype=float)
     if blocks.ndim != 1 or blocks.size == 0:
@@ -203,17 +198,14 @@ def tract_release(
         for j, c in enumerate(blocks)
     ]
     h = Hierarchy(nodes)
-
-    if arm == ARM_OPTIMIZED:
-        alloc = allocate_fixed_budget(level_stats(h), (1.0, 1.0), eps_total)
-    elif arm == ARM_UNIFORM:
-        alloc = uniform_allocation(2, eps_total)
-    else:
-        raise DomainError(f"unknown arm {arm!r}")
-
-    engine = ReleaseEngine(h)
-    noisy = engine.noisy(alloc, engine.laplace(seed, 0, replicates, [alloc]))
-    return engine.apply_consistency(noisy)[2]
+    allocs = {
+        "optimized": allocate_fixed_budget(level_stats(h), (1.0, 1.0), eps_total),
+        "uniform": uniform_allocation(2, eps_total),
+    }
+    released = ReleaseEngine(h).release(
+        [(alloc, True) for alloc in allocs.values()], seed, 0, replicates
+    )
+    return {arm: levels[2] for arm, levels in zip(allocs, released)}
 
 
 def compare_misallocation(
@@ -224,12 +216,9 @@ def compare_misallocation(
     seed: int,
 ) -> dict[str, dict[str, MisallocationStats]]:
     """Both arms under every weight function, common random numbers:
-    one release matrix per arm, scored by every weight function."""
-    report: dict[str, dict[str, MisallocationStats]] = {}
-    for arm in (ARM_OPTIMIZED, ARM_UNIFORM):
-        noisy = tract_release(block_counts, eps_total, replicates, seed, arm)
-        report[arm] = {
-            w.value: misallocation_stats(block_counts, noisy, w)
-            for w in weight_fns
-        }
-    return report
+    one release matrix per arm from one draw, scored by every weight
+    function."""
+    return {
+        arm: {w.value: misallocation_stats(block_counts, noisy, w) for w in weight_fns}
+        for arm, noisy in tract_release(block_counts, eps_total, replicates, seed).items()
+    }

@@ -24,7 +24,7 @@ from .allocator import (
     allocate_fixed_budget,
     uniform_allocation,
 )
-from .analytics import _bias_sum, mse_sum, weighted_total_mse
+from .analytics import _bias_sum, _check_eps, mse_sum, weighted_total_mse
 from .errors import DomainError, InvalidSplit
 from .hierarchy import Hierarchy, LevelStats, level_stats
 from .release import ReleaseEngine
@@ -145,11 +145,7 @@ def _moment_pass(
     step = max(1, CHUNK_ELEMENTS // len(h))
     for rep_lo in range(0, replicates, step):
         rep_hi = min(rep_lo + step, replicates)
-        laplace = engine.laplace(seed, rep_lo, rep_hi, [alloc for alloc, _ in arms])
-        for (alloc, with_hier), acc in zip(arms, accs):
-            noisy = engine.noisy(alloc, laplace)
-            if with_hier:
-                noisy = engine.apply_consistency(noisy)
+        for noisy, acc in zip(engine.release(arms, seed, rep_lo, rep_hi), accs):
             for lv, rows in noisy.items():
                 acc.add(rows - engine.counts[lv][None, :], lv, rep_lo, rep_hi)
     return [acc.finalize() for acc in accs]
@@ -301,38 +297,24 @@ class SkewnessPoint:
 
 
 def skewness_bias_curve(
-    total_n: int,
-    num_regions: int,
-    eps_grid: Sequence[float],
-    split_grid: Optional[Sequence[Sequence[int]]] = None,
+    total_n: int, num_regions: int, eps_grid: Sequence[float]
 ) -> list[SkewnessPoint]:
-    """Total clamp bias per (split, eps); exhausts all integer splits of
-    ``total_n`` when no split grid is given, and refuses to when they
-    come to more than :data:`MAX_SKEW_POINTS` points. The most even
-    split always attains the minimum at every eps."""
-    if split_grid is None and total_n >= 0 and num_regions >= 1:
+    """Total clamp bias per (split, eps) over all integer splits of
+    ``total_n``; refuses to enumerate more than :data:`MAX_SKEW_POINTS`
+    points. The most even split always attains the minimum at every
+    eps."""
+    for eps in eps_grid:
+        _check_eps(eps)
+    if total_n >= 0 and num_regions >= 1:
         points = math.comb(total_n + num_regions - 1, num_regions - 1) * len(eps_grid)
         if points > MAX_SKEW_POINTS:
             raise InvalidSplit(
                 f"{total_n} into {num_regions} regions over {len(eps_grid)} eps "
                 f"values is {points} points, more than {MAX_SKEW_POINTS}"
             )
-    splits = (
-        [tuple(s) for s in split_grid]
-        if split_grid is not None
-        else list(integer_splits(total_n, num_regions))
-    )
-    for s in splits:
-        if len(s) != num_regions:
-            raise InvalidSplit(f"split {s} does not have {num_regions} regions")
-        if any((x < 0 or x != int(x)) for x in s):
-            raise InvalidSplit(f"split {s} has negative or non-integer entries")
-        if sum(s) != total_n:
-            raise InvalidSplit(f"split {s} does not sum to {total_n}")
-    points = []
-    for eps in eps_grid:
-        if eps <= 0:
-            raise DomainError(f"eps must be positive, got {eps!r}")
-        for s in splits:
-            points.append(SkewnessPoint(s, float(eps), total_clamp_bias(s, eps)))
-    return points
+    splits = list(integer_splits(total_n, num_regions))
+    return [
+        SkewnessPoint(s, float(eps), total_clamp_bias(s, eps))
+        for eps in eps_grid
+        for s in splits
+    ]

@@ -437,23 +437,16 @@ class SynthSpec:
 
     Defaults give a "one state, 128 tracts, ~21k blocks" shape with
     heavy-tailed integer leaf counts from a rounded log-normal. These
-    are synthetic stand-ins, not real census figures.
+    are synthetic stand-ins, not real census figures. The tree has one
+    level more than ``fanouts`` has entries.
     """
 
     seed: int
-    levels: int = 3
     fanouts: tuple[int, ...] = (128, 164)
     leaf_mu: float = 3.0
     leaf_sigma: float = 1.2
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise InvalidSpec("levels must be >= 1")
-        if len(self.fanouts) != self.levels - 1:
-            raise InvalidSpec(
-                f"need {self.levels - 1} fanouts for {self.levels} levels, "
-                f"got {len(self.fanouts)}"
-            )
         if any(f < 1 for f in self.fanouts):
             raise InvalidSpec("fanouts must be >= 1")
         if self.leaf_sigma < 0:
@@ -483,7 +476,7 @@ def synth_hierarchy(spec: SynthSpec) -> Hierarchy:
         # each parent's children added in id order, as a running total
         counts.insert(0, counts[0].reshape(-1, fan).cumsum(axis=1)[:, -1])
 
-    levels = np.repeat(np.arange(1, spec.levels + 1), [len(level) for level in ids])
+    levels = np.repeat(np.arange(1, len(ids) + 1), [len(level) for level in ids])
     return Hierarchy._from_columns(
         list(chain.from_iterable(ids)),
         list(chain.from_iterable(parent_ids)),

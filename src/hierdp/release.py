@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,8 +43,8 @@ class ReleaseEngine:
     Arrays are keyed by level and shaped ``(replicates, nodes)``, with
     columns in :meth:`Hierarchy.level_ids` order. Node keys, counts and
     sibling groups are computed once per tree, keys only for levels
-    drawn; :meth:`laplace` draws a block of unit-scale noise that
-    :meth:`noisy` scales for any number of allocations.
+    drawn; :meth:`release` draws a block of unit-scale noise once and
+    scales it for any number of allocations.
     """
 
     def __init__(self, h: Hierarchy):
@@ -82,32 +83,41 @@ class ReleaseEngine:
                 )
         return families
 
-    def laplace(
-        self, seed: int, rep_lo: int, rep_hi: int, allocs: list[BudgetAllocation]
-    ) -> dict[int, np.ndarray]:
-        """Unit-scale Laplace noise for replicates [rep_lo, rep_hi) of
-        every level one of ``allocs`` gives budget to."""
-        levels = sorted({lv for alloc in allocs for lv in self.levels(alloc)})
-        for lv in levels:
+    def release(
+        self,
+        arms: Sequence[tuple[BudgetAllocation, bool]],
+        seed: int,
+        rep_lo: int,
+        rep_hi: int,
+    ) -> Iterator[dict[int, np.ndarray]]:
+        """Yields, arm by arm, replicates [rep_lo, rep_hi) of each
+        (allocation, with consistency) arm: ``max(0, count + Lap(1/eps))``
+        of each level the allocation gives budget to, projected where
+        the arm asks.
+
+        Unit-scale noise is drawn once for every level any arm releases
+        and scaled per arm, so the arms share their noise."""
+        released = [self.levels(alloc) for alloc, _ in arms]
+        laplace = {}
+        for lv in sorted(set().union(*released)):
             if lv not in self.keys:
                 self.keys[lv] = node_keys(self.h.level_ids(lv))
-        return {
-            lv: standard_laplace(
+            laplace[lv] = standard_laplace(
                 centered_uniform_matrix(seed, self.keys[lv], rep_lo, rep_hi)
             )
-            for lv in levels
-        }
-
-    def noisy(
-        self, alloc: BudgetAllocation, laplace: dict[int, np.ndarray]
-    ) -> dict[int, np.ndarray]:
-        """``max(0, count + Lap(1/eps))`` of every level with budget,
-        from a :meth:`laplace` block drawn for it."""
-        eps = alloc.eps
-        return {
-            lv: np.maximum(0.0, self.counts[lv][None, :] + laplace[lv] / eps[lv - 1])
-            for lv in self.levels(alloc)
-        }
+        # one arm at a time, so a caller that consumes each arm before
+        # the next holds one arm's blocks: holding every arm at once
+        # made malloc map and page-fault fresh blocks every chunk
+        for (alloc, with_hier), levels in zip(arms, released):
+            noisy = {
+                lv: np.maximum(
+                    0.0, self.counts[lv][None, :] + laplace[lv] / alloc.eps[lv - 1]
+                )
+                for lv in levels
+            }
+            if with_hier:
+                noisy = self.apply_consistency(noisy)
+            yield noisy
 
     def apply_consistency(self, noisy: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Project every sibling group onto its parent's adjusted value,
@@ -164,12 +174,6 @@ class PrivatizedHierarchy:
             for nid, v in zip(self.source.level_ids(lv), row.tolist())
         })
 
-    def released_levels(self) -> list[int]:
-        return list(self.levels)
-
-    def level_values(self, level: int) -> np.ndarray:
-        return self.levels[level].copy()
-
     def to_csv(self) -> str:
         return serialize_hierarchy(self.source, counts=self.levels)
 
@@ -190,8 +194,7 @@ def release_no_hier(
     """Independent clamped-Laplace release of every level with budget:
     replicate 0 of :class:`ReleaseEngine`, byte-identical for a fixed
     seed."""
-    engine = ReleaseEngine(h)
-    noisy = engine.noisy(alloc, engine.laplace(seed, 0, 1, [alloc]))
+    (noisy,) = ReleaseEngine(h).release([(alloc, False)], seed, 0, 1)
     return PrivatizedHierarchy(
         h, {lv: row[0] for lv, row in noisy.items()}, alloc, seed,
         consistency_applied=False,

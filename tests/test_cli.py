@@ -207,6 +207,21 @@ class TestDownstream:
         result = runner.invoke(main, ["downstream", "--eps-total", "1"])
         assert result.exit_code == 2
 
+    def test_input_matches_blocks(self, runner, tract_blocks, tmp_path):
+        # a 2-level tract CSV gives the bytes of --blocks with its leaf
+        # counts in id order; rows are shuffled to show the order is by id
+        rows = [f"t-{j:02d},t,2,{c!r}" for j, c in enumerate(tract_blocks, start=1)]
+        rows = rows[::-1] + [f"t,,1,{sum(tract_blocks)!r}"]
+        path = tmp_path / "tract.csv"
+        path.write_text("node_id,parent_id,level,count\n" + "\n".join(rows) + "\n")
+        common = ["downstream", "--eps-total", "0.5", "--replicates", "1000"]
+        by_input = _invoke(runner, common + ["--input", str(path)])
+        by_blocks = _invoke(
+            runner, common + ["--blocks", ",".join(map(repr, tract_blocks))]
+        )
+        assert by_input.exit_code == by_blocks.exit_code == 0
+        assert by_input.stdout == by_blocks.stdout
+
     def test_rejects_three_level_input(self, runner, workdir):
         result = runner.invoke(
             main,
@@ -235,6 +250,14 @@ class TestSkew:
         result = runner.invoke(main, ["skew", "--total", "1000", "--regions", "5"])
         assert result.exit_code == 3
         assert "more than 1000000" in result.stderr
+
+    def test_bad_eps_exits_3(self, runner):
+        result = runner.invoke(
+            main, ["skew", "--total", "3", "--regions", "2", "--eps-grid", "1e-320,inf,nan"]
+        )
+        assert result.exit_code == 3
+        assert "eps must be >= 1e-12" in result.stderr
+        assert result.stdout == ""
 
 
 class TestSynth:

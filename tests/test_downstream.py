@@ -9,9 +9,9 @@ from hierdp.downstream import (
     tract_release,
     weighted_shares,
 )
-from hierdp.allocator import uniform_allocation
+from hierdp.allocator import allocate_fixed_budget, uniform_allocation
 from hierdp.errors import DegenerateWeights, DomainError, ZeroTotal
-from hierdp.hierarchy import parse_hierarchy
+from hierdp.hierarchy import level_stats, parse_hierarchy
 from hierdp.release import ReleaseEngine
 
 
@@ -117,7 +117,7 @@ class TestMisallocationStats:
     @pytest.mark.parametrize("w", list(WeightFunction))
     def test_matches_per_row_shares(self, tract_blocks, w):
         # reference: shares of each usable replicate computed one at a time
-        noisy = tract_release(tract_blocks, 0.05, 1000, 3)
+        noisy = tract_release(tract_blocks, 0.05, 1000, 3)["optimized"]
         noisy[::7] = 0.0
         stats = misallocation_stats(tract_blocks, noisy, w)
         truth = weighted_shares(tract_blocks, w)
@@ -138,22 +138,22 @@ class TestMisallocationStats:
         )
 
     def test_jensen_direction_quadratic_positive(self, tract_blocks):
-        noisy = tract_release(tract_blocks, 1.0, 3000, 0, "optimized")
+        noisy = tract_release(tract_blocks, 1.0, 3000, 0)["optimized"]
         stats = misallocation_stats(tract_blocks, noisy, WeightFunction.QUADRATIC)
         assert stats.jensen_gap > 0.0
 
     def test_jensen_direction_log_negative(self, tract_blocks):
-        noisy = tract_release(tract_blocks, 1.0, 3000, 0, "optimized")
+        noisy = tract_release(tract_blocks, 1.0, 3000, 0)["optimized"]
         stats = misallocation_stats(tract_blocks, noisy, WeightFunction.LOG)
         assert stats.jensen_gap < 0.0
 
     def test_linear_jensen_exactly_zero(self, tract_blocks):
-        noisy = tract_release(tract_blocks, 1.0, 1000, 0, "uniform")
+        noisy = tract_release(tract_blocks, 1.0, 1000, 0)["uniform"]
         stats = misallocation_stats(tract_blocks, noisy, WeightFunction.LINEAR)
         assert stats.jensen_gap == pytest.approx(0.0, abs=1e-12)
 
     def test_mse_decomposition(self, tract_blocks):
-        noisy = tract_release(tract_blocks, 1.0, 1000, 0, "optimized")
+        noisy = tract_release(tract_blocks, 1.0, 1000, 0)["optimized"]
         stats = misallocation_stats(tract_blocks, noisy, WeightFunction.LINEAR)
         r = stats.replicates_used
         assert stats.mse_pct == pytest.approx(
@@ -162,33 +162,47 @@ class TestMisallocationStats:
 
 
 class TestTractPrivatizer:
-    def test_unknown_arm(self, tract_blocks):
-        with pytest.raises(DomainError):
-            tract_release(tract_blocks, 1.0, 10, 0, "magic")
-
     def test_empty_blocks(self):
         with pytest.raises(DomainError):
             tract_release([], 1.0, 10, 0)
 
     def test_deterministic_per_seed(self, tract_blocks):
         a = tract_release(tract_blocks, 1.0, 50, 12345)
-        assert np.array_equal(a, tract_release(tract_blocks, 1.0, 50, 12345))
-        assert not np.array_equal(a, tract_release(tract_blocks, 1.0, 50, 54321))
+        again = tract_release(tract_blocks, 1.0, 50, 12345)
+        other = tract_release(tract_blocks, 1.0, 50, 54321)
+        assert list(a) == ["optimized", "uniform"]
+        for arm in a:
+            assert np.array_equal(a[arm], again[arm])
+            assert not np.array_equal(a[arm], other[arm])
+
+    def test_each_arm_is_a_one_arm_release(self, tract_blocks):
+        # both arms come from one draw, and each is bit for bit its own
+        # release: common random numbers by construction
+        both = tract_release(tract_blocks, 0.5, 300, 4)
+        rows = [f"t,,1,{sum(tract_blocks)!r}"]
+        rows += [f"t-{j:02d},t,2,{c!r}" for j, c in enumerate(tract_blocks, start=1)]
+        h = parse_hierarchy("node_id,parent_id,level,count\n" + "\n".join(rows) + "\n")
+        allocs = {
+            "optimized": allocate_fixed_budget(level_stats(h), (1.0, 1.0), 0.5),
+            "uniform": uniform_allocation(2, 0.5),
+        }
+        for arm, alloc in allocs.items():
+            (alone,) = ReleaseEngine(h).release([(alloc, True)], 4, 0, 300)
+            assert both[arm].tobytes() == alone[2].tobytes()
 
     def test_blocks_sum_to_noisy_total(self, tract_blocks):
         # the consistency projection pins each replicate's blocks to that
         # replicate's released tract total
-        noisy = tract_release(tract_blocks, 0.5, 200, 7, "uniform")
+        noisy = tract_release(tract_blocks, 0.5, 200, 7)["uniform"]
         assert noisy.shape == (200, len(tract_blocks))
         assert noisy.min() >= 0
         # the tract total alone: same node id, count and level budget
         h = parse_hierarchy(
             f"node_id,parent_id,level,count\nt,,1,{sum(tract_blocks)!r}\n"
         )
-        eps_tract = uniform_allocation(2, 0.5).eps[0]
-        engine = ReleaseEngine(h)
-        alloc = uniform_allocation(1, eps_tract)
-        totals = engine.noisy(alloc, engine.laplace(7, 0, 200, [alloc]))[1][:, 0]
+        alloc = uniform_allocation(1, uniform_allocation(2, 0.5).eps[0])
+        (released,) = ReleaseEngine(h).release([(alloc, False)], 7, 0, 200)
+        totals = released[1][:, 0]
         assert np.allclose(noisy.sum(axis=1), totals, rtol=1e-12, atol=0.0)
 
     def test_common_random_numbers_across_arms(self, tract_blocks):
@@ -200,6 +214,16 @@ class TestTractPrivatizer:
         assert opt.replicates_used == uni.replicates_used
         # paired noise makes the optimized arm's win essentially sure
         assert opt.mse_pct <= uni.mse_pct
+
+    def test_one_release_call_for_both_arms(self, tract_blocks, monkeypatch):
+        calls = []
+        release = ReleaseEngine.release
+        monkeypatch.setattr(
+            ReleaseEngine, "release",
+            lambda self, arms, *args: calls.append(len(arms)) or release(self, arms, *args),
+        )
+        compare_misallocation(tract_blocks, 1.0, (WeightFunction.LINEAR,), 1000, 0)
+        assert calls == [2]
 
     @pytest.mark.xfail(
         strict=True,

@@ -84,7 +84,7 @@ class TestMonteCarloMoments:
 
 class TestCompareAllocations:
     def test_one_draw_per_level_per_chunk(self, monkeypatch):
-        h = synth_hierarchy(SynthSpec(seed=2, levels=3, fanouts=(8, 12)))
+        h = synth_hierarchy(SynthSpec(seed=2, fanouts=(8, 12)))
         counted = {"centered_uniform_matrix": 0, "node_keys": 0}
         for name in counted:
             original = getattr(release, name)
@@ -134,13 +134,13 @@ class TestCompareAllocations:
         assert report.optimized.eps[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_skewed_tree_optimized_wins_analytically(self):
-        h = synth_hierarchy(SynthSpec(seed=2, levels=3, fanouts=(8, 12)))
+        h = synth_hierarchy(SynthSpec(seed=2, fanouts=(8, 12)))
         report = compare_allocations(h, 1.0, (1.0, 1.0, 1.0), 400, seed=7)
         assert report.analytic_mse["optimized"] < report.analytic_mse["uniform"]
         assert report.bias_sq_ratio > 1.0
 
     def test_mse_decreases_with_budget(self):
-        h = synth_hierarchy(SynthSpec(seed=3, levels=2, fanouts=(6,)))
+        h = synth_hierarchy(SynthSpec(seed=3, fanouts=(6,)))
         values = []
         for eps_total in (0.25, 0.5, 1.0, 2.0):
             report = compare_allocations(h, eps_total, (1.0, 1.0), 150, seed=8)
@@ -162,7 +162,7 @@ class TestCompareAllocations:
 
 @pytest.fixture(scope="module")
 def small_tree():
-    return synth_hierarchy(SynthSpec(seed=4, levels=3, fanouts=(6, 9)))
+    return synth_hierarchy(SynthSpec(seed=4, fanouts=(6, 9)))
 
 
 class TestWeightSweep:
@@ -195,7 +195,7 @@ class TestWeightSweep:
             weight_sweep(small_tree, 1.0, [1.0])
 
     def test_rejects_wrong_depth(self):
-        h = synth_hierarchy(SynthSpec(seed=5, levels=2, fanouts=(4,)))
+        h = synth_hierarchy(SynthSpec(seed=5, fanouts=(4,)))
         with pytest.raises(DomainError):
             weight_sweep(h, 1.0, [0.5])
 
@@ -225,12 +225,6 @@ class TestSplits:
     def test_invalid(self):
         with pytest.raises(InvalidSplit):
             list(integer_splits(-1, 2))
-        with pytest.raises(InvalidSplit):
-            skewness_bias_curve(10, 2, [0.1], split_grid=[(4, 5)])
-        with pytest.raises(InvalidSplit):
-            skewness_bias_curve(10, 2, [0.1], split_grid=[(11, -1)])
-        with pytest.raises(InvalidSplit):
-            skewness_bias_curve(10, 2, [0.1], split_grid=[(5, 5, 0)])
 
 
 class TestSkewnessCurve:
@@ -290,6 +284,12 @@ class TestSkewnessCurve:
         monkeypatch.setattr(evaluation, "MAX_SKEW_POINTS", 21)
         with pytest.raises(InvalidSplit):
             skewness_bias_curve(10, 2, [0.1, 0.5])
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, 1e-320, math.inf, math.nan])
+    def test_rejects_eps_the_closed_forms_reject(self, eps):
+        # 1e-320 made every bias inf, and inf and nan gave nan rows
+        with pytest.raises(DomainError):
+            skewness_bias_curve(3, 2, [0.5, eps])
 
     def test_curve_matches_per_region_bias(self):
         split = (12, 5, 3)

@@ -340,7 +340,7 @@ class TestAgainstNodeLoops:
     def test_synth_sums_in_child_order(self):
         # leaves near 1e17 are not exact in float64 sums, so the order
         # of additions shows in the last bits
-        spec = SynthSpec(seed=4, levels=3, fanouts=(3, 50), leaf_mu=40.0, leaf_sigma=2.0)
+        spec = SynthSpec(seed=4, fanouts=(3, 50), leaf_mu=40.0, leaf_sigma=2.0)
         h = synth_hierarchy(spec)
         for lv in (1, 2):
             for nid in h.level_ids(lv):
@@ -407,21 +407,21 @@ class TestLevelStats:
 
 class TestSynth:
     def test_single_level(self):
-        h = synth_hierarchy(SynthSpec(seed=3, levels=1, fanouts=()))
+        h = synth_hierarchy(SynthSpec(seed=3, fanouts=()))
         assert h.depth == 1 and len(h) == 1
         assert h.root.count >= 0
 
     def test_deterministic(self):
-        spec = SynthSpec(seed=11, levels=3, fanouts=(4, 5))
+        spec = SynthSpec(seed=11, fanouts=(4, 5))
         assert synth_hierarchy(spec) == synth_hierarchy(spec)
 
     def test_different_seeds_differ(self):
-        a = synth_hierarchy(SynthSpec(seed=1, levels=2, fanouts=(10,)))
-        b = synth_hierarchy(SynthSpec(seed=2, levels=2, fanouts=(10,)))
+        a = synth_hierarchy(SynthSpec(seed=1, fanouts=(10,)))
+        b = synth_hierarchy(SynthSpec(seed=2, fanouts=(10,)))
         assert a != b
 
     def test_consistent_by_construction(self):
-        h = synth_hierarchy(SynthSpec(seed=5, levels=4, fanouts=(3, 4, 2)))
+        h = synth_hierarchy(SynthSpec(seed=5, fanouts=(3, 4, 2)))
         assert check_consistency(h, tol=0.0).consistent
 
     # sha256 of serialize_hierarchy(synth_hierarchy(spec)), unchanged
@@ -433,7 +433,8 @@ class TestSynth:
 
     @pytest.mark.parametrize("seed,levels,fanouts", sorted(PINNED_SHA256))
     def test_bytes_pinned(self, seed, levels, fanouts):
-        h = synth_hierarchy(SynthSpec(seed=seed, levels=levels, fanouts=fanouts))
+        h = synth_hierarchy(SynthSpec(seed=seed, fanouts=fanouts))
+        assert h.depth == levels
         digest = hashlib.sha256(serialize_hierarchy(h).encode()).hexdigest()
         assert digest == self.PINNED_SHA256[seed, levels, fanouts]
 
@@ -445,18 +446,15 @@ class TestSynth:
         assert len(h.level_ids(3)) == 128 * 164  # about 21k leaves
 
     def test_integer_leaves(self):
-        h = synth_hierarchy(SynthSpec(seed=9, levels=2, fanouts=(50,)))
+        h = synth_hierarchy(SynthSpec(seed=9, fanouts=(50,)))
         leaves = h.level_counts(2)
         assert np.array_equal(leaves, np.rint(leaves))
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"levels": 0, "fanouts": ()},
-            {"levels": 2, "fanouts": ()},
-            {"levels": 2, "fanouts": (0,)},
-            {"levels": 3, "fanouts": (2,)},
-            {"levels": 2, "fanouts": (3,), "leaf_sigma": -1.0},
+            {"fanouts": (0,)},
+            {"fanouts": (3,), "leaf_sigma": -1.0},
         ],
     )
     def test_invalid_specs(self, kwargs):

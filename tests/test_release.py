@@ -131,7 +131,7 @@ class TestReleaseNoHier:
         assert "VA-100" not in released.values
         assert "VA-200" not in released.values
         assert "VA" in released.values
-        assert released.released_levels() == [1, 3]
+        assert list(released.levels) == [1, 3]
 
     # sha256 of to_csv() for the fixture at eps_total 2, equal weights.
     # Rerun checks only compare one version with itself; these pin the
@@ -173,11 +173,8 @@ class TestReleasedLevels:
         released = release_no_hier(va_hierarchy, alloc, seed=4)
         if hier:
             released = enforce_consistency(released)
-        assert list(released.levels) == released.released_levels() == [1, 2, 3]
-        engine = ReleaseEngine(va_hierarchy)
-        noisy = engine.noisy(alloc, engine.laplace(4, 0, 1, [alloc]))
-        if hier:
-            noisy = engine.apply_consistency(noisy)
+        assert list(released.levels) == [1, 2, 3]
+        (noisy,) = ReleaseEngine(va_hierarchy).release([(alloc, hier)], 4, 0, 1)
         for lv, row in released.levels.items():
             assert row.tolist() == noisy[lv][0].tolist()
             assert list(zip(va_hierarchy.level_ids(lv), row.tolist())) == [
@@ -185,13 +182,10 @@ class TestReleasedLevels:
             ]
             with pytest.raises(ValueError):
                 row[0] = 0.0
-            copy = released.level_values(lv)
-            copy[0] = -1.0
-            assert row[0] != -1.0
 
     def test_levels_are_copied_from_the_caller(self, va_hierarchy):
         released = release_no_hier(va_hierarchy, uniform_allocation(3, 1.0), seed=4)
-        rows = {lv: released.level_values(lv) for lv in released.levels}
+        rows = {lv: row.copy() for lv, row in released.levels.items()}
         again = replace(released, levels=rows)
         rows[3][0] = -1.0
         assert again.levels[3][0] == released.levels[3][0] >= 0.0
@@ -328,9 +322,7 @@ class TestReleaseEngine:
             return project_rows(noisy, targets)
 
         monkeypatch.setattr(release, "project_rows", counting)
-        engine = ReleaseEngine(h)
-        alloc = uniform_allocation(3, 1.0)
-        engine.apply_consistency(engine.noisy(alloc, engine.laplace(0, 0, 2, [alloc])))
+        list(ReleaseEngine(h).release([(uniform_allocation(3, 1.0), True)], 0, 0, 2))
         assert calls == [(2, 20000), (2 * 20000, 10)]
 
     @pytest.mark.parametrize("hier", [False, True])
@@ -340,23 +332,42 @@ class TestReleaseEngine:
         h = synth_hierarchy(SynthSpec(seed=1, fanouts=(4, 20)))
         alloc = uniform_allocation(3, 1.0)
         released = release_no_hier(h, alloc, seed=0)
-        engine = ReleaseEngine(h)
-        block = engine.noisy(alloc, engine.laplace(0, 0, 50, [alloc]))
         if hier:
             released = enforce_consistency(released)
-            block = engine.apply_consistency(block)
+        (block,) = ReleaseEngine(h).release([(alloc, hier)], 0, 0, 50)
         for lv in range(1, 4):
             assert released.levels[lv].tobytes() == block[lv][0].tobytes()
 
     def test_one_draw_scaled_per_allocation(self, va_hierarchy):
         engine = ReleaseEngine(va_hierarchy)
         allocs = [uniform_allocation(3, 1.0), uniform_allocation(3, 0.2)]
-        laplace = engine.laplace(3, 0, 4, allocs)
-        for alloc in allocs:
-            noisy = engine.noisy(alloc, laplace)
+        released = engine.release([(alloc, False) for alloc in allocs], 3, 0, 4)
+        for alloc, noisy in zip(allocs, released):
             for lv, eps in enumerate(alloc.eps, start=1):
-                want = np.maximum(0.0, engine.counts[lv] + laplace[lv] / eps)
+                keys = node_keys(va_hierarchy.level_ids(lv))
+                laplace = standard_laplace(centered_uniform_matrix(3, keys, 0, 4))
+                want = np.maximum(0.0, engine.counts[lv] + laplace / eps)
                 assert noisy[lv].tolist() == want.tolist()
+
+    def test_arms_match_one_arm_calls_bit_for_bit(self):
+        # groups of 12 leaves, a withheld level, and arms with and
+        # without consistency, drawn for replicates 5..24
+        h = synth_hierarchy(SynthSpec(seed=2, fanouts=(3, 12)))
+        stats = level_stats(h)
+        arms = [
+            (uniform_allocation(3, 1.0), False),
+            (uniform_allocation(3, 1.0), True),
+            (allocate_fixed_budget(stats, (1.0, 0.0, 1.0), 0.7), False),
+            (allocate_fixed_budget(stats, (1.0, 1.0, 1.0), 0.3), True),
+        ]
+        together = list(ReleaseEngine(h).release(arms, 8, 5, 25))
+        assert len(together) == len(arms)
+        for arm, got in zip(arms, together):
+            (alone,) = ReleaseEngine(h).release([arm], 8, 5, 25)
+            assert list(got) == list(alone)
+            for lv, rows in got.items():
+                assert rows.shape == (20, len(h.level_ids(lv)))
+                assert rows.tobytes() == alone[lv].tobytes()
 
 
 class TestEnforceConsistency:
@@ -401,7 +412,7 @@ class TestEnforceConsistency:
             assert abs(parent - child_sum) <= 1e-9 * max(1.0, parent)
         # every level sums back to the root release
         for lv in range(1, 4):
-            level_sum = adjusted.level_values(lv).sum()
+            level_sum = adjusted.levels[lv].sum()
             assert level_sum == pytest.approx(root_value, rel=1e-9)
 
     def test_root_kept_exactly(self, va_hierarchy):
