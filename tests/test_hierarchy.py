@@ -453,7 +453,10 @@ class TestSynth:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            {"fanouts": (-1,)},
+            {"fanouts": (4, 0)},
             {"fanouts": (0,)},
+            {"fanouts": (0, 3)},
             {"fanouts": (3,), "leaf_sigma": -1.0},
         ],
     )
