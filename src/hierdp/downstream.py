@@ -120,8 +120,7 @@ def misallocation_stats(
             f"columns, got shape {noisy.shape}"
         )
     replicates = noisy.shape[0]
-    if replicates < 1000:
-        raise DomainError(f"replicates must be >= 1000, got {replicates}")
+    _check_replicates(replicates)
     if not (noisy >= 0).all():
         raise DomainError("noisy counts must be nonnegative")
     totals = noisy.sum(axis=1)
@@ -173,6 +172,11 @@ def misallocation_stats(
     )
 
 
+def _check_replicates(replicates: int) -> None:
+    if replicates < 1000:
+        raise DomainError(f"replicates must be >= 1000, got {replicates}")
+
+
 def tract_release(
     block_counts: Sequence[float],
     eps_total: float,
@@ -218,6 +222,7 @@ def compare_misallocation(
     """Both arms under every weight function, common random numbers:
     one release matrix per arm from one draw, scored by every weight
     function."""
+    _check_replicates(replicates)
     return {
         arm: {w.value: misallocation_stats(block_counts, noisy, w) for w in weight_fns}
         for arm, noisy in tract_release(block_counts, eps_total, replicates, seed).items()

@@ -143,6 +143,11 @@ def _moment_pass(
     engine = ReleaseEngine(h)
     accs = [_MomentAccumulator(replicates) for _ in arms]
     step = max(1, CHUNK_ELEMENTS // len(h))
+    # glibc trims its heap top whenever more than twice its mmap
+    # threshold is free there, and raises that threshold only on freeing
+    # a mapped block (mallopt(3)): one freed 2 MiB block lets each chunk
+    # reuse the last one's memory instead of faulting it in afresh
+    np.empty(4 * CHUNK_ELEMENTS)
     for rep_lo in range(0, replicates, step):
         rep_hi = min(rep_lo + step, replicates)
         for noisy, acc in zip(engine.release(arms, seed, rep_lo, rep_hi), accs):

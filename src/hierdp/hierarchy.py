@@ -20,7 +20,7 @@ import io
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -84,7 +84,8 @@ class Hierarchy:
         counts: np.ndarray,
     ) -> "Hierarchy":
         """Hierarchy from per-node columns in input order; the parent
-        id of a node flagged in ``is_root`` is ignored."""
+        id of a node flagged in ``is_root`` is ignored. The hierarchy
+        may keep the arrays it is given."""
         h = cls.__new__(cls)
         h._build(ids, parent_ids, is_root, levels, counts)
         return h
@@ -97,11 +98,22 @@ class Hierarchy:
         n = len(ids)
         if n == 0:
             raise MissingRoot("hierarchy has no nodes")
-        # level-major, id-sorted: the node order everything else uses
-        order = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.intp)
-        order = order[np.argsort(levels[order], kind="stable")]
-        rows = order.tolist()
-        sorted_ids = list(map(ids.__getitem__, rows))
+        # level-major, id-sorted: the node order everything else uses;
+        # input already in that order (as serialize_hierarchy writes it)
+        # keeps its columns
+        step = np.diff(levels)
+        same = (step == 0).tolist()
+        in_order = bool((step >= 0).all()) and all(
+            map(operator.le, compress(ids, same), compress(islice(ids, 1, None), same))
+        )
+        if in_order:
+            order = np.arange(n)
+            sorted_ids = ids
+        else:
+            order = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.intp)
+            order = order[np.argsort(levels[order], kind="stable")]
+            rows = order.tolist()
+            sorted_ids = list(map(ids.__getitem__, rows))
         index = dict(zip(sorted_ids, range(n)))
 
         bad_count = ~(np.isfinite(counts) & (counts >= 0))
@@ -114,12 +126,13 @@ class Hierarchy:
                     raise NegativeCount(f"node {nid!r} has invalid count {count!r}")
                 seen.add(nid)
 
-        parent_ids = list(map(parent_ids.__getitem__, rows))
+        if not in_order:
+            parent_ids = list(map(parent_ids.__getitem__, rows))
+            is_root, levels, counts = is_root[order], levels[order], counts[order]
         parent = np.fromiter(
             map(index.get, parent_ids, repeat(_ORPHAN)), dtype=np.intp, count=n
         )
-        parent[is_root[order]] = _ROOT
-        levels = levels[order]
+        parent[is_root] = _ROOT
 
         roots = np.flatnonzero(parent == _ROOT)
         if roots.size == 0:
@@ -163,7 +176,7 @@ class Hierarchy:
         self._index = index
         self._parent = parent
         self._level = levels
-        self._count = counts[order]
+        self._count = counts
         for column in (self._parent, self._level, self._count):
             column.flags.writeable = False
         self._depth = depth
@@ -301,45 +314,97 @@ def parse_hierarchy(csv_text: str) -> Hierarchy:
     an empty parent_id; whitespace-only rows are skipped. Every row
     error names the offending row, every structural error the
     offending node.
+
+    Plain text (no quote, CR or NUL, four fields on every line) is cut
+    into columns with ``str.split``; anything else goes through
+    :mod:`csv`. Both give the same fields.
     """
-    reader = csv.reader(io.StringIO(csv_text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MissingRoot("empty CSV input") from None
-    if [h.strip() for h in header] != CSV_HEADER:
-        raise InvalidSpec(
-            f"bad header {header!r}; expected {','.join(CSV_HEADER)}"
-        )
-    columns = _columns(list(reader))
+    fields = _split_fields(csv_text)
+    if fields is None:
+        fields = _reader_fields(csv_text)
+    columns = None if fields is None else _columns(*fields)
     if columns is None:
         _raise_row_fault(csv_text)  # always raises: some row is malformed
     return Hierarchy._from_columns(*columns)
 
 
-def _columns(rows: list[list[str]]):
-    """Stripped per-node columns (ids, parent ids, levels, counts) of
-    the data rows, or None when any row is malformed."""
+def _split_fields(csv_text: str):
+    """The four raw field columns of plain CSV text, or None when the
+    text needs :mod:`csv`: it holds a quote, CR or NUL, its header is
+    not :data:`CSV_HEADER`, a data line does not hold exactly four
+    fields, or a line exceeds the csv module's field size limit."""
+    if '"' in csv_text or "\r" in csv_text or "\x00" in csv_text:
+        return None
+    lines = csv_text.split("\n")
+    if [h.strip() for h in lines[0].split(",")] != CSV_HEADER:
+        return None
+    limit = csv.field_size_limit()
+    if len(csv_text) > limit and max(map(len, lines)) > limit:
+        return None
+    body = lines[1:-1] if lines[-1] == "" else lines[1:]
+    del lines
+    if set(map(str.count, body, repeat(","))) - {3}:
+        return None
+    flat = ",".join(body).split(",")
+    del body
+    return [flat[k::4] for k in range(4)]
+
+
+def _records(csv_text: str):
+    """The CSV records of ``csv_text``, header first; one the csv module
+    cannot read raises InvalidSpec naming its row."""
+    reader = csv.reader(io.StringIO(csv_text))
+    row = 1
+    try:
+        for record in reader:
+            yield record
+            row += 1
+    except csv.Error as e:
+        raise InvalidSpec(f"row {row}: {e}") from None
+
+
+def _reader_fields(csv_text: str):
+    """The four raw field columns of the data rows read by :mod:`csv`,
+    blank rows dropped, or None when a row has another field count."""
+    records = _records(csv_text)
+    header = next(records, None)
+    if header is None:
+        raise MissingRoot("empty CSV input")
+    if [h.strip() for h in header] != CSV_HEADER:
+        raise InvalidSpec(
+            f"bad header {header!r}; expected {','.join(CSV_HEADER)}"
+        )
+    rows = list(records)
     if set(map(len, rows)) - {4}:
         rows = [r for r in rows if len(r) == 4 or any(c.strip() for c in r)]
         if set(map(len, rows)) - {4}:
             return None
-    cols = [list(map(str.strip, map(operator.itemgetter(k), rows))) for k in range(4)]
-    del rows
-    if not all(cols[0]):
-        keep = [any(fields) for fields in zip(*cols)]
-        cols = [list(compress(c, keep)) for c in cols]
-        if not all(cols[0]):
+    return [list(map(operator.itemgetter(k), rows)) for k in range(4)]
+
+
+def _columns(ids, parent_ids, level_text, count_text):
+    """Per-node columns (ids, parent ids, root flags, levels, counts)
+    from the raw field columns of the data rows, or None when any row
+    is malformed. Ids are stripped; ``int`` and ``float`` ignore the
+    whitespace around a number themselves."""
+    ids = list(map(str.strip, ids))
+    parent_ids = list(map(str.strip, parent_ids))
+    if not all(ids):
+        # rows blank in all four fields are skipped
+        cols = (ids, parent_ids, level_text, count_text)
+        keep = [any(map(str.strip, fields)) for fields in zip(*cols)]
+        ids, parent_ids, level_text, count_text = (list(compress(c, keep)) for c in cols)
+        if not all(ids):
             return None
-    ids, parent_ids, level_text, count_text = cols
+    n = len(ids)
     try:
-        levels = np.fromiter(map(int, level_text), np.int64, len(ids))
-        counts = np.fromiter(map(float, count_text), float, len(ids))
+        levels = np.fromiter(map(int, level_text), np.int64, n)
+        counts = np.fromiter(map(float, count_text), float, n)
     except (ValueError, OverflowError):
         return None
     if (levels < 1).any() or not (np.isfinite(counts) & (counts >= 0)).all():
         return None
-    is_root = np.fromiter(map(operator.not_, parent_ids), dtype=bool, count=len(ids))
+    is_root = np.fromiter(map(operator.not_, parent_ids), dtype=bool, count=n)
     return ids, parent_ids, is_root, levels, counts
 
 

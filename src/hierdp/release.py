@@ -95,8 +95,10 @@ class ReleaseEngine:
         of each level the allocation gives budget to, projected where
         the arm asks.
 
-        Unit-scale noise is drawn once for every level any arm releases
-        and scaled per arm, so the arms share their noise."""
+        Unit-scale noise is drawn once, on the call, for every level any
+        arm releases and scaled per arm, so the arms share their noise."""
+        if rep_hi < rep_lo:
+            raise DomainError(f"replicate range [{rep_lo}, {rep_hi}) is reversed")
         released = [self.levels(alloc) for alloc, _ in arms]
         laplace = {}
         for lv in sorted(set().union(*released)):
@@ -105,19 +107,23 @@ class ReleaseEngine:
             laplace[lv] = standard_laplace(
                 centered_uniform_matrix(seed, self.keys[lv], rep_lo, rep_hi)
             )
-        # one arm at a time, so a caller that consumes each arm before
-        # the next holds one arm's blocks: holding every arm at once
-        # made malloc map and page-fault fresh blocks every chunk
-        for (alloc, with_hier), levels in zip(arms, released):
+
+        def scaled(alloc: BudgetAllocation, with_hier: bool, levels: list[int]):
             noisy = {
                 lv: np.maximum(
                     0.0, self.counts[lv][None, :] + laplace[lv] / alloc.eps[lv - 1]
                 )
                 for lv in levels
             }
-            if with_hier:
-                noisy = self.apply_consistency(noisy)
-            yield noisy
+            return self.apply_consistency(noisy) if with_hier else noisy
+
+        # one arm at a time, so a caller that consumes each arm before
+        # the next holds one arm's blocks: holding every arm at once
+        # made malloc map and page-fault fresh blocks every chunk
+        return (
+            scaled(alloc, with_hier, levels)
+            for (alloc, with_hier), levels in zip(arms, released)
+        )
 
     def apply_consistency(self, noisy: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Project every sibling group onto its parent's adjusted value,

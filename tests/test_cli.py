@@ -147,6 +147,41 @@ class TestRelease:
         for node in va_hierarchy:
             assert released.node(node.id).count == pytest.approx(node.count, abs=1e-6)
 
+    def test_same_bytes_from_every_tokenizer(self, runner, workdir, va_csv):
+        # the plain file is cut with str.split, the quoted one goes
+        # through csv.reader; the CRLF twin is read with universal newlines
+        rows = [line.split(",") for line in va_csv.splitlines()]
+        quoted = [rows[0]] + [
+            [f'"{nid}"', f'"{pid}"' if pid else "", *rest] for nid, pid, *rest in rows[1:]
+        ]
+        variants = {
+            "plain": va_csv,
+            "crlf": va_csv.replace("\n", "\r\n"),
+            "quoted": "\n".join(map(",".join, quoted)) + "\n",
+        }
+        outputs = set()
+        for name, text in variants.items():
+            (workdir / f"{name}.csv").write_bytes(text.encode())
+            args = ["release", "--input", str(workdir / f"{name}.csv"), "--eps-total", "2",
+                    "--seed", "5", "--hier", "--out-dir", str(workdir / name)]
+            assert _invoke(runner, args).exit_code == 0
+            outputs.add(tuple(
+                (workdir / name / f"release.{ext}").read_bytes() for ext in ("csv", "json")
+            ))
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("command", ["allocate", "release"])
+    def test_oversized_field_exits_3(self, runner, tmp_path, command):
+        # a field beyond the csv module's size limit is a data error
+        big = tmp_path / "big.csv"
+        big.write_text("node_id,parent_id,level,count\n" + "r" * 200_000 + ",,1,5\n")
+        args = [command, "--input", str(big), "--eps-total", "1"]
+        if command == "release":
+            args += ["--out-dir", str(tmp_path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert "row 2: field larger than field limit" in result.output
+
 
 class TestEvaluate:
     def test_smoke(self, runner, workdir):

@@ -225,6 +225,20 @@ class TestTractPrivatizer:
         compare_misallocation(tract_blocks, 1.0, (WeightFunction.LINEAR,), 1000, 0)
         assert calls == [2]
 
+    @pytest.mark.parametrize("replicates", [-5, 0, 999])
+    def test_replicate_floor_names_the_requested_count(self, tract_blocks, replicates):
+        with pytest.raises(DomainError) as info:
+            compare_misallocation(tract_blocks, 1.0, (WeightFunction.LINEAR,), replicates, 0)
+        assert str(info.value) == f"replicates must be >= 1000, got {replicates}"
+
+    def test_too_few_replicates_refused_before_any_draw(self, tract_blocks, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no release may be drawn")
+
+        monkeypatch.setattr(ReleaseEngine, "release", refuse)
+        with pytest.raises(DomainError, match="got 999"):
+            compare_misallocation(tract_blocks, 1.0, (WeightFunction.LINEAR,), 999, 0)
+
     @pytest.mark.xfail(
         strict=True,
         reason="on this heavily skewed 10-block instance the log-weight "

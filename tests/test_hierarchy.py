@@ -1,5 +1,8 @@
+import csv
 import hashlib
+import io
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hierdp.errors import (
     NegativeCount,
     OrphanNode,
 )
+import hierdp.hierarchy as hierarchy
 from hierdp.hierarchy import (
     CSV_HEADER,
     Hierarchy,
@@ -232,6 +236,159 @@ class TestInputForms:
             assert parse_hierarchy(HEADER + "\n".join(rows) + "\n") == va_hierarchy
 
 
+def _outcome(text):
+    """The parsed hierarchy, or the class and message of the error."""
+    try:
+        return parse_hierarchy(text)
+    except Exception as e:  # compared, not swallowed
+        return type(e), str(e)
+
+
+# near-misses of the header send a text to csv.reader, which then
+# rejects it (or, for the quoted one, accepts it)
+FUZZ_HEADERS = [HEADER] * 8 + [
+    " node_id , parent_id,level,count\t\n",
+    '"node_id",parent_id,level,count\n', "node_id,parent_id,level\n",
+    "node_id,parent_id,level,count,\n", "Node_id,parent_id,level,count\n", "",
+]
+FUZZ_PADS = ["", "", "", "", " ", "\t", "\x0b", "\u2028"]
+FUZZ_TREES = [
+    [("A", "", "1")],
+    [("A", "", "1"), ("B", "A", "2"), ("C", "A", "2")],
+    [("r", "", "1"), ("r-1", "r", "2"), ("e", "r-1", "3"), ("inf", "r-1", "3")],
+]
+FUZZ_COUNTS = ["0", "1", "2.5", "1e3", ".5", "1_000", "7"]
+# what a field becomes when it is spoiled
+FUZZ_SPOILS = ["", "A", "Z", "0", "-1", "x", "1.0", "nan", "inf", "-2", "1e999"]
+FUZZ_CHARS = [",", "\n", " ", "\t", "\x0b", "\u2028", '"', "7", "-", ".", "e", "_", "q"]
+
+
+def _fuzz_text(rng):
+    """A short hierarchy CSV: a small valid tree with stray whitespace,
+    its rows shuffled, some fields spoiled; sometimes a row of another
+    width, a blank line, a quoted field or one stray character from the
+    alphabet."""
+    lines = []
+    rows = [row + (rng.choice(FUZZ_COUNTS),) for row in rng.choice(FUZZ_TREES)]
+    if rng.random() < 0.3:
+        rng.shuffle(rows)
+    for row in rows:
+        fields = [rng.choice(FUZZ_SPOILS) if rng.random() < 0.04 else f for f in row]
+        shape = rng.random()
+        if shape < 0.03:
+            fields = fields[:3]
+        elif shape < 0.06:
+            fields.append(rng.choice(FUZZ_COUNTS))
+        elif shape < 0.09:
+            fields = [rng.choice(["", " ", "\t"])]
+        elif shape < 0.12:
+            fields[0] = f'"{fields[0]}"'
+        lines.append(",".join(rng.choice(FUZZ_PADS) + f + rng.choice(FUZZ_PADS) for f in fields))
+    text = rng.choice(FUZZ_HEADERS) + "\n".join(lines) + rng.choice(["\n", "\n", ""])
+    if rng.random() < 0.15:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(FUZZ_CHARS) + text[at:]
+    return text
+
+
+class TestTokenizers:
+    """Plain text is cut with ``str.split``; quoted, CR- or NUL-holding
+    text goes through csv.reader. A text and its CRLF twin, which always
+    takes csv.reader, must give the same tree or the same error."""
+
+    def assert_same_as_crlf_twin(self, text):
+        assert _outcome(text) == _outcome(text.replace("\n", "\r\n"))
+
+    def test_differential_against_csv_reader(self):
+        rng = random.Random(20240611)
+        split = parsed = compared = 0
+        for _ in range(3000):
+            text = _fuzz_text(rng)
+            # a quoted field spanning a line keeps its newline, which the
+            # twin turns into CRLF: a different id, not a tokenizer fault
+            if any("\n" in f for row in csv.reader(io.StringIO(text)) for f in row):
+                continue
+            compared += 1
+            split += hierarchy._split_fields(text) is not None
+            outcome = _outcome(text)
+            parsed += isinstance(outcome, Hierarchy)
+            assert outcome == _outcome(text.replace("\n", "\r\n")), repr(text)
+        # both tokenizers, and both parses and errors, are exercised
+        assert compared > 2900 and split > 1000
+        assert parsed > 800 and compared - parsed > 800
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "A,,1,3\nB,A,2,3",  # no final newline
+            "A,,1,3\n\nB,A,2,3\n",  # blank line
+            "A,,1,3\n \t\u2028\nB,A,2,3\n",  # whitespace-only line
+            "A,,1,3\nB,A,2,3,\n",  # five fields
+            "A,,1,3\n ,A,2,3\n",  # empty node id
+            "A,,1,3\nB,A, 2\x0b,\t3e0 \n",  # padded numbers
+        ],
+        ids=["no_final_newline", "blank_line", "whitespace_line", "five_fields",
+             "empty_id", "padded_numbers"],
+    )
+    def test_named_cases(self, body):
+        self.assert_same_as_crlf_twin(HEADER + body)
+
+    def test_named_outcomes(self):
+        expected = parse_hierarchy(HEADER + "A,,1,3\nB,A,2,3\n")
+        assert parse_hierarchy(HEADER + "A,,1,3\nB,A,2,3") == expected
+        assert parse_hierarchy(HEADER + "A,,1,3\n \t\nB,A,2,3\n") == expected
+        with pytest.raises(InvalidSpec, match=r"^row 3: expected 4 fields, got 5$"):
+            parse_hierarchy(HEADER + "A,,1,3\nB,A,2,3,\n")
+        with pytest.raises(InvalidSpec, match=r"^row 3: empty node_id$"):
+            parse_hierarchy(HEADER + "A,,1,3\n ,A,2,3\n")
+
+    @pytest.mark.parametrize(
+        "text,split",
+        [
+            (HEADER + "A,,1,3\nB,A,2,3\n", True),
+            (HEADER + "A,,1,3\nB,A,2,3", True),
+            (HEADER + '"A",,1,3\n', False),
+            (HEADER.replace("\n", "\r\n") + "A,,1,3\r\n", False),
+            (HEADER + "A\x00,,1,3\n", False),
+            (HEADER + "A,,1,3\n\n", False),
+            (" " + HEADER + "A,,1,3\n", True),
+            ("node_id,parent_id,level,count,\nA,,1,3,\n", False),
+        ],
+        ids=["plain", "no_final_newline", "quoted", "crlf", "nul", "blank_line",
+             "padded_header", "five_field_header"],
+    )
+    def test_which_tokenizer(self, text, split):
+        assert (hierarchy._split_fields(text) is not None) is split
+
+    def test_field_size_limit(self):
+        # a line longer than the csv module's field limit may hold a field
+        # that module rejects, so such a text is left to csv.reader
+        limit = csv.field_size_limit()
+        for width, split in ((limit - 5, True), (limit - 4, False), (limit, False)):
+            text = HEADER + "r" * width + ",,1,3\n"
+            assert (hierarchy._split_fields(text) is not None) is split
+            assert parse_hierarchy(text).root.id == "r" * width
+        with pytest.raises(InvalidSpec, match=r"^row 2: field larger than field limit"):
+            parse_hierarchy(HEADER + "r" * (limit + 1) + ",,1,3\n")
+
+    def test_oversized_id_is_invalid_spec(self):
+        text = HEADER + "A,,1,3\n" + "B" * 200_000 + ",A,2,3\n"
+        for variant in (text, text.replace("\n", "\r\n")):
+            with pytest.raises(InvalidSpec) as info:
+                parse_hierarchy(variant)
+            assert str(info.value) == (
+                f"row 3: field larger than field limit ({csv.field_size_limit()})"
+            )
+
+    def test_nul_byte(self):
+        text = HEADER + "A,,1,3\nB\x00,A,2,3\n"
+        if sys.version_info >= (3, 11):
+            assert parse_hierarchy(text).level_ids(2) == ("B\x00",)
+        else:
+            with pytest.raises(InvalidSpec, match=r"^row 3: line contains NUL$"):
+                parse_hierarchy(text)
+
+
 class TestColumns:
     def test_level_parents(self, va_hierarchy):
         assert list(va_hierarchy.level_parents(1)) == [-1]
@@ -248,6 +405,17 @@ class TestColumns:
         assert h.children_of("r-a") == ("r-a-1", "r-a-2")
         assert h.children_of("r-a-1") == ()
         assert list(h.level_parents(3)) == [0, 0, 1]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_level_major_input_is_id_sorted_within_levels(self, seed):
+        # level order alone is not the node order; level-then-id order is,
+        # and input already in it comes out as it went in
+        nodes = sorted(random_tree(seed), key=lambda n: n.level)
+        canonical = sorted(nodes, key=lambda n: (n.level, n.id))
+        assert nodes != canonical
+        assert list(Hierarchy(nodes)) == canonical
+        assert list(Hierarchy(canonical)) == canonical
+        assert parse_hierarchy(serialize_hierarchy(Hierarchy(nodes))) == Hierarchy(canonical)
 
     def test_level_out_of_range(self, va_hierarchy):
         for level in (0, 4):

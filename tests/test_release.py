@@ -369,6 +369,14 @@ class TestReleaseEngine:
                 assert rows.shape == (20, len(h.level_ids(lv)))
                 assert rows.tobytes() == alone[lv].tobytes()
 
+    def test_reversed_replicate_range_rejected(self, va_hierarchy):
+        engine = ReleaseEngine(va_hierarchy)
+        arms = [(uniform_allocation(3, 1.0), False)]
+        with pytest.raises(DomainError, match=r"^replicate range \[0, -5\) is reversed$"):
+            engine.release(arms, 0, 0, -5)
+        (empty,) = engine.release(arms, 0, 5, 5)
+        assert [rows.shape for rows in empty.values()] == [(0, 1), (0, 2), (0, 5)]
+
 
 class TestEnforceConsistency:
     def test_consistent_input_unchanged(self, va_hierarchy):
