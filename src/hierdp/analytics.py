@@ -105,11 +105,10 @@ def _check_counts(counts: np.ndarray) -> np.ndarray:
     return counts
 
 
-def mse_sum(counts: np.ndarray, eps: float, mults: np.ndarray | None = None) -> float:
-    """Sum of per-count mse at a common eps (optionally weighted by
-    multiplicities for deduplicated count vectors)."""
+def mse_sum(counts: np.ndarray, eps: float) -> float:
+    """Sum of per-count mse at a common eps."""
     _check_eps(eps)
-    return _mse_sum(_check_counts(counts), eps, mults)
+    return _mse_sum(_check_counts(counts), eps, None)
 
 
 def _bias_sum(counts: np.ndarray, eps: float) -> float:

@@ -82,7 +82,9 @@ class RunConfig:
 
 
 def _read_tree(path: str) -> Hierarchy:
-    return parse_hierarchy(Path(path).read_text(encoding="utf-8"))
+    # the text as written: line ends are the parser's to read
+    with open(path, encoding="utf-8", newline="") as f:
+        return parse_hierarchy(f.read())
 
 
 def _config(

@@ -223,6 +223,7 @@ def compare_misallocation(
     one release matrix per arm from one draw, scored by every weight
     function."""
     _check_replicates(replicates)
+    proportions(block_counts)  # a zero total is refused before any draw
     return {
         arm: {w.value: misallocation_stats(block_counts, noisy, w) for w in weight_fns}
         for arm, noisy in tract_release(block_counts, eps_total, replicates, seed).items()

@@ -315,25 +315,30 @@ def parse_hierarchy(csv_text: str) -> Hierarchy:
     error names the offending row, every structural error the
     offending node.
 
-    Plain text (no quote, CR or NUL, four fields on every line) is cut
-    into columns with ``str.split``; anything else goes through
-    :mod:`csv`. Both give the same fields.
+    Plain text (no quote, NUL or lone CR, four fields on every line) is
+    cut into columns with ``str.split``; anything else, and plain text
+    with a blank or malformed row, is read by :mod:`csv`. Both give the
+    same fields.
     """
     fields = _split_fields(csv_text)
-    if fields is None:
-        fields = _reader_fields(csv_text)
     columns = None if fields is None else _columns(*fields)
     if columns is None:
-        _raise_row_fault(csv_text)  # always raises: some row is malformed
+        columns = _reader_columns(csv_text)
     return Hierarchy._from_columns(*columns)
 
 
 def _split_fields(csv_text: str):
     """The four raw field columns of plain CSV text, or None when the
-    text needs :mod:`csv`: it holds a quote, CR or NUL, its header is
-    not :data:`CSV_HEADER`, a data line does not hold exactly four
-    fields, or a line exceeds the csv module's field size limit."""
-    if '"' in csv_text or "\r" in csv_text or "\x00" in csv_text:
+    text needs :mod:`csv`: it holds a quote, a NUL or a CR that does not
+    start a CRLF line end, its header is not :data:`CSV_HEADER`, a data
+    line does not hold exactly four fields, or a line exceeds the csv
+    module's field size limit. A CRLF line end leaves its CR on the
+    count field, which ``float`` ignores."""
+    if (
+        '"' in csv_text
+        or "\x00" in csv_text
+        or ("\r" in csv_text and csv_text.count("\r") != csv_text.count("\r\n"))
+    ):
         return None
     lines = csv_text.split("\n")
     if [h.strip() for h in lines[0].split(",")] != CSV_HEADER:
@@ -350,52 +355,20 @@ def _split_fields(csv_text: str):
     return [flat[k::4] for k in range(4)]
 
 
-def _records(csv_text: str):
-    """The CSV records of ``csv_text``, header first; one the csv module
-    cannot read raises InvalidSpec naming its row."""
-    reader = csv.reader(io.StringIO(csv_text))
-    row = 1
-    try:
-        for record in reader:
-            yield record
-            row += 1
-    except csv.Error as e:
-        raise InvalidSpec(f"row {row}: {e}") from None
-
-
-def _reader_fields(csv_text: str):
-    """The four raw field columns of the data rows read by :mod:`csv`,
-    blank rows dropped, or None when a row has another field count."""
-    records = _records(csv_text)
-    header = next(records, None)
-    if header is None:
-        raise MissingRoot("empty CSV input")
-    if [h.strip() for h in header] != CSV_HEADER:
-        raise InvalidSpec(
-            f"bad header {header!r}; expected {','.join(CSV_HEADER)}"
-        )
-    rows = list(records)
-    if set(map(len, rows)) - {4}:
-        rows = [r for r in rows if len(r) == 4 or any(c.strip() for c in r)]
-        if set(map(len, rows)) - {4}:
-            return None
+def _by_field(rows: list[list[str]]) -> list[list[str]]:
+    """The four field columns of records of four fields."""
     return [list(map(operator.itemgetter(k), rows)) for k in range(4)]
 
 
 def _columns(ids, parent_ids, level_text, count_text):
     """Per-node columns (ids, parent ids, root flags, levels, counts)
     from the raw field columns of the data rows, or None when any row
-    is malformed. Ids are stripped; ``int`` and ``float`` ignore the
-    whitespace around a number themselves."""
+    is blank or malformed. Ids are stripped; ``int`` and ``float``
+    ignore the whitespace around a number themselves."""
     ids = list(map(str.strip, ids))
-    parent_ids = list(map(str.strip, parent_ids))
     if not all(ids):
-        # rows blank in all four fields are skipped
-        cols = (ids, parent_ids, level_text, count_text)
-        keep = [any(map(str.strip, fields)) for fields in zip(*cols)]
-        ids, parent_ids, level_text, count_text = (list(compress(c, keep)) for c in cols)
-        if not all(ids):
-            return None
+        return None
+    parent_ids = list(map(str.strip, parent_ids))
     n = len(ids)
     try:
         levels = np.fromiter(map(int, level_text), np.int64, n)
@@ -408,11 +381,29 @@ def _columns(ids, parent_ids, level_text, count_text):
     return ids, parent_ids, is_root, levels, counts
 
 
-def _raise_row_fault(csv_text: str) -> None:
-    """Raise the error of the first malformed data row."""
-    reader = csv.reader(io.StringIO(csv_text))
-    next(reader)
-    for lineno, row in enumerate(reader, start=2):
+def _reader_columns(csv_text: str):
+    """Per-node columns of ``csv_text`` read by :mod:`csv` in one pass.
+    Blank rows are skipped; a record the csv module cannot read, or
+    else the first malformed data row, raises an error naming its row."""
+    records = []
+    try:
+        for record in csv.reader(io.StringIO(csv_text)):
+            records.append(record)
+    except csv.Error as e:
+        raise InvalidSpec(f"row {len(records) + 1}: {e}") from None
+    if not records:
+        raise MissingRoot("empty CSV input")
+    header, rows = records[0], records[1:]
+    if [h.strip() for h in header] != CSV_HEADER:
+        raise InvalidSpec(
+            f"bad header {header!r}; expected {','.join(CSV_HEADER)}"
+        )
+    if not set(map(len, rows)) - {4}:
+        columns = _columns(*_by_field(rows))
+        if columns is not None:
+            return columns
+    kept = []
+    for lineno, row in enumerate(rows, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != 4:
@@ -441,6 +432,8 @@ def _raise_row_fault(csv_text: str) -> None:
                 f"row {lineno} ({nid!r}): count must be a nonnegative real, "
                 f"got {count_s}"
             )
+        kept.append(row)
+    return _columns(*_by_field(kept))
 
 
 def serialize_hierarchy(

@@ -2,8 +2,8 @@
 
 Each (seed, node id, replicate index) triple maps to one uniform draw
 through a splitmix64-style hash, so noise values do not depend on
-traversal order, chunking, or worker count. Node ids are hashed with
-blake2b rather than Python's ``hash`` to stay stable across processes.
+traversal order or chunking. Node ids are hashed with blake2b rather
+than Python's ``hash`` to stay stable across processes.
 """
 
 from __future__ import annotations

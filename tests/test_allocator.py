@@ -84,6 +84,26 @@ class TestFixedBudget:
             resid = level_marginal(stats, (1.0, 1.0), lv, alloc.eps[lv - 1])
             assert abs(resid + alloc.multiplier) <= 1e-8 * alloc.multiplier
 
+    @pytest.mark.parametrize("weights", [(1.0, 2.0, 1.0), (1.0, 0.0, 1.0)])
+    def test_geometric_split_where_mse_scales_as_inverse_eps_squared(self, weights):
+        # with every count N, at N = 0 or with eps * N large, each count's
+        # mse is c / eps**2 for one c, and the optimum is the geometric
+        # split T (w_l k_l)^(1/3) / sum (w k)^(1/3) (Cormode et al., ICDE
+        # 2012); at N = 10 the clamp bends the split away from it
+        sizes, total = (1, 30, 900), 1.0
+        geometric = np.cbrt(np.multiply(weights, sizes))
+        geometric *= total / geometric.sum()
+
+        def split(n):
+            stats = _stats(*(np.full(k, float(n)) for k in sizes))
+            return np.array(allocate_fixed_budget(stats, weights, total).eps)
+
+        for n in (0, 1e4):
+            np.testing.assert_allclose(split(n), geometric, rtol=1e-12, atol=0.0)
+        released = geometric > 0
+        miss = split(10)[released] / geometric[released] - 1
+        assert np.abs(miss).max() > 0.01
+
     def test_budget_always_binding(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 from hierdp.allocator import allocate_fixed_budget
 from hierdp.analytics import weighted_total_mse
 from hierdp.cli import main
+from hierdp.errors import InvalidSpec
 from hierdp.hierarchy import level_stats, parse_hierarchy
 
 
@@ -148,8 +150,8 @@ class TestRelease:
             assert released.node(node.id).count == pytest.approx(node.count, abs=1e-6)
 
     def test_same_bytes_from_every_tokenizer(self, runner, workdir, va_csv):
-        # the plain file is cut with str.split, the quoted one goes
-        # through csv.reader; the CRLF twin is read with universal newlines
+        # the plain file and its CRLF twin are cut with str.split, the
+        # quoted one goes through csv.reader
         rows = [line.split(",") for line in va_csv.splitlines()]
         quoted = [rows[0]] + [
             [f'"{nid}"', f'"{pid}"' if pid else "", *rest] for nid, pid, *rest in rows[1:]
@@ -169,6 +171,32 @@ class TestRelease:
                 (workdir / name / f"release.{ext}").read_bytes() for ext in ("csv", "json")
             ))
         assert len(outputs) == 1
+
+    def test_quoted_cr_survives(self, runner, tmp_path):
+        # the file reaches the parser as written, so a quoted CRLF stays
+        # in the id, and so the id's noise key is the one the parser gives
+        tree = tmp_path / "tree.csv"
+        tree.write_bytes(b'node_id,parent_id,level,count\nr,,1,10\n"a\r\nb",r,2,10\n')
+        args = ["release", "--input", str(tree), "--eps-total", "1",
+                "--out-dir", str(tmp_path / "out")]
+        assert _invoke(runner, args).exit_code == 0
+        with open(tmp_path / "out" / "release.csv", newline="") as f:
+            released = [row[0] for row in csv.reader(f)]
+        assert released[1:] == ["r", "a\r\nb"]
+
+    @pytest.mark.parametrize("command", ["allocate", "release"])
+    def test_lone_cr_file_exits_3(self, runner, tmp_path, command):
+        text = "node_id,parent_id,level,count\rr,,1,10\rr-1,r,2,10\r"
+        tree = tmp_path / "tree.csv"
+        tree.write_bytes(text.encode())
+        with pytest.raises(InvalidSpec) as info:
+            parse_hierarchy(text)
+        args = [command, "--input", str(tree), "--eps-total", "1"]
+        if command == "release":
+            args += ["--out-dir", str(tmp_path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert str(info.value) in result.output
 
     @pytest.mark.parametrize("command", ["allocate", "release"])
     def test_oversized_field_exits_3(self, runner, tmp_path, command):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hierdp import downstream
 from hierdp.downstream import (
     WeightFunction,
     compare_misallocation,
@@ -238,6 +239,14 @@ class TestTractPrivatizer:
         monkeypatch.setattr(ReleaseEngine, "release", refuse)
         with pytest.raises(DomainError, match="got 999"):
             compare_misallocation(tract_blocks, 1.0, (WeightFunction.LINEAR,), 999, 0)
+
+    def test_zero_total_refused_before_any_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no release may be drawn")
+
+        monkeypatch.setattr(downstream, "tract_release", refuse)
+        with pytest.raises(ZeroTotal):
+            compare_misallocation([0, 0], 1.0, (WeightFunction.LINEAR,), 1000, 0)
 
     @pytest.mark.xfail(
         strict=True,

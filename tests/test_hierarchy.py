@@ -292,16 +292,18 @@ def _fuzz_text(rng):
 
 
 class TestTokenizers:
-    """Plain text is cut with ``str.split``; quoted, CR- or NUL-holding
-    text goes through csv.reader. A text and its CRLF twin, which always
-    takes csv.reader, must give the same tree or the same error."""
+    """Plain text, with LF or CRLF line ends, is cut with ``str.split``;
+    text holding a quote, a NUL or a lone CR goes through csv.reader. A
+    text, its CRLF twin and csv.reader alone must give the same tree or
+    the same error."""
 
     def assert_same_as_crlf_twin(self, text):
         assert _outcome(text) == _outcome(text.replace("\n", "\r\n"))
 
-    def test_differential_against_csv_reader(self):
+    def test_differential_against_csv_reader(self, monkeypatch):
         rng = random.Random(20240611)
-        split = parsed = compared = 0
+        split = twin_split = parsed = compared = 0
+        outcomes = {}
         for _ in range(3000):
             text = _fuzz_text(rng)
             # a quoted field spanning a line keeps its newline, which the
@@ -309,13 +311,20 @@ class TestTokenizers:
             if any("\n" in f for row in csv.reader(io.StringIO(text)) for f in row):
                 continue
             compared += 1
+            twin = text.replace("\n", "\r\n")
             split += hierarchy._split_fields(text) is not None
-            outcome = _outcome(text)
+            twin_split += hierarchy._split_fields(twin) is not None
+            outcome = outcomes[text] = outcomes[twin] = _outcome(text)
             parsed += isinstance(outcome, Hierarchy)
-            assert outcome == _outcome(text.replace("\n", "\r\n")), repr(text)
+            assert outcome == _outcome(twin), repr(text)
         # both tokenizers, and both parses and errors, are exercised
         assert compared > 2900 and split > 1000
         assert parsed > 800 and compared - parsed > 800
+        assert twin_split > 1000
+        # the reference: every text and twin read by csv.reader alone
+        monkeypatch.setattr(hierarchy, "_split_fields", lambda text: None)
+        for text, outcome in outcomes.items():
+            assert _outcome(text) == outcome, repr(text)
 
     @pytest.mark.parametrize(
         "body",
@@ -348,14 +357,16 @@ class TestTokenizers:
             (HEADER + "A,,1,3\nB,A,2,3\n", True),
             (HEADER + "A,,1,3\nB,A,2,3", True),
             (HEADER + '"A",,1,3\n', False),
-            (HEADER.replace("\n", "\r\n") + "A,,1,3\r\n", False),
+            (HEADER.replace("\n", "\r\n") + "A,,1,3\r\n", True),
+            (HEADER + "A\r,,1,3\n", False),
+            (HEADER.replace("\n", "\r") + "A,,1,3\r", False),
             (HEADER + "A\x00,,1,3\n", False),
             (HEADER + "A,,1,3\n\n", False),
             (" " + HEADER + "A,,1,3\n", True),
             ("node_id,parent_id,level,count,\nA,,1,3,\n", False),
         ],
-        ids=["plain", "no_final_newline", "quoted", "crlf", "nul", "blank_line",
-             "padded_header", "five_field_header"],
+        ids=["plain", "no_final_newline", "quoted", "crlf", "lone_cr", "lone_cr_ends",
+             "nul", "blank_line", "padded_header", "five_field_header"],
     )
     def test_which_tokenizer(self, text, split):
         assert (hierarchy._split_fields(text) is not None) is split
