@@ -214,8 +214,15 @@ def _solve(
         else:
             lo, hi = 2.0 * (target / (2.0 * c)) ** 1.5, 4.0 * (target / c) ** 1.5
 
+        def roots(lam: float) -> list[tuple[float, float, float]]:
+            return [lv.solve(lam) for lv in levels.values()]
+
+        last = (None, None)
+
         def residual(lam: float) -> tuple[float, float]:
-            es, _, slopes = zip(*(lv.solve(lam) for lv in levels.values()))
+            nonlocal last
+            last = lam, roots(lam)
+            es, _, slopes = zip(*last[1])
             if fixed:
                 return target - sum(es), sum(1.0 / s for s in slopes)
             mse = sum(lv.w * lv.mse(e) for lv, e in zip(levels.values(), es))
@@ -225,9 +232,11 @@ def _solve(
         # level after Newton's quadratic steps, so the outer residual can
         # reach 1e-13 of target; the 1e-9 checks below keep a wide margin
         lam = _root(residual, lo * (1.0 - 1e-9), hi * (1.0 + 1e-9), 1e-13 * target)[0]
+        # _root returns the last lam it evaluated: reuse its level roots
+        solved = last[1] if last[0] == lam else roots(lam)
         worst = 0.0
-        for i, lv in levels.items():
-            eps[i], kkt, _ = lv.solve(lam)
+        for i, (e, kkt, _) in zip(levels, solved):
+            eps[i] = e
             worst = max(worst, abs(kkt))
         if worst > 1e-8 * lam:
             raise ConvergenceFailure(

@@ -41,6 +41,9 @@ CSV_HEADER = ["node_id", "parent_id", "level", "count"]
 _ROOT = -1
 _ORPHAN = -2
 _LEVEL_MAX = np.iinfo(np.int64).max
+# plain CSV text is split and converted in blocks of about this many
+# characters, each ending at a line end
+_BLOCK_CHARS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -104,20 +107,36 @@ class Hierarchy:
         step = np.diff(levels)
         same = (step == 0).tolist()
         in_order = bool((step >= 0).all()) and all(
-            map(operator.le, compress(ids, same), compress(islice(ids, 1, None), same))
+            map(operator.lt, compress(ids, same), compress(islice(ids, 1, None), same))
         )
         if in_order:
             order = np.arange(n)
-            sorted_ids = ids
+            sorted_ids, sorted_levels = ids, levels
+            repeats = False
         else:
             order = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.intp)
             order = order[np.argsort(levels[order], kind="stable")]
             rows = order.tolist()
             sorted_ids = list(map(ids.__getitem__, rows))
-        index = dict(zip(sorted_ids, range(n)))
+            sorted_levels = levels[order]
+            same = (np.diff(sorted_levels) == 0).tolist()
+            repeats = any(
+                map(operator.eq, compress(sorted_ids, same),
+                    compress(islice(sorted_ids, 1, None), same))
+            )
+        # a valid tree names only nodes above its bottom level as parents,
+        # so only they are indexed; an id that repeats does so within a
+        # level, at two levels above the bottom, or above and at the bottom
+        above = int(np.searchsorted(sorted_levels, sorted_levels[-1]))
+        index = dict(zip(islice(sorted_ids, above), range(above)))
+        repeats = (
+            repeats
+            or len(index) < above
+            or not index.keys().isdisjoint(islice(sorted_ids, above, None))
+        )
 
         bad_count = ~(np.isfinite(counts) & (counts >= 0))
-        if len(index) < n or bad_count.any():
+        if repeats or bad_count.any():
             seen = set()
             for nid, bad, count in zip(ids, bad_count.tolist(), counts.tolist()):
                 if nid in seen:
@@ -128,10 +147,17 @@ class Hierarchy:
 
         if not in_order:
             parent_ids = list(map(parent_ids.__getitem__, rows))
-            is_root, levels, counts = is_root[order], levels[order], counts[order]
+            is_root, levels, counts = is_root[order], sorted_levels, counts[order]
         parent = np.fromiter(
             map(index.get, parent_ids, repeat(_ORPHAN)), dtype=np.intp, count=n
         )
+        if (parent[~is_root] == _ORPHAN).any():
+            # a parent at the bottom level or missing: look in every level
+            index = dict(zip(sorted_ids, range(n)))
+            parent = np.fromiter(
+                map(index.get, parent_ids, repeat(_ORPHAN)), dtype=np.intp, count=n
+            )
+        del index
         parent[is_root] = _ROOT
 
         roots = np.flatnonzero(parent == _ROOT)
@@ -173,7 +199,6 @@ class Hierarchy:
             )
 
         self._ids = tuple(sorted_ids)
-        self._index = index
         self._parent = parent
         self._level = levels
         self._count = counts
@@ -192,6 +217,11 @@ class Hierarchy:
         np.cumsum(np.bincount(parent, minlength=len(self)), out=offsets[1:])
         kids = np.argsort(parent, kind="stable") + 1
         return offsets, kids
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Position of each node id, for the object view only."""
+        return dict(zip(self._ids, range(len(self))))
 
     def _node_at(self, i: int) -> HierNode:
         p = int(self._parent[i])
@@ -320,39 +350,67 @@ def parse_hierarchy(csv_text: str) -> Hierarchy:
     with a blank or malformed row, is read by :mod:`csv`. Both give the
     same fields.
     """
-    fields = _split_fields(csv_text)
-    columns = None if fields is None else _columns(*fields)
+    columns = _split_fields(csv_text)
     if columns is None:
         columns = _reader_columns(csv_text)
     return Hierarchy._from_columns(*columns)
 
 
 def _split_fields(csv_text: str):
-    """The four raw field columns of plain CSV text, or None when the
-    text needs :mod:`csv`: it holds a quote, a NUL or a CR that does not
-    start a CRLF line end, its header is not :data:`CSV_HEADER`, a data
-    line does not hold exactly four fields, or a line exceeds the csv
-    module's field size limit. A CRLF line end leaves its CR on the
-    count field, which ``float`` ignores."""
+    """Per-node columns of plain CSV text (see :func:`_columns`), or
+    None when the text needs :mod:`csv`: it holds a quote, a NUL or a CR
+    that does not start a CRLF line end, its header is not
+    :data:`CSV_HEADER`, a data line does not hold exactly four fields or
+    exceeds the csv module's field size limit, or a row is blank or
+    malformed. The data lines are cut with ``str.split`` and converted
+    in blocks of about :data:`_BLOCK_CHARS` characters, so no block's
+    raw fields outlive it, and siblings share one parent-id string. A
+    CRLF line end leaves its CR on the count field, which ``float``
+    ignores."""
     if (
         '"' in csv_text
         or "\x00" in csv_text
         or ("\r" in csv_text and csv_text.count("\r") != csv_text.count("\r\n"))
     ):
         return None
-    lines = csv_text.split("\n")
-    if [h.strip() for h in lines[0].split(",")] != CSV_HEADER:
-        return None
     limit = csv.field_size_limit()
-    if len(csv_text) > limit and max(map(len, lines)) > limit:
+    head = csv_text.find("\n")
+    if head < 0:
+        head = len(csv_text)
+    if head > limit or [h.strip() for h in csv_text[:head].split(",")] != CSV_HEADER:
         return None
-    body = lines[1:-1] if lines[-1] == "" else lines[1:]
-    del lines
-    if set(map(str.count, body, repeat(","))) - {3}:
-        return None
-    flat = ",".join(body).split(",")
-    del body
-    return [flat[k::4] for k in range(4)]
+    # the data lines run from pos to end, less one trailing line end
+    pos = head + 1
+    end = len(csv_text) - csv_text.endswith("\n")
+    n = csv_text.count("\n", pos, end) + 1 if pos <= end else 0
+    ids, parent_ids = [None] * n, [None] * n
+    is_root = np.empty(n, dtype=bool)
+    levels = np.empty(n, dtype=np.int64)
+    counts = np.empty(n)
+    parents = {}
+    at = 0
+    while pos <= end:
+        cut = csv_text.find("\n", pos + _BLOCK_CHARS, end)
+        stop = end if cut < 0 else cut
+        text = csv_text[pos:stop]
+        lines = text.split("\n")
+        if stop - pos > limit and max(map(len, lines)) > limit:
+            return None
+        if set(map(str.count, lines, repeat(","))) - {3}:
+            return None
+        del lines
+        flat = text.replace("\n", ",").split(",")
+        del text
+        block = _columns(flat[0::4], flat[1::4], flat[2::4], flat[3::4])
+        del flat
+        if block is None:
+            return None
+        rows = slice(at, at + len(block[0]))
+        ids[rows] = block[0]
+        parent_ids[rows] = map(parents.setdefault, block[1], block[1])
+        is_root[rows], levels[rows], counts[rows] = block[2:]
+        at, pos = rows.stop, stop + 1
+    return ids, parent_ids, is_root, levels, counts
 
 
 def _by_field(rows: list[list[str]]) -> list[list[str]]:
@@ -383,14 +441,23 @@ def _columns(ids, parent_ids, level_text, count_text):
 
 def _reader_columns(csv_text: str):
     """Per-node columns of ``csv_text`` read by :mod:`csv` in one pass.
-    Blank rows are skipped; a record the csv module cannot read, or
-    else the first malformed data row, raises an error naming its row."""
+    Blank rows are skipped; a record the csv module cannot read (a lone
+    CR, say), or else the first malformed data row, raises an error
+    naming its row."""
     records = []
     try:
         for record in csv.reader(io.StringIO(csv_text)):
             records.append(record)
     except csv.Error as e:
-        raise InvalidSpec(f"row {len(records) + 1}: {e}") from None
+        # text read from a string splits lines at LF only, so an unquoted
+        # newline is a CR that no LF follows
+        message = str(e)
+        if message.startswith("new-line character seen in unquoted field"):
+            message = (
+                "lone carriage return (a CR with no LF after it) outside quotes; "
+                "end lines with LF or CRLF"
+            )
+        raise InvalidSpec(f"row {len(records) + 1}: {message}") from None
     if not records:
         raise MissingRoot("empty CSV input")
     header, rows = records[0], records[1:]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hierdp.allocator as allocator
 from hierdp.allocator import (
     allocate_fixed_budget,
     allocate_target_mse,
@@ -235,3 +236,33 @@ class TestAllocationJson:
             "eps", "eps_total", "objective", "multiplier", "program", "weights",
         }
         assert len(d["eps"]) == 3
+
+
+class TestSolvePasses:
+    @pytest.mark.parametrize("program", ["fixed", "target"])
+    def test_no_second_solve_at_the_final_lambda(self, monkeypatch, va_hierarchy, program):
+        # every level pass runs inside the outer root search (two _root
+        # calls deep): the level roots at the final lambda are those of
+        # the residual's last call, not solved again
+        depth, passes = [0], []
+        real_root, real_sums = allocator._root, allocator._mse_deps_sums
+
+        def root(*args):
+            depth[0] += 1
+            try:
+                return real_root(*args)
+            finally:
+                depth[0] -= 1
+
+        def sums(*args):
+            passes.append(depth[0])
+            return real_sums(*args)
+
+        monkeypatch.setattr(allocator, "_root", root)
+        monkeypatch.setattr(allocator, "_mse_deps_sums", sums)
+        stats = level_stats(va_hierarchy)
+        if program == "fixed":
+            allocate_fixed_budget(stats, (1.0, 1.0, 1.0), 1.0)
+        else:
+            allocate_target_mse(stats, (1.0, 1.0, 1.0), 2000.0)
+        assert passes.count(2) == len(passes) > 0

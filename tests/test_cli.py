@@ -197,6 +197,7 @@ class TestRelease:
         result = runner.invoke(main, args)
         assert result.exit_code == 3
         assert str(info.value) in result.output
+        assert "row 1: lone carriage return" in result.output
 
     @pytest.mark.parametrize("command", ["allocate", "release"])
     def test_oversized_field_exits_3(self, runner, tmp_path, command):
