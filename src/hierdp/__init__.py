@@ -34,10 +34,8 @@ from .evaluation import (
 )
 from .hierarchy import (
     Hierarchy,
-    HierNode,
     LevelStats,
     SynthSpec,
-    check_consistency,
     level_stats,
     parse_hierarchy,
     serialize_hierarchy,
@@ -54,7 +52,6 @@ __all__ = [
     "BudgetAllocation",
     "ComparisonReport",
     "Hierarchy",
-    "HierNode",
     "LevelStats",
     "LevelWeights",
     "MomentEstimate",
@@ -65,7 +62,6 @@ __all__ = [
     "allocate_target_mse",
     "analytic_total_mse",
     "bias",
-    "check_consistency",
     "compare_allocations",
     "compare_misallocation",
     "enforce_consistency",

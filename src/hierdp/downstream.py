@@ -25,7 +25,7 @@ import numpy as np
 
 from .allocator import allocate_fixed_budget, uniform_allocation
 from .errors import DegenerateWeights, DomainError, ZeroTotal
-from .hierarchy import HierNode, Hierarchy, level_stats
+from .hierarchy import Hierarchy, level_stats
 from .release import ReleaseEngine
 
 
@@ -59,6 +59,9 @@ class WeightFunction(enum.Enum):
 def proportions(counts: Sequence[float]) -> np.ndarray:
     """Group sizes relative to the total; sums to one."""
     arr = np.asarray(counts, dtype=float)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise DomainError(f"counts must be finite, got {float(arr[~finite][0])!r}")
     total = float(arr.sum())
     if not total > 0:
         raise ZeroTotal(f"counts sum to {total!r}; proportions undefined")
@@ -195,13 +198,13 @@ def tract_release(
     blocks = np.asarray(block_counts, dtype=float)
     if blocks.ndim != 1 or blocks.size == 0:
         raise DomainError("block_counts must be a nonempty vector")
-    width = len(str(blocks.size))
-    nodes = [HierNode("t", None, 1, float(blocks.sum()))]
-    nodes += [
-        HierNode(f"t-{j + 1:0{width}d}", "t", 2, float(c))
-        for j, c in enumerate(blocks)
-    ]
-    h = Hierarchy(nodes)
+    n, width = blocks.size, len(str(blocks.size))
+    h = Hierarchy(
+        ["t"] + [f"t-{j:0{width}d}" for j in range(1, n + 1)],
+        [""] + ["t"] * n,
+        np.repeat([1, 2], [1, n]),
+        np.concatenate(([blocks.sum()], blocks)),
+    )
     allocs = {
         "optimized": allocate_fixed_budget(level_stats(h), (1.0, 1.0), eps_total),
         "uniform": uniform_allocation(2, eps_total),

@@ -6,11 +6,10 @@ the bottom level. Counts are stored as nonnegative reals because
 privatized pipelines produce reals; integrality is never required.
 
 The tree is stored as columns, with nodes in level-major, id-sorted
-order: an id tuple, a parent-index array, a level array and a count
-array. Each level is a contiguous slice, so per-level ids, counts and
-parent links are slices rather than walks over node objects;
-:class:`HierNode` values are built on demand when asked for. Instances
-are immutable after construction and safe to share across workers.
+order: an id tuple, a parent-index array and a count array. Each level
+is a contiguous slice, so per-level ids, counts and parent links are
+slices. Instances are immutable after construction and safe to share
+across workers.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ import csv
 import io
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -46,58 +44,24 @@ _LEVEL_MAX = np.iinfo(np.int64).max
 _BLOCK_CHARS = 1 << 20
 
 
-@dataclass(frozen=True)
-class HierNode:
-    """One region: an opaque id, its parent link, level (1-based), count."""
-
-    id: str
-    parent_id: Optional[str]
-    level: int
-    count: float
-
-
 class Hierarchy:
     """Validated, immutable tree, stored as columns.
 
-    Construction enforces the structural invariants and orders the
-    nodes by level, then by id, so downstream results are reproducible
-    across runs and platforms. ``Hierarchy(nodes)`` and
-    :func:`parse_hierarchy` share one validator; when several nodes are
-    at fault, the error names the first of them in input order.
+    ``Hierarchy(ids, parent_ids, levels, counts)`` takes one entry per
+    node, in any order; the node whose parent id is empty is the root,
+    as in the CSV. Construction enforces the structural invariants and
+    orders the nodes by level, then by id, so downstream results are
+    reproducible across runs and platforms. Checks run in a fixed order
+    (duplicate ids and bad counts, the root, parent links and levels,
+    ragged leaves); each raises for the first offending node in input
+    order. The tree may keep the arrays it is given (input already in
+    level-then-id order is not copied) and marks the ones it keeps
+    read-only.
     """
 
-    def __init__(self, nodes: Iterable[HierNode]):
-        nodes = list(nodes)
-        parent_ids = [n.parent_id for n in nodes]
-        self._build(
-            [n.id for n in nodes],
-            parent_ids,
-            np.array([p is None for p in parent_ids], dtype=bool),
-            np.array([n.level for n in nodes], dtype=np.int64),
-            np.array([n.count for n in nodes], dtype=float),
-        )
-
-    @classmethod
-    def _from_columns(
-        cls,
-        ids: list[str],
-        parent_ids: list[str],
-        is_root: np.ndarray,
-        levels: np.ndarray,
-        counts: np.ndarray,
-    ) -> "Hierarchy":
-        """Hierarchy from per-node columns in input order; the parent
-        id of a node flagged in ``is_root`` is ignored. The hierarchy
-        may keep the arrays it is given."""
-        h = cls.__new__(cls)
-        h._build(ids, parent_ids, is_root, levels, counts)
-        return h
-
-    def _build(self, ids, parent_ids, is_root, levels, counts) -> None:
-        """Validate the columns and store them in level-major, id-sorted
-        order. Checks run in a fixed order (duplicate ids and bad
-        counts, the root, parent links and levels, ragged leaves); each
-        raises for the first offending node in input order."""
+    def __init__(self, ids, parent_ids, levels, counts):
+        levels = np.asarray(levels, dtype=np.int64)
+        counts = np.asarray(counts, dtype=float)
         n = len(ids)
         if n == 0:
             raise MissingRoot("hierarchy has no nodes")
@@ -147,7 +111,8 @@ class Hierarchy:
 
         if not in_order:
             parent_ids = list(map(parent_ids.__getitem__, rows))
-            is_root, levels, counts = is_root[order], sorted_levels, counts[order]
+            levels, counts = sorted_levels, counts[order]
+        is_root = np.fromiter(map(operator.not_, parent_ids), dtype=bool, count=n)
         parent = np.fromiter(
             map(index.get, parent_ids, repeat(_ORPHAN)), dtype=np.intp, count=n
         )
@@ -200,55 +165,17 @@ class Hierarchy:
 
         self._ids = tuple(sorted_ids)
         self._parent = parent
-        self._level = levels
         self._count = counts
-        for column in (self._parent, self._level, self._count):
-            column.flags.writeable = False
+        parent.flags.writeable = counts.flags.writeable = False
         self._depth = depth
         # level l occupies positions [_start[l - 1], _start[l])
         self._start = np.searchsorted(levels, np.arange(1, depth + 2)).tolist()
-
-    @cached_property
-    def _children(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR child lists: the children of position i are
-        ``kids[offsets[i]:offsets[i + 1]]``, in id order."""
-        parent = self._parent[1:]
-        offsets = np.zeros(len(self) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(parent, minlength=len(self)), out=offsets[1:])
-        kids = np.argsort(parent, kind="stable") + 1
-        return offsets, kids
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        """Position of each node id, for the object view only."""
-        return dict(zip(self._ids, range(len(self))))
-
-    def _node_at(self, i: int) -> HierNode:
-        p = int(self._parent[i])
-        return HierNode(
-            self._ids[i],
-            self._ids[p] if p >= 0 else None,
-            int(self._level[i]),
-            float(self._count[i]),
-        )
 
     # accessors
 
     @property
     def depth(self) -> int:
         return self._depth
-
-    @property
-    def root(self) -> HierNode:
-        return self._node_at(0)
-
-    def node(self, node_id: str) -> HierNode:
-        return self._node_at(self._index[node_id])
-
-    def children_of(self, node_id: str) -> tuple[str, ...]:
-        offsets, kids = self._children
-        i = self._index[node_id]
-        return tuple(self._ids[k] for k in kids[offsets[i] : offsets[i + 1]].tolist())
 
     def _level_slice(self, level: int) -> slice:
         if not 1 <= level <= self._depth:
@@ -271,14 +198,6 @@ class Hierarchy:
 
     def __len__(self) -> int:
         return len(self._ids)
-
-    def __iter__(self):
-        """Nodes in level order, then id order."""
-        ids = self._ids
-        for nid, p, lv, count in zip(
-            ids, self._parent.tolist(), self._level.tolist(), self._count.tolist()
-        ):
-            yield HierNode(nid, ids[p] if p >= 0 else None, lv, count)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hierarchy):
@@ -311,32 +230,6 @@ class LevelStats:
         return [float(np.sum(c)) for c in self.counts]
 
 
-@dataclass(frozen=True)
-class ConsistencyEntry:
-    node_id: str
-    residual: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Per-parent residuals ``count - sum(children)``; one entry per
-    internal node, flagged when ``|residual| > tol``."""
-
-    entries: tuple[ConsistencyEntry, ...]
-    tol: float
-
-    @property
-    def consistent(self) -> bool:
-        return not any(e.flagged for e in self.entries)
-
-    @property
-    def max_abs_residual(self) -> float:
-        if not self.entries:
-            return 0.0
-        return max(abs(e.residual) for e in self.entries)
-
-
 def parse_hierarchy(csv_text: str) -> Hierarchy:
     """Build a hierarchy from CSV text.
 
@@ -353,7 +246,7 @@ def parse_hierarchy(csv_text: str) -> Hierarchy:
     columns = _split_fields(csv_text)
     if columns is None:
         columns = _reader_columns(csv_text)
-    return Hierarchy._from_columns(*columns)
+    return Hierarchy(*columns)
 
 
 def _split_fields(csv_text: str):
@@ -384,7 +277,6 @@ def _split_fields(csv_text: str):
     end = len(csv_text) - csv_text.endswith("\n")
     n = csv_text.count("\n", pos, end) + 1 if pos <= end else 0
     ids, parent_ids = [None] * n, [None] * n
-    is_root = np.empty(n, dtype=bool)
     levels = np.empty(n, dtype=np.int64)
     counts = np.empty(n)
     parents = {}
@@ -408,9 +300,9 @@ def _split_fields(csv_text: str):
         rows = slice(at, at + len(block[0]))
         ids[rows] = block[0]
         parent_ids[rows] = map(parents.setdefault, block[1], block[1])
-        is_root[rows], levels[rows], counts[rows] = block[2:]
+        levels[rows], counts[rows] = block[2:]
         at, pos = rows.stop, stop + 1
-    return ids, parent_ids, is_root, levels, counts
+    return ids, parent_ids, levels, counts
 
 
 def _by_field(rows: list[list[str]]) -> list[list[str]]:
@@ -419,7 +311,7 @@ def _by_field(rows: list[list[str]]) -> list[list[str]]:
 
 
 def _columns(ids, parent_ids, level_text, count_text):
-    """Per-node columns (ids, parent ids, root flags, levels, counts)
+    """Per-node columns (ids, parent ids, levels, counts)
     from the raw field columns of the data rows, or None when any row
     is blank or malformed. Ids are stripped; ``int`` and ``float``
     ignore the whitespace around a number themselves."""
@@ -435,8 +327,7 @@ def _columns(ids, parent_ids, level_text, count_text):
         return None
     if (levels < 1).any() or not (np.isfinite(counts) & (counts >= 0)).all():
         return None
-    is_root = np.fromiter(map(operator.not_, parent_ids), dtype=bool, count=n)
-    return ids, parent_ids, is_root, levels, counts
+    return ids, parent_ids, levels, counts
 
 
 def _reader_columns(csv_text: str):
@@ -535,20 +426,6 @@ def serialize_hierarchy(
     return out.getvalue()
 
 
-def check_consistency(h: Hierarchy, tol: float = 0.0) -> ConsistencyReport:
-    """Report ``count - sum(children)`` for every internal node."""
-    entries = []
-    for lv in range(1, h.depth):
-        # children summed in id order, as a running total
-        child_sums = np.bincount(h.level_parents(lv + 1), weights=h.level_counts(lv + 1))
-        residuals = (h.level_counts(lv) - child_sums).tolist()
-        entries.extend(
-            ConsistencyEntry(nid, r, abs(r) > tol)
-            for nid, r in zip(h.level_ids(lv), residuals)
-        )
-    return ConsistencyReport(tuple(entries), tol)
-
-
 def level_stats(h: Hierarchy) -> LevelStats:
     """Per-level counts in node-id order."""
     return LevelStats(
@@ -602,10 +479,9 @@ def synth_hierarchy(spec: SynthSpec) -> Hierarchy:
         counts.insert(0, counts[0].reshape(-1, fan).cumsum(axis=1)[:, -1])
 
     levels = np.repeat(np.arange(1, len(ids) + 1), [len(level) for level in ids])
-    return Hierarchy._from_columns(
+    return Hierarchy(
         list(chain.from_iterable(ids)),
         list(chain.from_iterable(parent_ids)),
-        levels == 1,
         levels,
         np.concatenate(counts),
     )

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -11,6 +12,8 @@ from hierdp.analytics import weighted_total_mse
 from hierdp.cli import main
 from hierdp.errors import InvalidSpec
 from hierdp.hierarchy import level_stats, parse_hierarchy
+
+from trees import residuals
 
 
 @pytest.fixture()
@@ -112,11 +115,9 @@ class TestRelease:
         assert a == b
 
         released = parse_hierarchy(a)
-        for node in released:
-            kids = released.children_of(node.id)
-            if kids:
-                child_sum = sum(released.node(k).count for k in kids)
-                assert abs(node.count - child_sum) <= 1e-9 * max(1.0, node.count)
+        for lv, residual in residuals(released).items():
+            parent = released.level_counts(lv)
+            assert (np.abs(residual) <= 1e-9 * np.maximum(1.0, parent)).all()
         sidecar = json.loads((workdir / "r1" / "release.json").read_text())
         assert sidecar["consistency_applied"] is True
         assert sidecar["seed"] == 11
@@ -146,8 +147,11 @@ class TestRelease:
                 "--out-dir", str(workdir / "big")]
         assert _invoke(runner, args).exit_code == 0
         released = parse_hierarchy((workdir / "big" / "release.csv").read_text())
-        for node in va_hierarchy:
-            assert released.node(node.id).count == pytest.approx(node.count, abs=1e-6)
+        for lv in range(1, va_hierarchy.depth + 1):
+            assert released.level_ids(lv) == va_hierarchy.level_ids(lv)
+            assert released.level_counts(lv) == pytest.approx(
+                va_hierarchy.level_counts(lv), abs=1e-6
+            )
 
     def test_same_bytes_from_every_tokenizer(self, runner, workdir, va_csv):
         # the plain file and its CRLF twin are cut with str.split, the
@@ -266,6 +270,14 @@ class TestDownstream:
         result = runner.invoke(main, args + ["linear,cubic"])
         assert result.exit_code == 3
         assert "unknown weight function 'cubic'" in result.output
+
+    @pytest.mark.parametrize("blocks", ["5,inf", "nan,5"])
+    def test_non_finite_block_exits_3(self, runner, blocks):
+        # refused as the user's count, not as the tract's internal node 't'
+        result = runner.invoke(main, ["downstream", "--blocks", blocks, "--eps-total", "1"])
+        assert result.exit_code == 3
+        assert "counts must be finite" in result.output
+        assert "node 't'" not in result.output
 
     def test_needs_exactly_one_source(self, runner, workdir):
         result = runner.invoke(main, ["downstream", "--eps-total", "1"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,12 @@ class TestProportions:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             proportions([3.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        # checked before the total: inf gave [0, nan], nan a ZeroTotal
+        with pytest.raises(DomainError, match="^counts must be finite, got"):
+            proportions([5.0, bad])
 
 
 class TestWeightedShares:
@@ -190,6 +198,22 @@ class TestTractPrivatizer:
         for arm, alloc in allocs.items():
             (alone,) = ReleaseEngine(h).release([(alloc, True)], 4, 0, 300)
             assert both[arm].tobytes() == alone[2].tobytes()
+
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_tree_is_the_parsed_tract_csv(self, tract_blocks, n, monkeypatch):
+        # the library twin of comparing downstream --input and --blocks:
+        # the tract's ids are zero-padded to the width of the block count
+        blocks = tract_blocks[:n]
+        trees = []
+        monkeypatch.setattr(
+            downstream, "level_stats", lambda h: trees.append(h) or level_stats(h)
+        )
+        tract_release(blocks, 1.0, 2, 0)
+        width = len(str(len(blocks)))
+        rows = [f"t,,1,{sum(blocks)!r}"]
+        rows += [f"t-{j:0{width}d},t,2,{c!r}" for j, c in enumerate(blocks, start=1)]
+        (h,) = trees
+        assert h == parse_hierarchy("node_id,parent_id,level,count\n" + "\n".join(rows) + "\n")
 
     def test_blocks_sum_to_noisy_total(self, tract_blocks):
         # the consistency projection pins each replicate's blocks to that

@@ -11,7 +11,6 @@ from hierdp.errors import AllocationMismatch, DomainError, UnreleasedLevel
 from hierdp.evaluation import monte_carlo_moments
 import hierdp.release as release
 from hierdp.hierarchy import (
-    Hierarchy,
     SynthSpec,
     level_stats,
     parse_hierarchy,
@@ -28,6 +27,7 @@ from hierdp.rng import centered_uniform_matrix, node_keys, standard_laplace
 
 from oracles import qp_projection
 from test_hierarchy import random_tree
+from trees import residuals, tree
 
 
 def _laplace(scale, seed, node_id, replicates):
@@ -80,8 +80,10 @@ class TestReleaseNoHier:
     def test_huge_budget_recovers_counts(self, va_hierarchy):
         alloc = uniform_allocation(3, 3e9)
         released = release_no_hier(va_hierarchy, alloc, seed=0)
-        for node in va_hierarchy:
-            assert released.values[node.id] == pytest.approx(node.count, abs=1e-6)
+        for lv in range(1, va_hierarchy.depth + 1):
+            assert released.levels[lv] == pytest.approx(
+                va_hierarchy.level_counts(lv), abs=1e-6
+            )
 
     def test_deterministic(self, va_hierarchy):
         alloc = uniform_allocation(3, 1.0)
@@ -291,12 +293,14 @@ class TestProjectRows:
 class TestReleaseEngine:
     @pytest.mark.parametrize("seed", range(3))
     def test_families_match_child_walk(self, seed):
-        h = Hierarchy(random_tree(seed))
+        rows = random_tree(seed)
+        h = tree(rows)
         engine = ReleaseEngine(h)
         for lv in range(1, h.depth):
+            # each parent's children from the rows, as columns in id order
             column = {nid: j for j, nid in enumerate(h.level_ids(lv + 1))}
             expected = {
-                i: [column[c] for c in h.children_of(pid)]
+                i: sorted(column[nid] for nid, parent, *_ in rows if parent == pid)
                 for i, pid in enumerate(h.level_ids(lv))
             }
             got = {}
@@ -411,13 +415,9 @@ class TestEnforceConsistency:
         )
         assert adjusted.consistency_applied
         root_value = adjusted.values["VA"]
-        for node in va_hierarchy:
-            kids = va_hierarchy.children_of(node.id)
-            if not kids:
-                continue
-            parent = adjusted.values[node.id]
-            child_sum = sum(adjusted.values[k] for k in kids)
-            assert abs(parent - child_sum) <= 1e-9 * max(1.0, parent)
+        for lv, residual in residuals(va_hierarchy, adjusted.levels).items():
+            parent = adjusted.levels[lv]
+            assert (np.abs(residual) <= 1e-9 * np.maximum(1.0, parent)).all()
         # every level sums back to the root release
         for lv in range(1, 4):
             level_sum = adjusted.levels[lv].sum()
