@@ -66,14 +66,19 @@ class RunConfig:
     prior: Optional[Hierarchy] = None
     prior_given: bool = False
 
+    def _counts_tree(self) -> Hierarchy:
+        return self.prior if self.prior is not None else self.hierarchy
+
     def level_weights(self) -> tuple[float, ...]:
-        return self.weights or (1.0,) * self.hierarchy.depth
+        return self.weights or (1.0,) * self._counts_tree().depth
 
     def prior_stats(self) -> LevelStats:
         """Counts that drive the allocation: the prior if given, else
-        the input itself."""
-        stats = level_stats(self.prior if self.prior is not None else self.hierarchy)
-        if stats.depth != self.hierarchy.depth:
+        the input itself. With both trees, their depths must match.
+        Without an input tree (``allocate --prior`` never reads it) the
+        prior alone sets the depth."""
+        stats = level_stats(self._counts_tree())
+        if self.hierarchy is not None and stats.depth != self.hierarchy.depth:
             raise DataError(
                 f"prior depth {stats.depth} does not match input depth "
                 f"{self.hierarchy.depth}"
@@ -95,20 +100,30 @@ def _config(
     synth_mu: float,
     synth_sigma: float,
     prior_path: Optional[str],
+    prior_suffices: bool = False,
     **fields,
 ) -> RunConfig:
     """RunConfig from the shared input and prior flags; the command's
-    own resolved flags pass through as ``fields``."""
+    own resolved flags pass through as ``fields``.
+
+    ``prior_suffices`` marks a command that reads nothing from the input
+    tree once a prior is given: the input is then neither read nor
+    generated, and ``hierarchy`` is None."""
     if (input_path is None) == (not synth):
         raise click.UsageError("give exactly one of --input or --synth")
-    h = _read_tree(input_path) if input_path is not None else synth_hierarchy(
-        SynthSpec(
-            seed=synth_seed,
-            fanouts=synth_fanouts,
-            leaf_mu=synth_mu,
-            leaf_sigma=synth_sigma,
+    if prior_path is not None and prior_suffices:
+        h = None
+    elif input_path is not None:
+        h = _read_tree(input_path)
+    else:
+        h = synth_hierarchy(
+            SynthSpec(
+                seed=synth_seed,
+                fanouts=synth_fanouts,
+                leaf_mu=synth_mu,
+                leaf_sigma=synth_sigma,
+            )
         )
-    )
     return RunConfig(
         hierarchy=h,
         prior=_read_tree(prior_path) if prior_path else None,
@@ -319,7 +334,7 @@ def main() -> None:
 @_OUTPUT
 def allocate_cmd(output, **flags):
     """Solve the budget split and emit it as JSON."""
-    _emit(cmd_allocate(_config(**flags)), output)
+    _emit(cmd_allocate(_config(prior_suffices=True, **flags)), output)
 
 
 @main.command("release")

@@ -198,6 +198,7 @@ def tract_release(
     blocks = np.asarray(block_counts, dtype=float)
     if blocks.ndim != 1 or blocks.size == 0:
         raise DomainError("block_counts must be a nonempty vector")
+    proportions(blocks)  # names the bad count, not a tract node id
     n, width = blocks.size, len(str(blocks.size))
     h = Hierarchy(
         ["t"] + [f"t-{j:0{width}d}" for j in range(1, n + 1)],
@@ -226,7 +227,6 @@ def compare_misallocation(
     one release matrix per arm from one draw, scored by every weight
     function."""
     _check_replicates(replicates)
-    proportions(block_counts)  # a zero total is refused before any draw
     return {
         arm: {w.value: misallocation_stats(block_counts, noisy, w) for w in weight_fns}
         for arm, noisy in tract_release(block_counts, eps_total, replicates, seed).items()

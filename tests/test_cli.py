@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from hierdp.allocator import allocate_fixed_budget
 from hierdp.analytics import weighted_total_mse
+from hierdp import cli
 from hierdp.cli import main
 from hierdp.errors import InvalidSpec
 from hierdp.hierarchy import level_stats, parse_hierarchy
@@ -245,6 +246,77 @@ class TestEvaluate:
         assert len(arms.splitlines()) == 1 + 3
         assert "optimized_with_hier" not in arms
         assert "optimized_with_hier" not in result.output
+
+
+TWO_LEVEL_CSV = "node_id,parent_id,level,count\nA,,1,450\nA-1,A,2,300\nA-2,A,2,150\n"
+
+
+class TestPrior:
+    """--prior drives the split; allocate then reads nothing from the
+    input tree, release and evaluate still parse and release it."""
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        calls = []
+        parse = cli.parse_hierarchy
+        monkeypatch.setattr(
+            cli, "parse_hierarchy", lambda text: calls.append(text) or parse(text)
+        )
+        return calls
+
+    @staticmethod
+    def _allocate(runner, workdir, source, name):
+        out = workdir / name
+        args = ["allocate", *source, "--prior", str(workdir / "va.csv"),
+                "--eps-total", "2", "-o", str(out)]
+        assert _invoke(runner, args).exit_code == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("text", [
+        "node_id,parent_id,level,count\nA,,1,-5\n",
+        "no header, no rows",
+        TWO_LEVEL_CSV,
+    ], ids=["negative_count", "malformed", "other_depth"])
+    def test_allocate_never_reads_the_input(self, runner, workdir, text):
+        (workdir / "input.csv").write_text(text)
+        expected = self._allocate(runner, workdir, ["--input", str(workdir / "va.csv")], "a.json")
+        assert self._allocate(runner, workdir, ["--input", str(workdir / "input.csv")], "b.json") == expected
+
+    def test_allocate_never_generates_the_synthetic_tree(self, runner, workdir, monkeypatch):
+        expected = self._allocate(runner, workdir, ["--input", str(workdir / "va.csv")], "a.json")
+
+        def refuse(spec):
+            raise AssertionError("no synthetic tree may be generated")
+
+        monkeypatch.setattr(cli, "synth_hierarchy", refuse)
+        assert self._allocate(runner, workdir, ["--synth"], "b.json") == expected
+
+    def test_allocate_parses_only_the_prior(self, runner, workdir, va_csv, parses):
+        self._allocate(runner, workdir, ["--input", str(workdir / "va.csv")], "a.json")
+        assert parses == [va_csv]
+
+    @pytest.mark.parametrize("command", ["release", "evaluate"])
+    def test_release_and_evaluate_parse_both_trees(
+        self, runner, workdir, va_csv, parses, command
+    ):
+        args = [command, "--input", str(workdir / "va.csv"),
+                "--prior", str(workdir / "va.csv"), "--eps-total", "1",
+                "--out-dir", str(workdir / "out")]
+        if command == "evaluate":
+            args += ["--eps-grid", "1", "--replicates", "100"]
+        assert _invoke(runner, args).exit_code == 0
+        assert parses == [va_csv, va_csv]
+
+    @pytest.mark.parametrize("command", ["release", "evaluate"])
+    def test_release_and_evaluate_check_the_depths(self, runner, workdir, command):
+        (workdir / "input.csv").write_text(TWO_LEVEL_CSV)
+        args = [command, "--input", str(workdir / "input.csv"),
+                "--prior", str(workdir / "va.csv"), "--eps-total", "1",
+                "--out-dir", str(workdir / "out")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert "prior depth 3 does not match input depth 2" in result.output
+        assert not (workdir / "out").exists()
 
 
 class TestDownstream:

@@ -170,10 +170,32 @@ class TestMisallocationStats:
         )
 
 
+def _refuse_draw(*args):
+    raise AssertionError("no release may be drawn")
+
+
 class TestTractPrivatizer:
     def test_empty_blocks(self):
         with pytest.raises(DomainError):
             tract_release([], 1.0, 10, 0)
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.inf, "counts must be finite, got inf"),
+        (math.nan, "counts must be finite, got nan"),
+        (-1.0, "counts must be nonnegative"),
+    ])
+    def test_bad_block_named_as_a_count(self, bad, message, monkeypatch):
+        # refused by proportions' rule, not by the tree validator, whose
+        # message names the tract's internal nodes 't' and 't-2'
+        monkeypatch.setattr(ReleaseEngine, "release", _refuse_draw)
+        with pytest.raises(DomainError) as info:
+            tract_release([5.0, bad], 1.0, 10, 0)
+        assert str(info.value) == message
+
+    def test_zero_total_refused(self, monkeypatch):
+        monkeypatch.setattr(ReleaseEngine, "release", _refuse_draw)
+        with pytest.raises(ZeroTotal):
+            tract_release([0.0, 0.0], 1.0, 10, 0)
 
     def test_deterministic_per_seed(self, tract_blocks):
         a = tract_release(tract_blocks, 1.0, 50, 12345)
@@ -257,18 +279,12 @@ class TestTractPrivatizer:
         assert str(info.value) == f"replicates must be >= 1000, got {replicates}"
 
     def test_too_few_replicates_refused_before_any_draw(self, tract_blocks, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("no release may be drawn")
-
-        monkeypatch.setattr(ReleaseEngine, "release", refuse)
+        monkeypatch.setattr(ReleaseEngine, "release", _refuse_draw)
         with pytest.raises(DomainError, match="got 999"):
             compare_misallocation(tract_blocks, 1.0, (WeightFunction.LINEAR,), 999, 0)
 
     def test_zero_total_refused_before_any_draw(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("no release may be drawn")
-
-        monkeypatch.setattr(downstream, "tract_release", refuse)
+        monkeypatch.setattr(ReleaseEngine, "release", _refuse_draw)
         with pytest.raises(ZeroTotal):
             compare_misallocation([0, 0], 1.0, (WeightFunction.LINEAR,), 1000, 0)
 
