@@ -77,6 +77,9 @@ PROGRAM_TARGET_MSE = "target_mse"
 PROGRAM_UNIFORM = "uniform"
 
 _MAX_ITER = 200
+# the slope of a level's marginal divides by eps**4, which overflows
+# just past this
+_EPS_MAX = 1.15e77
 
 
 @dataclass(frozen=True)
@@ -201,6 +204,26 @@ def _solve(
     }
     fixed = program == PROGRAM_FIXED_BUDGET
     eps = [0.0] * stats.depth
+    cubes = [(lv.w * lv.k) ** (1.0 / 3.0) for lv in levels.values()]
+    c = sum(cubes)
+    # Where its counts are negligible against 1/eps, level l gets
+    # (w_l k_l)^{1/3} / C of a fixed budget, or (w_l k_l)^{1/3} (C/tau)^{1/2}
+    # for a target mse, and the level solves below may try up to 2^{1/3}
+    # or 2^{5/6} times that. Refuse a target that takes some level below
+    # EPS_MIN, or a try above _EPS_MAX.
+    if fixed and len(levels) == 1:
+        low = high = target
+    elif fixed:
+        low, high = min(cubes) * target / c, max(cubes) * target / c * 2.0 ** (1.0 / 3.0)
+    else:
+        scale = math.sqrt(c / target)
+        low, high = min(cubes) * scale, max(cubes) * scale * 2.0 ** (5.0 / 6.0)
+    if not (low >= EPS_MIN and high <= _EPS_MAX):
+        name = "eps_total" if fixed else "tau"
+        raise DomainError(
+            f"{name} {target!r} is out of range for these counts and weights: "
+            f"level budgets would fall outside [{EPS_MIN:g}, {_EPS_MAX:g}]"
+        )
 
     if fixed and len(levels) == 1:
         # the whole budget goes to the only level that matters; exact
@@ -208,7 +231,6 @@ def _solve(
         eps[only] = target
         lam = -level.marginal(target)[0]
     else:
-        c = sum((lv.w * lv.k) ** (1.0 / 3.0) for lv in levels.values())
         if fixed:
             lo, hi = 2.0 * (c / target) ** 3, 4.0 * (c / target) ** 3
         else:

@@ -97,8 +97,6 @@ def _config(
     synth: bool,
     synth_seed: int,
     synth_fanouts: tuple[int, ...],
-    synth_mu: float,
-    synth_sigma: float,
     prior_path: Optional[str],
     prior_suffices: bool = False,
     **fields,
@@ -116,14 +114,7 @@ def _config(
     elif input_path is not None:
         h = _read_tree(input_path)
     else:
-        h = synth_hierarchy(
-            SynthSpec(
-                seed=synth_seed,
-                fanouts=synth_fanouts,
-                leaf_mu=synth_mu,
-                leaf_sigma=synth_sigma,
-            )
-        )
+        h = synth_hierarchy(SynthSpec(seed=synth_seed, fanouts=synth_fanouts))
     return RunConfig(
         hierarchy=h,
         prior=_read_tree(prior_path) if prior_path else None,
@@ -295,8 +286,6 @@ _INPUT = _options(
     click.option("--synth-fanouts", type=_ListParam(int), show_default=True,
                  default=",".join(map(str, SynthSpec.__dataclass_fields__["fanouts"].default)),
                  help="Comma-separated fanouts, one per level transition; the tree has one level more."),
-    click.option("--synth-mu", type=float, default=3.0, show_default=True),
-    click.option("--synth-sigma", type=float, default=1.2, show_default=True),
 )
 _WEIGHTS_PRIOR = _options(
     click.option("--weights", type=_FLOATS, default=None, help="Comma-separated per-level weights (default: equal)."),
@@ -342,13 +331,11 @@ def allocate_cmd(output, **flags):
 @_BUDGET
 @_SEED
 @click.option("--hier", is_flag=True, help="Apply the top-down consistency projection.")
-@click.option("--out-prefix", type=str, default="release", show_default=True,
-              help="Writes PREFIX.csv and PREFIX.json under --out-dir.")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".", show_default=True)
-def release_cmd(out_prefix, out_dir, **flags):
-    """Privatize a hierarchy: noisy CSV plus a JSON sidecar."""
+def release_cmd(out_dir, **flags):
+    """Privatize a hierarchy: noisy release.csv plus a release.json sidecar."""
     csv_text, sidecar = cmd_release(_config(**flags))
-    _write_files(out_dir, {f"{out_prefix}.csv": csv_text, f"{out_prefix}.json": sidecar})
+    _write_files(out_dir, {"release.csv": csv_text, "release.json": sidecar})
 
 
 @main.command("evaluate")

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import operator
+from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from typing import Mapping, Optional
@@ -235,7 +237,7 @@ def parse_hierarchy(csv_text: str) -> Hierarchy:
 
     Expected header: ``node_id,parent_id,level,count``. The root row has
     an empty parent_id; whitespace-only rows are skipped. Every row
-    error names the offending row, every structural error the
+    error names the first faulty row, every structural error the
     offending node.
 
     Plain text (no quote, NUL or lone CR, four fields on every line) is
@@ -305,11 +307,6 @@ def _split_fields(csv_text: str):
     return ids, parent_ids, levels, counts
 
 
-def _by_field(rows: list[list[str]]) -> list[list[str]]:
-    """The four field columns of records of four fields."""
-    return [list(map(operator.itemgetter(k), rows)) for k in range(4)]
-
-
 def _columns(ids, parent_ids, level_text, count_text):
     """Per-node columns (ids, parent ids, levels, counts)
     from the raw field columns of the data rows, or None when any row
@@ -331,14 +328,58 @@ def _columns(ids, parent_ids, level_text, count_text):
 
 
 def _reader_columns(csv_text: str):
-    """Per-node columns of ``csv_text`` read by :mod:`csv` in one pass.
-    Blank rows are skipped; a record the csv module cannot read (a lone
-    CR, say), or else the first malformed data row, raises an error
-    naming its row."""
-    records = []
+    """Per-node columns of ``csv_text`` read by :mod:`csv` one record at
+    a time: ids, parent ids (siblings share one string), levels and
+    counts. Blank rows are skipped; the first faulty record in row
+    order (one the csv module cannot read, a bad header, a malformed
+    data row) raises an error naming its row."""
+    ids, parent_ids, parents = [], [], {}
+    levels, counts = array("q"), array("d")
+    records = enumerate(csv.reader(io.StringIO(csv_text)), start=1)
+    row = 0
     try:
-        for record in csv.reader(io.StringIO(csv_text)):
-            records.append(record)
+        row, header = next(records, (0, None))
+        if header is None:
+            raise MissingRoot("empty CSV input")
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise InvalidSpec(
+                f"bad header {header!r}; expected {','.join(CSV_HEADER)}"
+            )
+        for row, record in records:
+            if len(record) != 4:
+                if any(map(str.strip, record)):
+                    raise InvalidSpec(f"row {row}: expected 4 fields, got {len(record)}")
+                continue
+            nid, pid, level_s, count_s = map(str.strip, record)
+            if not nid:
+                if pid or level_s or count_s:
+                    raise InvalidSpec(f"row {row}: empty node_id")
+                continue
+            try:
+                level = int(level_s)
+            except ValueError:
+                raise LevelMismatch(
+                    f"row {row} ({nid!r}): level {level_s!r} is not an integer"
+                ) from None
+            if level < 1:
+                raise LevelMismatch(f"row {row} ({nid!r}): level must be >= 1")
+            if level > _LEVEL_MAX:
+                raise LevelMismatch(f"row {row} ({nid!r}): level {level} is out of range")
+            try:
+                count = float(count_s)
+            except ValueError:
+                raise NegativeCount(
+                    f"row {row} ({nid!r}): count {count_s!r} is not a number"
+                ) from None
+            if count < 0 or not math.isfinite(count):
+                raise NegativeCount(
+                    f"row {row} ({nid!r}): count must be a nonnegative real, "
+                    f"got {count_s}"
+                )
+            ids.append(nid)
+            parent_ids.append(parents.setdefault(pid, pid))
+            levels.append(level)
+            counts.append(count)
     except csv.Error as e:
         # text read from a string splits lines at LF only, so an unquoted
         # newline is a CR that no LF follows
@@ -348,50 +389,8 @@ def _reader_columns(csv_text: str):
                 "lone carriage return (a CR with no LF after it) outside quotes; "
                 "end lines with LF or CRLF"
             )
-        raise InvalidSpec(f"row {len(records) + 1}: {message}") from None
-    if not records:
-        raise MissingRoot("empty CSV input")
-    header, rows = records[0], records[1:]
-    if [h.strip() for h in header] != CSV_HEADER:
-        raise InvalidSpec(
-            f"bad header {header!r}; expected {','.join(CSV_HEADER)}"
-        )
-    if not set(map(len, rows)) - {4}:
-        columns = _columns(*_by_field(rows))
-        if columns is not None:
-            return columns
-    kept = []
-    for lineno, row in enumerate(rows, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 4:
-            raise InvalidSpec(f"row {lineno}: expected 4 fields, got {len(row)}")
-        nid, _, level_s, count_s = (c.strip() for c in row)
-        if not nid:
-            raise InvalidSpec(f"row {lineno}: empty node_id")
-        try:
-            level = int(level_s)
-        except ValueError:
-            raise LevelMismatch(
-                f"row {lineno} ({nid!r}): level {level_s!r} is not an integer"
-            ) from None
-        if level < 1:
-            raise LevelMismatch(f"row {lineno} ({nid!r}): level must be >= 1")
-        if level > _LEVEL_MAX:
-            raise LevelMismatch(f"row {lineno} ({nid!r}): level {level} is out of range")
-        try:
-            count = float(count_s)
-        except ValueError:
-            raise NegativeCount(
-                f"row {lineno} ({nid!r}): count {count_s!r} is not a number"
-            ) from None
-        if count < 0 or not np.isfinite(count):
-            raise NegativeCount(
-                f"row {lineno} ({nid!r}): count must be a nonnegative real, "
-                f"got {count_s}"
-            )
-        kept.append(row)
-    return _columns(*_by_field(kept))
+        raise InvalidSpec(f"row {row + 1}: {message}") from None
+    return ids, parent_ids, levels, counts
 
 
 def serialize_hierarchy(

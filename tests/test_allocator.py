@@ -210,6 +210,47 @@ class TestTargetMse:
             allocate_target_mse(level_stats(va_hierarchy), (1.0, 1.0, 1.0), 0.0)
 
 
+class TestBudgetRange:
+    """A budget that takes some level's eps below EPS_MIN, or the level
+    solves past the largest eps the marginal's slope can carry, is
+    refused before any solve."""
+
+    @pytest.mark.parametrize("name,value", [
+        ("eps_total", 1e-103), ("eps_total", 1e300), ("tau", 1e-300),
+        ("eps_total", 1e-20), ("tau", 1e200),
+    ])
+    def test_refused_before_solving(self, va_hierarchy, monkeypatch, name, value):
+        def solve(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(allocator, "_root", solve)
+        allocate = allocate_fixed_budget if name == "eps_total" else allocate_target_mse
+        with pytest.raises(DomainError) as info:
+            allocate(level_stats(va_hierarchy), (1.0, 1.0, 1.0), value)
+        assert str(info.value) == (
+            f"{name} {value!r} is out of range for these counts and weights: "
+            "level budgets would fall outside [1e-12, 1.15e+77]"
+        )
+
+    @pytest.mark.parametrize("name,value", [
+        ("eps_total", 1e-11), ("eps_total", 1e77), ("tau", 1e-152), ("tau", 1e24),
+    ])
+    def test_extreme_budgets_in_range_solve(self, va_hierarchy, name, value):
+        allocate = allocate_fixed_budget if name == "eps_total" else allocate_target_mse
+        alloc = allocate(level_stats(va_hierarchy), (1.0, 1.0, 1.0), value)
+        assert 1e-12 <= min(alloc.eps) and max(alloc.eps) <= 1.15e77
+
+    def test_lower_limit_puts_the_smallest_level_at_eps_min(self):
+        # with zero counts mse is exactly k/eps^2, so level l's share of
+        # the budget is exactly k_l^(1/3) / C
+        stats = _stats([0.0], [0.0, 0.0])
+        limit = 1e-12 * (1.0 + 2.0 ** (1.0 / 3.0))
+        alloc = allocate_fixed_budget(stats, (1.0, 1.0), limit * (1.0 + 1e-6))
+        assert alloc.eps[0] == pytest.approx(1e-12, rel=2e-6)
+        with pytest.raises(DomainError):
+            allocate_fixed_budget(stats, (1.0, 1.0), limit * (1.0 - 1e-6))
+
+
 class TestUniform:
     def test_three_levels(self):
         assert uniform_allocation(3, 3.0).eps == (1.0, 1.0, 1.0)

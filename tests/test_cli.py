@@ -217,6 +217,56 @@ class TestRelease:
         assert "row 2: field larger than field limit" in result.output
 
 
+class TestInputSource:
+    @pytest.mark.parametrize("command", [
+        ["allocate", "--eps-total", "1"],
+        ["release", "--eps-total", "1"],
+        ["evaluate", "--replicates", "100"],
+    ])
+    @pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+    def test_exactly_one_of_input_and_synth(self, runner, workdir, command, both):
+        source = ["--input", str(workdir / "va.csv"), "--synth"] if both else []
+        with runner.isolated_filesystem(temp_dir=workdir):
+            result = runner.invoke(main, command + source)
+        assert result.exit_code == 2
+        assert "give exactly one of --input or --synth" in result.output
+
+
+class TestBudgetRange:
+    """A budget no level's closed forms can carry is a data error that
+    names it, for every command that solves a split."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--eps-total", "1e-103"), ("--eps-total", "1e300"), ("--tau", "1e-300"),
+        ("--eps-total", "1e-20"), ("--tau", "1e200"),
+    ])
+    def test_allocate_exits_3(self, runner, workdir, flag, value):
+        result = runner.invoke(
+            main, ["allocate", "--input", str(workdir / "va.csv"), flag, value]
+        )
+        assert result.exit_code == 3
+        name = flag.lstrip("-").replace("-", "_")
+        assert f"error: {name} {float(value)!r} is out of range" in result.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["release", "--eps-total", "1e300"],
+        ["evaluate", "--eps-grid", "1,1e-103", "--replicates", "100"],
+        ["evaluate", "--eps-total", "1e-20", "--replicates", "100"],
+    ])
+    def test_other_commands_exit_3(self, runner, workdir, args):
+        result = runner.invoke(
+            main, args + ["--input", str(workdir / "va.csv"), "--out-dir", str(workdir / "out")]
+        )
+        assert result.exit_code == 3
+        assert "is out of range for these counts and weights" in result.stderr
+        assert not (workdir / "out").exists()
+
+    def test_downstream_exits_3(self, runner):
+        result = runner.invoke(main, ["downstream", "--blocks", "5,3", "--eps-total", "1e300"])
+        assert result.exit_code == 3
+        assert "eps_total 1e+300 is out of range" in result.stderr
+
+
 class TestEvaluate:
     def test_smoke(self, runner, workdir):
         args = ["evaluate", "--input", str(workdir / "va.csv"),
@@ -476,6 +526,9 @@ class TestRemovedKnobs:
     @pytest.mark.parametrize("args", [
         ["--threads", "4", "skew"],
         ["release", "--synth", "--synth-levels", "3", "--eps-total", "1"],
+        ["release", "--synth", "--eps-total", "1", "--out-prefix", "x"],
+        ["release", "--synth", "--synth-mu", "3", "--eps-total", "1"],
+        ["allocate", "--synth", "--synth-sigma", "1.2", "--eps-total", "1"],
     ])
     def test_unknown_option(self, runner, args):
         result = runner.invoke(main, args)
