@@ -1,6 +1,23 @@
 """Optimal privacy-budget allocation and release for hierarchical counts."""
 
-from .allocator import (
+import os
+
+# numpy sizes OpenBLAS's thread pool once, when it loads. hierdp's BLAS
+# calls (1-d dot products, one small matrix product) gain nothing from
+# threads, while idle pool workers spin a second core and a threaded dot
+# product sums in an order that depends on the core count, which moves
+# the last bits of an allocation. So load numpy with one BLAS thread
+# unless the caller chose a pool size, and leave the environment as it
+# was, for child processes. A program that imported numpy first keeps
+# its pool.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+from .allocator import (  # noqa: E402
     BudgetAllocation,
     allocate_fixed_budget,
     allocate_target_mse,

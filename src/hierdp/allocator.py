@@ -39,7 +39,7 @@ Both outer residuals increase in lam, with slopes from the implicit
 derivative de_l/dlam = -1/D_l'(e_l). One safeguarded-Newton root
 routine solves the inner and the outer equations alike: Newton steps
 from the bracket midpoint, bisection whenever a step leaves the
-bracket.
+bracket or is not under half the Newton step before it.
 
 Levels with zero weight contribute nothing to the objective; any budget
 given to them would be wasted, so they receive eps = 0 and are excluded
@@ -115,10 +115,13 @@ def _root(
 ) -> tuple[float, float, float]:
     """Zero of an increasing ``f`` on [lo, hi]; ``f(x)`` returns its
     value and slope. Newton steps from the midpoint, bisection whenever
-    a step leaves the bracket. Stops once |f| <= tol or the bracket is
-    down to float resolution, and returns x with f's value and slope
-    there."""
+    a step would leave the bracket or is not under half the step before
+    it: a slope that overstates f's (an inner root clamped at its
+    bracket end, say) would otherwise creep across the bracket. Stops
+    once |f| <= tol or the bracket is down to float resolution, and
+    returns x with f's value and slope there."""
     x = 0.5 * (lo + hi)
+    last = hi - lo
     for _ in range(_MAX_ITER):
         fx, slope = f(x)
         if fx <= 0.0:
@@ -127,8 +130,11 @@ def _root(
             hi = x
         if abs(fx) <= tol or hi - lo <= 1e-15 * hi:
             break
-        step = x - fx / slope
-        x = step if lo < step < hi else 0.5 * (lo + hi)
+        step = fx / slope
+        if lo < x - step < hi and abs(step) <= 0.5 * abs(last):
+            x, last = x - step, step
+        else:
+            x, last = 0.5 * (lo + hi), hi - lo
     return x, fx, slope
 
 

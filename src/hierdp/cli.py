@@ -1,7 +1,10 @@
 """Command-line entry points.
 
 Every command is a pure function of its inputs, flags, and seed:
-identical invocations produce identical bytes.
+identical invocations produce identical bytes, on any machine unless
+``OPENBLAS_NUM_THREADS`` was set when hierdp loaded numpy (a threaded
+BLAS sums a level's many distinct counts in a core-count-dependent
+order; see ``hierdp/__init__.py``).
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 solver failure.
 """

@@ -250,6 +250,15 @@ class TestBudgetRange:
         with pytest.raises(DomainError):
             allocate_fixed_budget(stats, (1.0, 1.0), limit * (1.0 - 1e-6))
 
+    def test_target_just_inside_the_lower_limit_solves(self):
+        # the level root sits a hair above EPS_MIN, so at most of the lambdas
+        # the outer solve tries, the inner root is clamped there and the
+        # residual is flat; its slope must not make Newton creep
+        tau = 1e24 * (1.0 - 1e-9)
+        alloc = allocate_target_mse(_stats([5.0]), (1.0,), tau)
+        assert alloc.eps[0] == pytest.approx(1e-12 * (1.0 + 5e-10), rel=1e-12)
+        assert alloc.objective_value == pytest.approx(tau, rel=1e-12)
+
 
 class TestUniform:
     def test_three_levels(self):
