@@ -3,13 +3,12 @@
 import os
 
 # numpy sizes OpenBLAS's thread pool once, when it loads. hierdp's BLAS
-# calls (1-d dot products, one small matrix product) gain nothing from
-# threads, while idle pool workers spin a second core and a threaded dot
-# product sums in an order that depends on the core count, which moves
-# the last bits of an allocation. So load numpy with one BLAS thread
-# unless the caller chose a pool size, and leave the environment as it
-# was, for child processes. A program that imported numpy first keeps
-# its pool.
+# calls (the allocator's 1-d dot products) gain nothing from threads,
+# while idle pool workers spin a second core and a threaded dot product
+# sums in an order that depends on the core count, which moves the last
+# bits of an allocation. So load numpy with one BLAS thread unless the
+# caller chose a pool size, and leave the environment as it was, for
+# child processes. A program that imported numpy first keeps its pool.
 if "OPENBLAS_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:

@@ -124,8 +124,8 @@ def misallocation_stats(
         )
     replicates = noisy.shape[0]
     _check_replicates(replicates)
-    if not (noisy >= 0).all():
-        raise DomainError("noisy counts must be nonnegative")
+    if not (np.isfinite(noisy) & (noisy >= 0)).all():
+        raise DomainError("noisy counts must be finite and nonnegative")
     totals = noisy.sum(axis=1)
     usable = totals > 0
     kept = int(usable.sum())
@@ -140,20 +140,19 @@ def misallocation_stats(
     errors = 100.0 * (shares - true_shares)
 
     mean_err = errors.mean(axis=0)
-    var_err = errors.var(axis=0, ddof=1)
+    centered_sq = (errors - mean_err) ** 2
+    var_err = centered_sq.sum(axis=0) / (kept - 1)
     bias_sq = float(np.sum(mean_err**2))
     variance = float(np.sum(var_err))
 
     per_rep_sq = np.sum(errors * errors, axis=1)
     mse = float(per_rep_sq.mean())
-    se_mse = float(per_rep_sq.std(ddof=1)) / math.sqrt(kept)
 
-    centered_sq = np.sum((errors - mean_err) ** 2, axis=1)
-    se_variance = float(centered_sq.std(ddof=1)) / math.sqrt(kept)
-
-    cov = np.cov(errors.T) if n > 1 else np.array([[errors.var(ddof=1)]])
-    se_bias_sq = math.sqrt(
-        max(4.0 * float(mean_err @ np.atleast_2d(cov) @ mean_err), 0.0) / kept
+    # each is the standard error of a mean of one number per replicate; for
+    # bias_sq = |mean_err|^2 that number is 2 mean_err . errors (first order)
+    se_mse, se_variance, se_bias_sq = (
+        float(per_rep.std(ddof=1)) / math.sqrt(kept)
+        for per_rep in (per_rep_sq, centered_sq.sum(axis=1), 2.0 * (errors * mean_err).sum(axis=1))
     )
 
     jensen_gap = float(

@@ -216,8 +216,8 @@ def project_children(
     if not (target_total >= 0 and math.isfinite(target_total)):
         raise DomainError(f"target_total must be >= 0, got {target_total!r}")
     y = np.asarray(noisy_children, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise DomainError("noisy_children must be a nonempty 1-d vector")
+    if y.ndim != 1 or y.size == 0 or not np.isfinite(y).all():
+        raise DomainError("noisy_children must be a nonempty 1-d vector of finite reals")
     return project_rows(y[None, :], [target_total])[0]
 
 

@@ -111,6 +111,16 @@ def qp_projection(y, target: float) -> np.ndarray:
     return best_v
 
 
+def se_bias_sq_from_cov(errors) -> float:
+    """Delta-method standard error of the squared mean error: with m the
+    mean row of ``errors`` (one replicate per row) and S their ddof-1
+    covariance, ``sqrt(4 m'Sm / rows)``, the covariance formed in full."""
+    errors = np.asarray(errors, dtype=float)
+    m = errors.mean(axis=0)
+    cov = np.atleast_2d(np.cov(errors, rowvar=False))
+    return math.sqrt(4.0 * float(m @ cov @ m) / len(errors))
+
+
 def majorizes(a, b) -> bool:
     """True when sorted-descending prefix sums of ``a`` dominate ``b``
     (equal totals assumed)."""

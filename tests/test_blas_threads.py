@@ -1,7 +1,9 @@
 """hierdp loads numpy with one OpenBLAS thread unless the caller chose a
-pool size. Each case runs in a fresh interpreter, because numpy sizes
-the pool once, when it loads."""
+pool size, and its downstream report does not depend on which OpenBLAS
+kernel runs. Each case runs in a fresh interpreter, because numpy sizes
+the pool and picks the kernel once, when it loads."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -16,11 +18,10 @@ from hierdp.hierarchy import SynthSpec, serialize_hierarchy, synth_hierarchy
 SRC = str(Path(hierdp.__file__).resolve().parents[1])
 
 
-def _run(args, blas_threads=None):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+def _run(args, **openblas_env):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env.update(openblas_env)
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True,
         check=True, timeout=120,
@@ -31,6 +32,24 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _kernels() -> list[str]:
+    """The OpenBLAS kernels this CPU can run, or none where numpy's
+    OpenBLAS does not pick its kernel at run time. Forcing a kernel the
+    CPU lacks may crash the process."""
+    try:
+        flags = set(Path("/proc/cpuinfo").read_text().split())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (OSError, TypeError, KeyError):  # no /proc, or numpy < 1.26
+        return []
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return []
+    optional = {"Haswell": "avx2", "SkylakeX": "avx512f"}
+    return ["Prescott"] + [k for k, flag in optional.items() if flag in flags]
+
+
+KERNELS = _kernels()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
@@ -46,7 +65,7 @@ class TestThreadsAfterImport:
 
     @pytest.mark.skipif(_cpus() < 2, reason="needs at least 2 CPUs")
     def test_caller_keeps_their_pool(self):
-        assert _run(["-c", self.PROBE], blas_threads="2").split() == ["2", "True"]
+        assert _run(["-c", self.PROBE], OPENBLAS_NUM_THREADS="2").split() == ["2", "True"]
 
 
 def test_allocation_bytes_do_not_depend_on_core_count(tmp_path):
@@ -63,4 +82,18 @@ def test_allocation_bytes_do_not_depend_on_core_count(tmp_path):
     prior.write_text(serialize_hierarchy(h, noisy))
     args = ["-m", "hierdp.cli", "allocate", "--synth", "--prior", str(prior),
             "--eps-total", "2"]
-    assert _run(args) == _run(args, blas_threads="1")
+    assert _run(args) == _run(args, OPENBLAS_NUM_THREADS="1")
+
+
+@pytest.mark.skipif(len(KERNELS) < 2, reason="needs a DYNAMIC_ARCH OpenBLAS "
+                    "and a CPU with AVX2")
+def test_downstream_bytes_do_not_depend_on_blas_kernel():
+    # each OpenBLAS kernel sums in its own order, so only a report that
+    # makes no BLAS call can have the same bytes under all of them
+    args = ["-m", "hierdp.cli", "downstream", "--blocks",
+            "500,200,100,50,7,3,1,900,20,11", "--eps-total", "0.5",
+            "--replicates", "2000"]
+    outputs = {k: _run(args, OPENBLAS_CORETYPE=k) for k in KERNELS}
+    assert len(set(outputs.values())) == 1, {
+        k: hashlib.sha256(out.encode()).hexdigest()[:8] for k, out in outputs.items()
+    }

@@ -17,6 +17,8 @@ from hierdp.errors import DegenerateWeights, DomainError, ZeroTotal
 from hierdp.hierarchy import level_stats, parse_hierarchy
 from hierdp.release import ReleaseEngine
 
+from oracles import se_bias_sq_from_cov
+
 
 class TestProportions:
     def test_tract_counts(self):
@@ -123,28 +125,49 @@ class TestMisallocationStats:
         with pytest.raises(DomainError):
             misallocation_stats(tract_blocks, noisy, WeightFunction.LINEAR)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_counts_rejected(self, bad):
+        # an inf entry passed the sign check and made every statistic NaN,
+        # which to_json_dict then carried into invalid JSON
+        noisy = np.tile([5.0, 3.0], (1000, 1))
+        noisy[3, 0] = bad
+        with pytest.raises(DomainError, match="^noisy counts must be finite and nonnegative$"):
+            misallocation_stats([5.0, 3.0], noisy, WeightFunction.LINEAR)
+
     @pytest.mark.parametrize("w", list(WeightFunction))
     def test_matches_per_row_shares(self, tract_blocks, w):
-        # reference: shares of each usable replicate computed one at a time
-        noisy = tract_release(tract_blocks, 0.05, 1000, 3)["optimized"]
-        noisy[::7] = 0.0
-        stats = misallocation_stats(tract_blocks, noisy, w)
-        truth = weighted_shares(tract_blocks, w)
-        errors = np.array(
-            [
-                100.0 * (weighted_shares(row, w) - truth)
-                for row in noisy
-                if row.sum() > 0
-            ]
-        )
-        assert stats.replicates_used == len(errors)
-        assert stats.excluded_replicates == 1000 - len(errors)
-        assert np.allclose(
-            stats.per_group_mean_error, errors.mean(axis=0), rtol=1e-9, atol=1e-12
-        )
-        assert np.allclose(
-            stats.per_group_var_error, errors.var(axis=0, ddof=1), rtol=1e-9
-        )
+        # reference: shares of each usable replicate computed one at a
+        # time, for the tract and for a lone block, whose shares never move
+        for blocks in (tract_blocks, tract_blocks[:1]):
+            noisy = tract_release(blocks, 0.05, 1000, 3)["optimized"]
+            noisy[::7] = 0.0
+            stats = misallocation_stats(blocks, noisy, w)
+            truth = weighted_shares(blocks, w)
+            errors = np.array(
+                [
+                    100.0 * (weighted_shares(row, w) - truth)
+                    for row in noisy
+                    if row.sum() > 0
+                ]
+            )
+            kept = len(errors)
+            assert stats.replicates_used == kept
+            assert stats.excluded_replicates == 1000 - kept
+            assert np.allclose(
+                stats.per_group_mean_error, errors.mean(axis=0), rtol=1e-9, atol=1e-12
+            )
+            assert np.allclose(
+                stats.per_group_var_error, errors.var(axis=0, ddof=1), rtol=1e-9
+            )
+            per_rep_sq = (errors**2).sum(axis=1)
+            centered_sq = ((errors - errors.mean(axis=0)) ** 2).sum(axis=1)
+            assert stats.se_mse_pct == pytest.approx(
+                per_rep_sq.std(ddof=1) / math.sqrt(kept), rel=1e-9
+            )
+            assert stats.se_variance_pct == pytest.approx(
+                centered_sq.std(ddof=1) / math.sqrt(kept), rel=1e-9
+            )
+            assert stats.se_bias_sq_pct == pytest.approx(se_bias_sq_from_cov(errors), rel=1e-9)
 
     def test_jensen_direction_quadratic_positive(self, tract_blocks):
         noisy = tract_release(tract_blocks, 1.0, 3000, 0)["optimized"]

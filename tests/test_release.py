@@ -246,6 +246,12 @@ class TestProjectChildren:
         with pytest.raises(DomainError):
             project_children(np.array([]), 1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_rejected(self, bad):
+        # [inf, 1] projected to [nan, 0] and [nan, 1] to [nan, 5]
+        with pytest.raises(DomainError, match="finite reals"):
+            project_children(np.array([bad, 1.0]), 5.0)
+
     def test_matches_qp_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(60):
