@@ -93,13 +93,16 @@ class _MomentAccumulator:
         self.replicates = replicates
 
     def add(self, err: np.ndarray, level: int, rep_lo: int, rep_hi: int):
+        """Adds one chunk's errors; ``err`` is overwritten."""
         sums = self.sums.setdefault(level, np.zeros((4, err.shape[1])))
         sq = err * err
         sums[0] += err.sum(axis=0)
         sums[1] += sq.sum(axis=0)
-        sums[2] += (sq * err).sum(axis=0)
-        sums[3] += (sq * sq).sum(axis=0)
         self.per_rep_sq[rep_lo:rep_hi] += sq.sum(axis=1)
+        err *= sq
+        sums[2] += err.sum(axis=0)
+        sq *= sq
+        sums[3] += sq.sum(axis=0)
 
     def finalize(self) -> MomentEstimate:
         r = self.replicates

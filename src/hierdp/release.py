@@ -8,9 +8,13 @@ targets the parent's already-adjusted value.
 
 :class:`ReleaseEngine` is the one place that computation lives: per
 tree, it draws any block of replicates as a ``(replicates, nodes)``
-matrix per level, scales that one draw for each allocation, and
-projects all of them at once. A single release is replicate 0, bit for
-bit; the Monte Carlo harness and the downstream study draw many.
+matrix per level, scales and clamps that one draw once for each
+allocation, shares the result between the allocation's arms, and
+projects all of them at once. Sibling families that are the whole
+child level in order (uniform fanout, siblings contiguous) are
+projected on a reshape of the child rows; other families gather their
+columns. A single release is replicate 0, bit for bit; the Monte Carlo
+harness and the downstream study draw many.
 
 Noise comes from the counter-based streams in :mod:`hierdp.rng`, so a
 release is a pure function of (hierarchy, allocation, seed) no matter
@@ -64,10 +68,13 @@ class ReleaseEngine:
         return [lv for lv, eps in enumerate(alloc.eps, start=1) if eps > 0]
 
     @cached_property
-    def families(self) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
-        """Per parent level, one block per distinct sibling-group size:
-        (parent columns, child columns), the latter shaped ``(parents,
-        size)`` with each row's children in id order."""
+    def families(self) -> dict[int, tuple[bool, list[tuple[np.ndarray, np.ndarray]]]]:
+        """Per parent level, ``(sliced, blocks)``: one block per distinct
+        sibling-group size, (parent columns, child columns), the latter
+        shaped ``(parents, size)`` with each row's children in id order.
+        ``sliced`` marks a level whose one block is the whole child level
+        in column order (equal group sizes, siblings contiguous), which
+        is projected as a reshape of the child rows."""
         families = {}
         for lv in range(1, self.h.depth):
             parents = self.h.level_parents(lv + 1)
@@ -75,12 +82,12 @@ class ReleaseEngine:
             # every node above the bottom level has children
             sizes = np.bincount(parents)
             starts = np.cumsum(sizes) - sizes
-            families[lv] = []
+            blocks = []
             for size in np.flatnonzero(np.bincount(sizes)):
                 group = np.flatnonzero(sizes == size)
-                families[lv].append(
-                    (group, cols[starts[group][:, None] + np.arange(size)])
-                )
+                blocks.append((group, cols[starts[group][:, None] + np.arange(size)]))
+            sliced = len(blocks) == 1 and bool(np.all(parents[1:] >= parents[:-1]))
+            families[lv] = (sliced, blocks)
         return families
 
     def release(
@@ -96,7 +103,9 @@ class ReleaseEngine:
         the arm asks.
 
         Unit-scale noise is drawn once, on the call, for every level any
-        arm releases and scaled per arm, so the arms share their noise."""
+        arm releases, so the arms share their noise. It is scaled and
+        clamped once per allocation, into read-only arrays that the
+        allocation's arms share."""
         if rep_hi < rep_lo:
             raise DomainError(f"replicate range [{rep_lo}, {rep_hi}) is reversed")
         released = [self.levels(alloc) for alloc, _ in arms]
@@ -108,21 +117,34 @@ class ReleaseEngine:
                 centered_uniform_matrix(seed, self.keys[lv], rep_lo, rep_hi)
             )
 
-        def scaled(alloc: BudgetAllocation, with_hier: bool, levels: list[int]):
-            noisy = {
-                lv: np.maximum(
-                    0.0, self.counts[lv][None, :] + laplace[lv] / alloc.eps[lv - 1]
-                )
-                for lv in levels
-            }
+        # an allocation's clamped draw is built once and shared, read-only,
+        # by its arms; it is held only until the last of them is made
+        last_use = {alloc.eps: i for i, (alloc, _) in enumerate(arms)}
+        shared: dict[tuple[float, ...], dict[int, np.ndarray]] = {}
+
+        def clamped(eps: tuple[float, ...], levels: list[int]):
+            noisy = {}
+            for lv in levels:
+                v = laplace[lv] / eps[lv - 1]
+                v += self.counts[lv][None, :]
+                np.maximum(0.0, v, out=v)
+                v.flags.writeable = False
+                noisy[lv] = v
+            return noisy
+
+        def scaled(i: int, alloc: BudgetAllocation, with_hier: bool, levels: list[int]):
+            eps = alloc.eps
+            noisy = shared.pop(eps) if eps in shared else clamped(eps, levels)
+            if last_use[eps] > i:
+                shared[eps] = noisy
             return self.apply_consistency(noisy) if with_hier else noisy
 
         # one arm at a time, so a caller that consumes each arm before
         # the next holds one arm's blocks: holding every arm at once
         # made malloc map and page-fault fresh blocks every chunk
         return (
-            scaled(alloc, with_hier, levels)
-            for (alloc, with_hier), levels in zip(arms, released)
+            scaled(i, alloc, with_hier, levels)
+            for i, ((alloc, with_hier), levels) in enumerate(zip(arms, released))
         )
 
     def apply_consistency(self, noisy: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -133,8 +155,15 @@ class ReleaseEngine:
                 "consistency requires a released value at every level"
             )
         adjusted = {1: noisy[1]}
-        for lv, blocks in self.families.items():
+        for lv, (sliced, blocks) in self.families.items():
             parent, child = adjusted[lv], noisy[lv + 1]
+            if sliced:
+                # row-major rows of the child block are its sibling groups
+                size = blocks[0][1].shape[1]
+                adjusted[lv + 1] = project_rows(
+                    child.reshape(-1, size), parent.reshape(-1)
+                ).reshape(child.shape)
+                continue
             # the blocks cover every child column
             out = np.empty_like(child)
             for group, cols in blocks:
@@ -230,20 +259,24 @@ def project_rows(noisy: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """
     y = np.asarray(noisy, dtype=float)
     t = np.asarray(targets, dtype=float)
-    n = y.shape[1]
-    u = -np.sort(-y, axis=1)
-    css = np.cumsum(u, axis=1)
-    k = np.arange(1, n + 1)
+    # descending order, read from one ascending sort
+    u = np.sort(y, axis=1)[:, ::-1]
+    gap = np.cumsum(u, axis=1)
+    gap -= t[:, None]
+    k = np.arange(1.0, y.shape[1] + 1)
     # targets below float resolution of the entries can round the k=1
     # test false; the support is then the single largest entry
-    rho = np.count_nonzero(u * k > css - t[:, None], axis=1)
-    safe_rho = np.maximum(rho, 1)
-    theta = (np.take_along_axis(css, safe_rho[:, None] - 1, axis=1)[:, 0] - t) / safe_rho
-    v = np.maximum(y - theta[:, None], 0.0)
+    rho = np.maximum(np.count_nonzero(u * k > gap, axis=1), 1)
+    # gap[rho - 1] is the sum of the rho largest entries less t
+    theta = np.take_along_axis(gap, rho[:, None] - 1, axis=1)[:, 0] / rho
+    v = y - theta[:, None]
+    np.maximum(v, 0.0, out=v)
     totals = v.sum(axis=1)
     scale = np.divide(t, totals, out=np.ones_like(t), where=totals > 0)
     v *= scale[:, None]
-    v[t == 0.0] = 0.0
+    zero = t == 0.0
+    if zero.any():
+        v[zero] = 0.0
     # y - theta rounded the whole mass away (tiny target): the true
     # projection parks it all on the largest coordinate
     rounded_away = (totals == 0.0) & (t > 0.0)

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's own code paths:
 Monte Carlo uses numpy's Laplace sampler, the projection oracle
 enumerates active sets, and the allocator oracle is a brute-force grid
-search over the reduced one-dimensional problem.
+search over the reduced one-dimensional problem. The one exception is
+``project_rows_two_sorts``, the projection as first written, which pins
+the bytes of the package's leaner version.
 """
 
 from __future__ import annotations
@@ -109,6 +111,38 @@ def qp_projection(y, target: float) -> np.ndarray:
             if dist < best:
                 best, best_v = dist, v
     return best_v
+
+
+def project_rows_two_sorts(noisy: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Row-wise projection onto ``{v >= 0, sum(v) = target}``, one
+    sibling group and one target per row.
+
+    Shift-and-clamp with the threshold found by sorting: the unique
+    theta with ``sum(max(y - theta, 0)) = T``.
+    """
+    y = np.asarray(noisy, dtype=float)
+    t = np.asarray(targets, dtype=float)
+    n = y.shape[1]
+    u = -np.sort(-y, axis=1)
+    css = np.cumsum(u, axis=1)
+    k = np.arange(1, n + 1)
+    # targets below float resolution of the entries can round the k=1
+    # test false; the support is then the single largest entry
+    rho = np.count_nonzero(u * k > css - t[:, None], axis=1)
+    safe_rho = np.maximum(rho, 1)
+    theta = (np.take_along_axis(css, safe_rho[:, None] - 1, axis=1)[:, 0] - t) / safe_rho
+    v = np.maximum(y - theta[:, None], 0.0)
+    totals = v.sum(axis=1)
+    scale = np.divide(t, totals, out=np.ones_like(t), where=totals > 0)
+    v *= scale[:, None]
+    v[t == 0.0] = 0.0
+    # y - theta rounded the whole mass away (tiny target): the true
+    # projection parks it all on the largest coordinate
+    rounded_away = (totals == 0.0) & (t > 0.0)
+    if rounded_away.any():
+        rows = np.nonzero(rounded_away)[0]
+        v[rows, np.argmax(y[rows], axis=1)] = t[rows]
+    return v
 
 
 def se_bias_sq_from_cov(errors) -> float:

@@ -1,7 +1,8 @@
 """hierdp loads numpy with one OpenBLAS thread unless the caller chose a
 pool size, and its downstream report does not depend on which OpenBLAS
-kernel runs. Each case runs in a fresh interpreter, because numpy sizes
-the pool and picks the kernel once, when it loads."""
+kernel runs. Release bytes do still depend on numpy's SIMD dispatch.
+Each case runs in a fresh interpreter, because numpy sizes the pool and
+picks the kernels once, when it loads."""
 
 import hashlib
 import os
@@ -52,6 +53,15 @@ def _kernels() -> list[str]:
 KERNELS = _kernels()
 
 
+def _simd_features() -> dict:
+    """The SIMD features numpy found on this CPU and did not disable."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 class TestThreadsAfterImport:
     PROBE = (
@@ -97,3 +107,19 @@ def test_downstream_bytes_do_not_depend_on_blas_kernel():
     assert len(set(outputs.values())) == 1, {
         k: hashlib.sha256(out.encode()).hexdigest()[:8] for k, out in outputs.items()
     }
+
+
+@pytest.mark.skipif(not _simd_features().get("X86_V4"),
+                    reason="needs numpy dispatching X86_V4 (AVX-512)")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: numpy's exp, log1p, log "
+                   "and ** change their last bits without the X86_V4 kernels")
+def test_release_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # sort, cumsum, sum and division keep their bytes without AVX-512;
+    # the noise transform's transcendental functions do not
+    def release(out, **env):
+        _run(["-m", "hierdp.cli", "release", "--synth", "--hier",
+              "--eps-total", "2", "--out-dir", str(tmp_path / out)], **env)
+        return (tmp_path / out / "release.csv").read_bytes()
+
+    assert release("avx512") == release(
+        "no_avx512", NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")

@@ -53,6 +53,20 @@ class TestMonteCarloMoments:
             est.bias_sq + est.variance * (r - 1) / r, rel=1e-9
         )
 
+    def test_power_sums_match_products(self):
+        # the in-place cube and fourth power sum the products
+        # err*err, (err*err)*err and (err*err)*(err*err) bit for bit
+        rng = np.random.default_rng(6)
+        err = rng.normal(0.0, 3.0, size=(9, 40))
+        acc = evaluation._MomentAccumulator(12)
+        acc.add(err.copy(), 2, 3, 12)
+        sq = err * err
+        want = np.stack([err.sum(axis=0), sq.sum(axis=0),
+                         (sq * err).sum(axis=0), (sq * sq).sum(axis=0)])
+        assert acc.sums[2].tobytes() == want.tobytes()
+        assert acc.per_rep_sq.tobytes() == np.concatenate(
+            [np.zeros(3), sq.sum(axis=1)]).tobytes()
+
     def test_chunking_invisible(self, va_hierarchy, monkeypatch):
         # one chunk against chunks of 128, 128 and 44 replicates, with and
         # without consistency: the per-replicate sums behind mse are

@@ -25,7 +25,7 @@ from hierdp.release import (
 )
 from hierdp.rng import centered_uniform_matrix, node_keys, standard_laplace
 
-from oracles import qp_projection
+from oracles import project_rows_two_sorts, qp_projection
 from test_hierarchy import random_tree
 from trees import residuals, tree
 
@@ -295,6 +295,46 @@ class TestProjectRows:
                 rows[i], project_children(y[i], float(t[i])), atol=1e-12
             )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 31, 64, 127, 128, 129, 200])
+    def test_bytes_match_two_sort_oracle(self, n):
+        rng = np.random.default_rng(400 + n)
+        y = rng.uniform(-3.0, 8.0, size=(80, n))
+        t = rng.uniform(0.0, 1.5 * n, size=80)
+        y[0] = 0.0  # all-zero rows, with a zero and a positive target
+        y[1] = 0.0
+        t[1] = 0.0
+        y[2] = -0.0  # signed zeros, alone and mixed
+        y[3, ::2] = -0.0
+        y[4, 1::2] = -0.0
+        t[4] = 0.0
+        y[5] = np.round(y[5])  # ties
+        y[6] = y[6, 0]
+        y[7] = np.round(y[7]) * 0.0  # +0 and -0 from the signs of y
+        t[7] = 0.0
+        t[8] = 0.0
+        # targets below the entries' float resolution: some rounded away
+        y[9, 0] = 1e20
+        t[9] = 1e-300
+        t[10] = 5e-324
+        t[11] = 1e-300
+        y[11] = -np.abs(y[11])
+        # targets equal to a prefix sum of the sorted entries
+        y[12] = np.abs(y[12])
+        t[12] = float(np.sort(y[12])[::-1][: (n + 1) // 2].sum())
+        # theta exactly +0, so y - theta keeps each -0 entry: the clamp
+        # and the zero-target mask then decide the sign of the zeros
+        y[13] = np.abs(y[13])
+        y[13, 1::2] = -0.0
+        t[13] = float(np.cumsum(np.sort(y[13])[::-1])[(n - 1) // 2])
+        y[14] = -np.abs(y[14])
+        y[14, :2] = [-0.0, 0.0][:n]
+        t[14] = 0.0
+        got = project_rows(y, t)
+        assert got.tobytes() == project_rows_two_sorts(y, t).tobytes()
+        for i in range(15):
+            one = project_children(y[i], float(t[i]))
+            assert one.tobytes() == project_rows_two_sorts(y[i][None, :], [t[i]])[0].tobytes()
+
 
 class TestReleaseEngine:
     @pytest.mark.parametrize("seed", range(3))
@@ -311,15 +351,19 @@ class TestReleaseEngine:
             }
             got = {}
             sizes = []
-            for group, cols in engine.families[lv]:
+            sliced, blocks = engine.families[lv]
+            for group, cols in blocks:
                 assert cols.shape == (len(group), cols.shape[1])
                 sizes.append(cols.shape[1])
                 got.update(zip(group.tolist(), cols.tolist()))
             assert got == expected
             # one block per distinct group size, in increasing size
             assert sizes == sorted({len(kids) for kids in expected.values()})
+            # sliced exactly when the one block is the child level in order
+            whole = len(blocks) == 1 and blocks[0][1].ravel().tolist() == list(column.values())
+            assert sliced == whole
         # the random trees mix sibling-group sizes below the root
-        assert any(len(engine.families[lv]) > 1 for lv in range(2, h.depth))
+        assert any(len(engine.families[lv][1]) > 1 for lv in range(2, h.depth))
 
     def test_one_projection_call_per_group_size(self, monkeypatch):
         # 20,000 groups of 10 under one root group: one call per level
@@ -378,6 +422,56 @@ class TestReleaseEngine:
             for lv, rows in got.items():
                 assert rows.shape == (20, len(h.level_ids(lv)))
                 assert rows.tobytes() == alone[lv].tobytes()
+
+    @pytest.mark.parametrize("fanouts", [(6, 9), (5, 4, 3), (1, 8)])
+    def test_sliced_and_gathered_projections_agree(self, fanouts, monkeypatch):
+        h = synth_hierarchy(SynthSpec(seed=1, fanouts=fanouts))
+        arms = [(uniform_allocation(h.depth, 1.0), True)]
+        engine = ReleaseEngine(h)
+        assert all(sliced for sliced, _ in engine.families.values())
+        (sliced,) = engine.release(arms, 4, 0, 30)
+        gathered = ReleaseEngine(h)
+        monkeypatch.setattr(gathered, "families", {
+            lv: (False, blocks) for lv, (_, blocks) in engine.families.items()
+        })
+        (gather,) = gathered.release(arms, 4, 0, 30)
+        for lv in range(1, h.depth + 1):
+            assert sliced[lv].tobytes() == gather[lv].tobytes()
+
+    def test_crossed_siblings_take_the_gather_path(self):
+        # equal-size groups, but parent b holds a-1: siblings are not
+        # contiguous in id order
+        h = parse_hierarchy(
+            "node_id,parent_id,level,count\n"
+            "r,,1,100\na,r,2,60\nb,r,2,40\n"
+            "a-1,b,3,20\na-2,a,3,30\nb-1,a,3,30\nb-2,b,3,20\n"
+        )
+        engine = ReleaseEngine(h)
+        sliced, blocks = engine.families[2]
+        assert not sliced and len(blocks) == 1
+        alloc = uniform_allocation(3, 1.0)
+        raw, adjusted = engine.release([(alloc, False), (alloc, True)], 0, 0, 20)
+        column = {nid: j for j, nid in enumerate(h.level_ids(3))}
+        groups = [["a-2", "b-1"], ["a-1", "b-2"]]  # of a, then b
+        for r in range(20):
+            mid = project_children(raw[2][r], float(raw[1][r, 0]))
+            assert adjusted[2][r].tobytes() == mid.tobytes()
+            for i, kids in enumerate(groups):
+                cols = [column[k] for k in kids]
+                want = project_children(raw[3][r, cols], float(mid[i]))
+                assert adjusted[3][r, cols].tobytes() == want.tobytes()
+
+    def test_arms_share_one_read_only_draw(self, va_hierarchy):
+        alloc = uniform_allocation(3, 1.0)
+        arms = [(alloc, False), (uniform_allocation(3, 0.5), False), (alloc, True)]
+        raw, other, adjusted = ReleaseEngine(va_hierarchy).release(arms, 2, 0, 6)
+        # the with-consistency arm keeps the shared draw's root row
+        assert adjusted[1] is raw[1]
+        assert other[1] is not raw[1]
+        for rows in (*raw.values(), *other.values()):
+            assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            raw[3][0, 0] = 1.0
 
     def test_reversed_replicate_range_rejected(self, va_hierarchy):
         engine = ReleaseEngine(va_hierarchy)
