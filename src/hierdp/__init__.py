@@ -2,12 +2,12 @@
 
 import os
 
-# numpy sizes OpenBLAS's thread pool once, when it loads. hierdp's BLAS
-# calls (the allocator's 1-d dot products) gain nothing from threads,
-# while idle pool workers spin a second core and a threaded dot product
-# sums in an order that depends on the core count, which moves the last
-# bits of an allocation. So load numpy with one BLAS thread unless the
-# caller chose a pool size, and leave the environment as it was, for
+# numpy sizes OpenBLAS's thread pool once, when it loads. hierdp makes
+# no BLAS call, yet starting a default pool still costs CPU: on a
+# 2-vCPU x86-64 VM, `python3 -c "import numpy"` took a median 0.22 s of
+# CPU with the default pool and 0.14 s with one thread (5 runs each),
+# and every command pays it. So load numpy with one BLAS thread unless
+# the caller chose a pool size, and leave the environment as it was, for
 # child processes. A program that imported numpy first keeps its pool.
 if "OPENBLAS_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"

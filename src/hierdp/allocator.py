@@ -67,7 +67,6 @@ from .analytics import (
     _mse_deps_sums,
     _mse_sum,
     as_weights,
-    weighted_total_mse,
 )
 from .errors import ConvergenceFailure, DomainError
 from .hierarchy import LevelStats
@@ -271,7 +270,7 @@ def _solve(
                 f"{program}: KKT residual {worst:g} exceeds 1e-8 * lambda ({lam:g})"
             )
 
-    objective = weighted_total_mse(stats, weights, eps)
+    objective = sum(lv.w * lv.mse(eps[i]) for i, lv in levels.items())
     achieved = sum(eps) if fixed else objective
     if abs(achieved - target) > 1e-9 * target:
         what = "sum(eps)" if fixed else "objective"

@@ -72,7 +72,7 @@ def mse(n: float, eps: float) -> float:
     range [1/eps^2, 2/eps^2).
     """
     _check(n, eps)
-    return _mse_sum(np.array([n]), eps, None)
+    return _mse_sum(np.array([n]), eps)
 
 
 def mse_deps(n: float, eps: float) -> float:
@@ -83,20 +83,21 @@ def mse_deps(n: float, eps: float) -> float:
     n -> infinity and n = 0. Strictly increasing in eps.
     """
     _check(n, eps)
-    return _mse_deps_sums(np.array([n]), eps, None)[0]
+    return _mse_deps_sums(np.array([n]), eps)[0]
 
 
 def mse_deps2(n: float, eps: float) -> float:
     """Second derivative of mse in eps; strictly positive (convexity)."""
     _check(n, eps)
-    return _mse_deps_sums(np.array([n]), eps, None)[1]
+    return _mse_deps_sums(np.array([n]), eps)[1]
 
 
 # vectorized forms over a count vector at a shared eps, for whole
 # levels at once; the per-count functions above are their one-count
 # case. mse_sum checks its inputs; the allocator checks a level's counts
 # once and then calls the unchecked kernels _mse_sum and _mse_deps_sums
-# on every pass.
+# on every pass. They reduce with numpy's pairwise sum, whose order
+# numpy fixes, so no split depends on the machine's BLAS kernel.
 
 def _check_counts(counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=float)
@@ -108,7 +109,7 @@ def _check_counts(counts: np.ndarray) -> np.ndarray:
 def mse_sum(counts: np.ndarray, eps: float) -> float:
     """Sum of per-count mse at a common eps."""
     _check_eps(eps)
-    return _mse_sum(_check_counts(counts), eps, None)
+    return _mse_sum(_check_counts(counts), eps)
 
 
 def _bias_sum(counts: np.ndarray, eps: float) -> float:
@@ -116,25 +117,24 @@ def _bias_sum(counts: np.ndarray, eps: float) -> float:
     return float(np.sum(np.exp(-np.minimum(eps * counts, _X_UNDERFLOW)))) / (2.0 * eps)
 
 
-def _mse_sum(counts: np.ndarray, eps: float, mults: np.ndarray | None) -> float:
+def _mse_sum(counts: np.ndarray, eps: float, mults=1.0) -> float:
+    """Summed per-count mse at a common eps, count j taken mults[j] times."""
     x = np.minimum(eps * counts, _X_UNDERFLOW)
     terms = 2.0 - (1.0 + x) * np.exp(-x)
-    total = float(np.dot(mults, terms)) if mults is not None else float(terms.sum())
-    return total / eps**2
+    terms *= mults
+    return float(terms.sum()) / eps**2
 
 
-def _mse_deps_sums(
-    counts: np.ndarray, eps: float, mults: np.ndarray | None
-) -> tuple[float, float]:
+def _mse_deps_sums(counts: np.ndarray, eps: float, mults=1.0) -> tuple[float, float]:
     """Summed first and second eps-derivatives of per-count mse at a
-    common eps, from one exp per count."""
+    common eps, weighted as in ``_mse_sum``, from one exp per count."""
     x = np.minimum(eps * counts, _X_UNDERFLOW)
     t = np.exp(-x)
-    d1 = t * (x * x + 2.0 * x + 2.0) - 4.0
-    d2 = 12.0 - t * (x**3 + 3.0 * x * x + 6.0 * x + 6.0)
-    if mults is None:
-        return float(d1.sum()) / eps**3, float(d2.sum()) / eps**4
-    return float(np.dot(mults, d1)) / eps**3, float(np.dot(mults, d2)) / eps**4
+    d1 = t * ((x + 2.0) * x + 2.0) - 4.0
+    d2 = 12.0 - t * (((x + 3.0) * x + 6.0) * x + 6.0)
+    d1 *= mults
+    d2 *= mults
+    return float(d1.sum()) / eps**3, float(d2.sum()) / eps**4
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Command-line entry points.
 
 Every command is a pure function of its inputs, flags, and seed:
-identical invocations produce identical bytes at any core count unless
-``OPENBLAS_NUM_THREADS`` was set when hierdp loaded numpy. ``downstream``
-and ``evaluate --synth`` bytes do not depend on the OpenBLAS kernel
-either; an allocation from a noisy ``--prior`` does (README, "CLI").
+hierdp makes no BLAS call, so identical invocations produce identical
+bytes at any core count and under any OpenBLAS kernel. ``release``,
+``evaluate`` and ``downstream`` bytes can still move with the SIMD
+kernels numpy picks for the CPU (README, "CLI").
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 solver failure.
 """

@@ -448,6 +448,8 @@ class SynthSpec:
     leaf_sigma: float = 1.2
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if any(f < 1 for f in self.fanouts):
             raise InvalidSpec("fanouts must be >= 1")
         if self.leaf_sigma < 0:

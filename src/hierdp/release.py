@@ -108,6 +108,8 @@ class ReleaseEngine:
         allocation's arms share."""
         if rep_hi < rep_lo:
             raise DomainError(f"replicate range [{rep_lo}, {rep_hi}) is reversed")
+        if not 0 <= seed < 2**64:
+            raise DomainError(f"seed must be in [0, 2**64), got {seed}")
         released = [self.levels(alloc) for alloc, _ in arms]
         laplace = {}
         for lv in sorted(set().union(*released)):

@@ -12,8 +12,6 @@ import hashlib
 
 import numpy as np
 
-_MASK = (1 << 64) - 1
-
 _U64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
@@ -53,8 +51,9 @@ def centered_uniform_matrix(
 ) -> np.ndarray:
     """Matrix of uniforms, rows = replicates [rep_lo, rep_hi), columns =
     node keys. Entry (r, j) depends only on (seed, key j, replicate r),
-    so any split of the replicate range yields the same rows."""
-    base = _mix64_np(np.uint64((seed & _MASK) ^ 0x5DEECE66D))
+    so any split of the replicate range yields the same rows. The seed
+    is a 64-bit word, in [0, 2**64)."""
+    base = _mix64_np(np.uint64(seed ^ 0x5DEECE66D))
     reps = np.arange(rep_lo, rep_hi, dtype=np.uint64)
     with np.errstate(over="ignore"):
         k = _mix64_np(keys ^ base)

@@ -223,7 +223,7 @@ class TestLevelKernels:
                 return float(np.sum(mse_closed_form(counts, e)))
 
             assert mse_sum(counts, eps) == pytest.approx(mse_total(eps), rel=1e-12)
-            d1, d2 = _mse_deps_sums(counts, eps, None)
+            d1, d2 = _mse_deps_sums(counts, eps)
             assert d1 == pytest.approx(
                 central_difference(mse_total, eps, 1e-5 * eps), rel=1e-6
             )
@@ -244,7 +244,7 @@ class TestLevelKernels:
             _, huge = self._counts(rng, eps)
             k = huge.size
             assert mse_sum(huge, eps) == 2.0 * k / eps**2
-            assert _mse_deps_sums(huge, eps, None) == (-4.0 * k / eps**3, 12.0 * k / eps**4)
+            assert _mse_deps_sums(huge, eps) == (-4.0 * k / eps**3, 12.0 * k / eps**4)
             assert total_clamp_bias(huge, eps) <= k * math.exp(-700.0) / (2.0 * eps)
 
     def test_bias_clamp_pinned(self):

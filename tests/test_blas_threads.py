@@ -1,8 +1,8 @@
 """hierdp loads numpy with one OpenBLAS thread unless the caller chose a
-pool size, and its downstream report does not depend on which OpenBLAS
-kernel runs. Release bytes do still depend on numpy's SIMD dispatch.
-Each case runs in a fresh interpreter, because numpy sizes the pool and
-picks the kernels once, when it loads."""
+pool size, and its allocations and downstream report do not depend on
+which OpenBLAS kernel runs. Release bytes do still depend on numpy's
+SIMD dispatch. Each case runs in a fresh interpreter, because numpy
+sizes the pool and picks the kernels once, when it loads."""
 
 import hashlib
 import os
@@ -78,10 +78,10 @@ class TestThreadsAfterImport:
         assert _run(["-c", self.PROBE], OPENBLAS_NUM_THREADS="2").split() == ["2", "True"]
 
 
-def test_allocation_bytes_do_not_depend_on_core_count(tmp_path):
-    # a threaded dot product over a level's distinct counts sums in an
-    # order set by the core count; 20,000 distinct leaves are enough to
-    # move the last bits of the split when it runs threaded
+@pytest.fixture
+def noisy_prior(tmp_path) -> Path:
+    """A noisy release of a 100 x 200 tree: 20,000 distinct leaf counts,
+    enough to move the last bits of a split whose sums change order."""
     h = synth_hierarchy(SynthSpec(seed=0, fanouts=(100, 200)))
     rng = np.random.default_rng(2)
     noisy = {
@@ -90,23 +90,41 @@ def test_allocation_bytes_do_not_depend_on_core_count(tmp_path):
     }
     prior = tmp_path / "prior.csv"
     prior.write_text(serialize_hierarchy(h, noisy))
-    args = ["-m", "hierdp.cli", "allocate", "--synth", "--prior", str(prior),
+    return prior
+
+
+def test_allocation_bytes_do_not_depend_on_core_count(noisy_prior):
+    args = ["-m", "hierdp.cli", "allocate", "--synth", "--prior", str(noisy_prior),
             "--eps-total", "2"]
     assert _run(args) == _run(args, OPENBLAS_NUM_THREADS="1")
 
 
-@pytest.mark.skipif(len(KERNELS) < 2, reason="needs a DYNAMIC_ARCH OpenBLAS "
-                    "and a CPU with AVX2")
-def test_downstream_bytes_do_not_depend_on_blas_kernel():
-    # each OpenBLAS kernel sums in its own order, so only a report that
+def _one_output_per_kernel(args):
+    # each OpenBLAS kernel sums in its own order, so only a command that
     # makes no BLAS call can have the same bytes under all of them
-    args = ["-m", "hierdp.cli", "downstream", "--blocks",
-            "500,200,100,50,7,3,1,900,20,11", "--eps-total", "0.5",
-            "--replicates", "2000"]
     outputs = {k: _run(args, OPENBLAS_CORETYPE=k) for k in KERNELS}
     assert len(set(outputs.values())) == 1, {
         k: hashlib.sha256(out.encode()).hexdigest()[:8] for k, out in outputs.items()
     }
+
+
+needs_kernels = pytest.mark.skipif(
+    len(KERNELS) < 2, reason="needs a DYNAMIC_ARCH OpenBLAS and a CPU with AVX2"
+)
+
+
+@needs_kernels
+def test_downstream_bytes_do_not_depend_on_blas_kernel():
+    _one_output_per_kernel(["-m", "hierdp.cli", "downstream", "--blocks",
+                            "500,200,100,50,7,3,1,900,20,11", "--eps-total", "0.5",
+                            "--replicates", "2000"])
+
+
+@needs_kernels
+@pytest.mark.parametrize("program", [["--eps-total", "2"], ["--tau", "50000"]])
+def test_allocation_bytes_do_not_depend_on_blas_kernel(noisy_prior, program):
+    _one_output_per_kernel(["-m", "hierdp.cli", "allocate", "--synth", "--prior",
+                            str(noisy_prior), *program])
 
 
 @pytest.mark.skipif(not _simd_features().get("X86_V4"),

@@ -76,6 +76,12 @@ class TestAllocate:
         result = runner.invoke(main, ["allocate", "--input", str(bad), "--eps-total", "1"])
         assert result.exit_code == 3
 
+    def test_weights_for_another_depth_exit_3(self, runner):
+        result = runner.invoke(main, ["allocate", "--synth", "--synth-fanouts", "4,3",
+                                      "--eps-total", "1", "--weights", "1,1"])
+        assert result.exit_code == 3
+        assert "stats has 3 levels but 2 weights given" in result.stderr
+
     def test_prior_warning_on_stderr(self, runner, workdir):
         result = runner.invoke(
             main,
@@ -265,6 +271,29 @@ class TestBudgetRange:
         result = runner.invoke(main, ["downstream", "--blocks", "5,3", "--eps-total", "1e300"])
         assert result.exit_code == 3
         assert "eps_total 1e+300 is out of range" in result.stderr
+
+
+class TestSeedRange:
+    """A seed outside the 64-bit words the noise stream takes is a data
+    error, not a seed that aliases another."""
+
+    @pytest.mark.parametrize("args", [
+        ["release", "--synth", "--eps-total", "1", "--seed", "-1"],
+        ["release", "--synth", "--eps-total", "1", "--seed", str(2**64)],
+        ["allocate", "--synth", "--eps-total", "1", "--synth-seed", "-1"],
+    ])
+    def test_exits_3(self, runner, tmp_path, args):
+        if args[0] == "release":
+            args = args + ["--out-dir", str(tmp_path / "out")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert "seed must be" in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_releases(self, runner, tmp_path):
+        args = ["release", "--synth", "--synth-fanouts", "3,2", "--eps-total", "1",
+                "--seed", str(2**64 - 1), "--out-dir", str(tmp_path)]
+        assert _invoke(runner, args).exit_code == 0
 
 
 class TestEvaluate:

@@ -21,6 +21,7 @@ import hierdp.hierarchy as hierarchy
 from hierdp.hierarchy import (
     CSV_HEADER,
     Hierarchy,
+    LevelStats,
     SynthSpec,
     level_stats,
     parse_hierarchy,
@@ -786,6 +787,14 @@ class TestLevelStats:
         totals = level_stats(va_hierarchy).level_totals()
         assert totals == [450.0, 450.0, 450.0]
 
+    @pytest.mark.parametrize("counts,message", [
+        ((), "LevelStats needs at least one level"),
+        ((np.array([3.0]), np.array([])), "level 2 has no counts"),
+    ])
+    def test_rejects_an_empty_level(self, counts, message):
+        with pytest.raises(InvalidSpec, match=f"^{message}$"):
+            LevelStats(counts)
+
 
 class TestSynth:
     def test_single_level(self):
@@ -840,8 +849,9 @@ class TestSynth:
             {"fanouts": (0,)},
             {"fanouts": (0, 3)},
             {"fanouts": (3,), "leaf_sigma": -1.0},
+            {"seed": -1},
         ],
     )
     def test_invalid_specs(self, kwargs):
         with pytest.raises(InvalidSpec):
-            SynthSpec(seed=0, **kwargs)
+            SynthSpec(**{"seed": 0, **kwargs})
