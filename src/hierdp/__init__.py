@@ -59,9 +59,8 @@ from .hierarchy import (
 )
 from .release import (
     PrivatizedHierarchy,
-    enforce_consistency,
+    privatize,
     project_children,
-    release_no_hier,
 )
 
 __all__ = [
@@ -80,7 +79,6 @@ __all__ = [
     "bias",
     "compare_allocations",
     "compare_misallocation",
-    "enforce_consistency",
     "level_marginal",
     "level_stats",
     "misallocation_stats",
@@ -88,9 +86,9 @@ __all__ = [
     "mse",
     "mse_deps",
     "parse_hierarchy",
+    "privatize",
     "project_children",
     "proportions",
-    "release_no_hier",
     "serialize_hierarchy",
     "skewness_bias_curve",
     "synth_hierarchy",

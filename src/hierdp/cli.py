@@ -43,7 +43,7 @@ from .hierarchy import (
     parse_hierarchy,
     synth_hierarchy,
 )
-from .release import enforce_consistency, release_no_hier
+from .release import privatize
 
 PRIOR_WARNING = (
     "warning: no --prior given; the budget split is being computed from the "
@@ -177,9 +177,7 @@ def cmd_release(config: RunConfig) -> tuple[str, str]:
     if config.prior is None:
         # computed from the true counts: not for publication
         alloc = replace(alloc, objective_value=None, multiplier=None)
-    released = release_no_hier(config.hierarchy, alloc, config.seed)
-    if config.hier:
-        released = enforce_consistency(released)
+    released = privatize(config.hierarchy, alloc, config.seed, config.hier)
     return released.to_csv(), released.sidecar_json() + "\n"
 
 

@@ -13,31 +13,37 @@ allocation, shares the result between the allocation's arms, and
 projects all of them at once. Sibling families that are the whole
 child level in order (uniform fanout, siblings contiguous) are
 projected on a reshape of the child rows; other families gather their
-columns. A single release is replicate 0, bit for bit; the Monte Carlo
-harness and the downstream study draw many.
+columns. :func:`privatize` is a single release: replicate 0 of one
+engine call, bit for bit; the Monte Carlo harness and the downstream
+study draw many.
 
 Noise comes from the counter-based streams in :mod:`hierdp.rng`, so a
 release is a pure function of (hierarchy, allocation, seed) no matter
 how the work is chunked. Levels allocated eps = 0 are omitted from the
 release entirely: emitting their true counts would cost unbounded
-privacy, and emitting nothing is the only budget-true option.
+privacy, and emitting nothing is the only budget-true option. Any other
+eps must pass the closed forms' domain check (finite, at least 1e-12):
+an infinite eps would publish the true counts, and a NaN or negative
+one would silently withhold its level.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .allocator import BudgetAllocation
+from .analytics import _check_eps
 from .errors import AllocationMismatch, DomainError, UnreleasedLevel
 from .hierarchy import Hierarchy, serialize_hierarchy
 from .rng import centered_uniform_matrix, node_keys, standard_laplace
+
+_EVERY_LEVEL = "consistency requires a released value at every level"
 
 
 class ReleaseEngine:
@@ -60,12 +66,16 @@ class ReleaseEngine:
         return {lv: self.h.level_counts(lv) for lv in range(1, self.h.depth + 1)}
 
     def levels(self, alloc: BudgetAllocation) -> list[int]:
-        """The levels ``alloc`` gives budget to."""
+        """The levels ``alloc`` gives budget to; every other level must
+        be allocated exactly 0."""
         if len(alloc.eps) != self.h.depth:
             raise AllocationMismatch(
                 f"allocation has {len(alloc.eps)} levels, hierarchy has {self.h.depth}"
             )
-        return [lv for lv, eps in enumerate(alloc.eps, start=1) if eps > 0]
+        released = [lv for lv, eps in enumerate(alloc.eps, start=1) if eps != 0]
+        for lv in released:
+            _check_eps(alloc.eps[lv - 1])
+        return released
 
     @cached_property
     def families(self) -> dict[int, tuple[bool, list[tuple[np.ndarray, np.ndarray]]]]:
@@ -102,15 +112,20 @@ class ReleaseEngine:
         of each level the allocation gives budget to, projected where
         the arm asks.
 
-        Unit-scale noise is drawn once, on the call, for every level any
-        arm releases, so the arms share their noise. It is scaled and
-        clamped once per allocation, into read-only arrays that the
-        allocation's arms share."""
+        Every arm is checked, and a with-consistency arm whose allocation
+        withholds a level raises :class:`UnreleasedLevel`, before any key
+        is hashed or noise drawn. Unit-scale noise is drawn once, on the
+        call, for every level any arm releases, so the arms share their
+        noise. It is scaled and clamped once per allocation, into
+        read-only arrays that the allocation's arms share."""
         if rep_hi < rep_lo:
             raise DomainError(f"replicate range [{rep_lo}, {rep_hi}) is reversed")
         if not 0 <= seed < 2**64:
             raise DomainError(f"seed must be in [0, 2**64), got {seed}")
         released = [self.levels(alloc) for alloc, _ in arms]
+        for (_, with_hier), levels in zip(arms, released):
+            if with_hier and len(levels) != self.h.depth:
+                raise UnreleasedLevel(_EVERY_LEVEL)
         laplace = {}
         for lv in sorted(set().union(*released)):
             if lv not in self.keys:
@@ -151,11 +166,10 @@ class ReleaseEngine:
 
     def apply_consistency(self, noisy: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Project every sibling group onto its parent's adjusted value,
-        top-down; the root keeps its released value."""
+        top-down. The root keeps its released value and every level sums
+        exactly to it; projecting an already-consistent tree is a no-op."""
         if len(noisy) != self.h.depth:
-            raise UnreleasedLevel(
-                "consistency requires a released value at every level"
-            )
+            raise UnreleasedLevel(_EVERY_LEVEL)
         adjusted = {1: noisy[1]}
         for lv, (sliced, blocks) in self.families.items():
             parent, child = adjusted[lv], noisy[lv + 1]
@@ -201,16 +215,6 @@ class PrivatizedHierarchy:
             levels[lv].flags.writeable = False
         object.__setattr__(self, "levels", levels)
 
-    @property
-    def values(self) -> MappingProxyType:
-        """Read-only ``{node id: noisy count}`` over the released
-        levels, built from :attr:`levels` on each access."""
-        return MappingProxyType({
-            nid: v
-            for lv, row in self.levels.items()
-            for nid, v in zip(self.source.level_ids(lv), row.tolist())
-        })
-
     def to_csv(self) -> str:
         return serialize_hierarchy(self.source, counts=self.levels)
 
@@ -225,16 +229,16 @@ class PrivatizedHierarchy:
         )
 
 
-def release_no_hier(
-    h: Hierarchy, alloc: BudgetAllocation, seed: int
+def privatize(
+    h: Hierarchy, alloc: BudgetAllocation, seed: int, hier: bool
 ) -> PrivatizedHierarchy:
-    """Independent clamped-Laplace release of every level with budget:
-    replicate 0 of :class:`ReleaseEngine`, byte-identical for a fixed
-    seed."""
-    (noisy,) = ReleaseEngine(h).release([(alloc, False)], seed, 0, 1)
+    """Clamped-Laplace release of every level with budget, projected
+    top-down when ``hier``: replicate 0 of :class:`ReleaseEngine`,
+    byte-identical for a fixed seed."""
+    (noisy,) = ReleaseEngine(h).release([(alloc, hier)], seed, 0, 1)
     return PrivatizedHierarchy(
         h, {lv: row[0] for lv, row in noisy.items()}, alloc, seed,
-        consistency_applied=False,
+        consistency_applied=hier,
     )
 
 
@@ -286,21 +290,3 @@ def project_rows(noisy: np.ndarray, targets: np.ndarray) -> np.ndarray:
         rows = np.nonzero(rounded_away)[0]
         v[rows, np.argmax(y[rows], axis=1)] = t[rows]
     return v
-
-
-def enforce_consistency(p: PrivatizedHierarchy) -> PrivatizedHierarchy:
-    """Top-down consistency pass: the one-row case of
-    :meth:`ReleaseEngine.apply_consistency`.
-
-    The root keeps its released value; walking down the tree, each
-    sibling group is replaced by its projection onto the simplex scaled
-    to the parent's adjusted value, so every level sums exactly to the
-    root. Projecting an already-consistent tree is a no-op.
-    """
-    adjusted = ReleaseEngine(p.source).apply_consistency(
-        {lv: row[None, :] for lv, row in p.levels.items()}
-    )
-    return replace(
-        p, levels={lv: row[0] for lv, row in adjusted.items()},
-        consistency_applied=True,
-    )

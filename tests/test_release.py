@@ -8,7 +8,7 @@ import pytest
 
 from hierdp.allocator import allocate_fixed_budget, uniform_allocation
 from hierdp.errors import AllocationMismatch, DomainError, UnreleasedLevel
-from hierdp.evaluation import monte_carlo_moments
+from hierdp.evaluation import analytic_total_mse, monte_carlo_moments
 import hierdp.release as release
 from hierdp.hierarchy import (
     SynthSpec,
@@ -18,16 +18,43 @@ from hierdp.hierarchy import (
 )
 from hierdp.release import (
     ReleaseEngine,
-    enforce_consistency,
+    privatize,
     project_children,
     project_rows,
-    release_no_hier,
 )
 from hierdp.rng import centered_uniform_matrix, node_keys, standard_laplace
 
+from conftest import VA_CSV
 from oracles import project_rows_two_sorts, qp_projection
 from test_hierarchy import random_tree
 from trees import residuals, tree
+
+
+# equal-size groups, but parent b holds a-1: siblings are not
+# contiguous in id order
+CROSSED_CSV = (
+    "node_id,parent_id,level,count\n"
+    "r,,1,100\na,r,2,60\nb,r,2,40\n"
+    "a-1,b,3,20\na-2,a,3,30\nb-1,a,3,30\nb-2,b,3,20\n"
+)
+
+
+def _by_id(released):
+    """``{node id: noisy count}`` over the released levels."""
+    return {
+        nid: v
+        for lv, row in released.levels.items()
+        for nid, v in zip(released.source.level_ids(lv), row.tolist())
+    }
+
+
+def _hashing(monkeypatch):
+    """The id lists ``release.node_keys`` is called with, from now on."""
+    hashed = []
+    monkeypatch.setattr(
+        release, "node_keys", lambda ids: hashed.append(ids) or node_keys(ids)
+    )
+    return hashed
 
 
 def _laplace(scale, seed, node_id, replicates):
@@ -79,7 +106,7 @@ class TestLaplaceSample:
 class TestReleaseNoHier:
     def test_huge_budget_recovers_counts(self, va_hierarchy):
         alloc = uniform_allocation(3, 3e9)
-        released = release_no_hier(va_hierarchy, alloc, seed=0)
+        released = privatize(va_hierarchy, alloc, 0, False)
         for lv in range(1, va_hierarchy.depth + 1):
             assert released.levels[lv] == pytest.approx(
                 va_hierarchy.level_counts(lv), abs=1e-6
@@ -87,28 +114,28 @@ class TestReleaseNoHier:
 
     def test_deterministic(self, va_hierarchy):
         alloc = uniform_allocation(3, 1.0)
-        a = release_no_hier(va_hierarchy, alloc, seed=42)
-        b = release_no_hier(va_hierarchy, alloc, seed=42)
-        assert a.values == b.values
+        a = privatize(va_hierarchy, alloc, 42, False)
+        b = privatize(va_hierarchy, alloc, 42, False)
+        assert _by_id(a) == _by_id(b)
         assert a.to_csv() == b.to_csv()
 
     def test_seed_changes_noise(self, va_hierarchy):
         alloc = uniform_allocation(3, 1.0)
-        a = release_no_hier(va_hierarchy, alloc, seed=1)
-        b = release_no_hier(va_hierarchy, alloc, seed=2)
-        assert a.values != b.values
+        a = privatize(va_hierarchy, alloc, 1, False)
+        b = privatize(va_hierarchy, alloc, 2, False)
+        assert _by_id(a) != _by_id(b)
 
     def test_nonnegative(self, va_hierarchy):
         alloc = uniform_allocation(3, 0.01)
-        released = release_no_hier(va_hierarchy, alloc, seed=3)
-        assert all(v >= 0.0 for v in released.values.values())
+        released = privatize(va_hierarchy, alloc, 3, False)
+        assert all(v >= 0.0 for v in _by_id(released).values())
 
     def test_zero_count_node_mean_is_clamp_bias(self):
         # a released empty region overshoots by 1/(2 eps) on average
         h = parse_hierarchy("node_id,parent_id,level,count\nZ,,1,0\n")
         alloc = uniform_allocation(1, 0.5)
         values = [
-            release_no_hier(h, alloc, seed=s).values["Z"] for s in range(4000)
+            _by_id(privatize(h, alloc, s, False))["Z"] for s in range(4000)
         ]
         values = np.array(values)
         se = values.std(ddof=1) / math.sqrt(values.size)
@@ -116,24 +143,35 @@ class TestReleaseNoHier:
 
     def test_wrong_length_allocation(self, va_hierarchy):
         with pytest.raises(AllocationMismatch):
-            release_no_hier(va_hierarchy, uniform_allocation(2, 1.0), seed=0)
+            privatize(va_hierarchy, uniform_allocation(2, 1.0), 0, False)
 
     def test_zero_budget_level_withheld(self, va_hierarchy, monkeypatch):
         stats = level_stats(va_hierarchy)
         alloc = allocate_fixed_budget(stats, (1.0, 0.0, 1.0), 1.0)
-        hashed = []
-        monkeypatch.setattr(
-            release, "node_keys", lambda ids: hashed.append(ids) or node_keys(ids)
-        )
-        released = release_no_hier(va_hierarchy, alloc, seed=0)
+        hashed = _hashing(monkeypatch)
+        released = privatize(va_hierarchy, alloc, 0, False)
         # no noise is hashed or drawn for the withheld level
         assert [list(ids) for ids in hashed] == [
             ["VA"], list(va_hierarchy.level_ids(3))
         ]
-        assert "VA-100" not in released.values
-        assert "VA-200" not in released.values
-        assert "VA" in released.values
+        assert "VA-100" not in _by_id(released)
+        assert "VA-200" not in _by_id(released)
+        assert "VA" in _by_id(released)
         assert list(released.levels) == [1, 3]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0, 1e-320])
+    def test_bad_level_eps_refused(self, bad, monkeypatch):
+        # inf published the true root count, nan and -1 withheld the
+        # root, and 1e-320 overflowed the noise scale
+        h = synth_hierarchy(SynthSpec(seed=1, fanouts=(3, 4)))
+        alloc = replace(uniform_allocation(3, 3.0), eps=(bad, 1.0, 1.0))
+        hashed = _hashing(monkeypatch)
+        for hier in (False, True):
+            with pytest.raises(DomainError, match="eps must be"):
+                privatize(h, alloc, 0, hier)
+        with pytest.raises(DomainError, match="eps must be"):
+            analytic_total_mse(h, alloc)
+        assert hashed == []
 
     # sha256 of to_csv() for the fixture at eps_total 2, equal weights.
     # Rerun checks only compare one version with itself; these pin the
@@ -153,15 +191,13 @@ class TestReleaseNoHier:
     @pytest.mark.parametrize("seed,hier", sorted(PINNED_CSV_SHA256))
     def test_bytes_pinned_across_versions(self, va_hierarchy, seed, hier):
         alloc = replace(uniform_allocation(3, 2.0), eps=self.PINNED_EPS)
-        released = release_no_hier(va_hierarchy, alloc, seed)
-        if hier:
-            released = enforce_consistency(released)
+        released = privatize(va_hierarchy, alloc, seed, hier)
         digest = hashlib.sha256(released.to_csv().encode("utf-8")).hexdigest()
         assert digest == self.PINNED_CSV_SHA256[(seed, hier)]
 
     def test_sidecar_fields(self, va_hierarchy):
         alloc = uniform_allocation(3, 1.5)
-        released = release_no_hier(va_hierarchy, alloc, seed=9)
+        released = privatize(va_hierarchy, alloc, 9, False)
         sidecar = json.loads(released.sidecar_json())
         assert sidecar["seed"] == 9
         assert sidecar["consistency_applied"] is False
@@ -172,35 +208,24 @@ class TestReleasedLevels:
     @pytest.mark.parametrize("hier", [False, True])
     def test_levels_are_read_only_rows_in_id_order(self, va_hierarchy, hier):
         alloc = uniform_allocation(3, 1.0)
-        released = release_no_hier(va_hierarchy, alloc, seed=4)
-        if hier:
-            released = enforce_consistency(released)
+        released = privatize(va_hierarchy, alloc, 4, hier)
         assert list(released.levels) == [1, 2, 3]
         (noisy,) = ReleaseEngine(va_hierarchy).release([(alloc, hier)], 4, 0, 1)
         for lv, row in released.levels.items():
             assert row.tolist() == noisy[lv][0].tolist()
-            assert list(zip(va_hierarchy.level_ids(lv), row.tolist())) == [
-                (nid, released.values[nid]) for nid in va_hierarchy.level_ids(lv)
-            ]
             with pytest.raises(ValueError):
                 row[0] = 0.0
 
     def test_levels_are_copied_from_the_caller(self, va_hierarchy):
-        released = release_no_hier(va_hierarchy, uniform_allocation(3, 1.0), seed=4)
+        released = privatize(va_hierarchy, uniform_allocation(3, 1.0), 4, False)
         rows = {lv: row.copy() for lv, row in released.levels.items()}
         again = replace(released, levels=rows)
         rows[3][0] = -1.0
         assert again.levels[3][0] == released.levels[3][0] >= 0.0
 
-    def test_values_is_a_read_only_view_of_the_levels(self, va_hierarchy):
-        released = release_no_hier(va_hierarchy, uniform_allocation(3, 1.0), seed=4)
-        assert len(released.values) == len(va_hierarchy)
-        with pytest.raises(TypeError):
-            released.values["VA"] = 0.0
-
     def test_withheld_level_is_absent(self, va_hierarchy):
         alloc = replace(uniform_allocation(3, 2.0), eps=(1.0, 0.0, 1.0))
-        released = release_no_hier(va_hierarchy, alloc, seed=0)
+        released = privatize(va_hierarchy, alloc, 0, False)
         assert list(released.levels) == [1, 3]
         assert [row.split(",")[2] for row in released.to_csv().splitlines()[1:]] == \
             ["1"] + ["3"] * 5
@@ -380,14 +405,18 @@ class TestReleaseEngine:
         assert calls == [(2, 20000), (2 * 20000, 10)]
 
     @pytest.mark.parametrize("hier", [False, True])
-    def test_replicate_zero_is_the_release_bit_for_bit(self, hier):
-        # groups of 20 leaves are summed the same way in a one-row and
-        # a many-row projection
-        h = synth_hierarchy(SynthSpec(seed=1, fanouts=(4, 20)))
+    @pytest.mark.parametrize("shape", ["sliced", "va", "crossed"])
+    def test_replicate_zero_is_the_release_bit_for_bit(self, shape, hier):
+        # groups of 20 leaves, uneven groups and crossed siblings are
+        # summed the same way in a one-row and a many-row projection
+        h = {
+            "sliced": lambda: synth_hierarchy(SynthSpec(seed=1, fanouts=(4, 20))),
+            "va": lambda: parse_hierarchy(VA_CSV),
+            "crossed": lambda: parse_hierarchy(CROSSED_CSV),
+        }[shape]()
+        assert ReleaseEngine(h).families[2][0] == (shape == "sliced")
         alloc = uniform_allocation(3, 1.0)
-        released = release_no_hier(h, alloc, seed=0)
-        if hier:
-            released = enforce_consistency(released)
+        released = privatize(h, alloc, 0, hier)
         (block,) = ReleaseEngine(h).release([(alloc, hier)], 0, 0, 50)
         for lv in range(1, 4):
             assert released.levels[lv].tobytes() == block[lv][0].tobytes()
@@ -439,13 +468,7 @@ class TestReleaseEngine:
             assert sliced[lv].tobytes() == gather[lv].tobytes()
 
     def test_crossed_siblings_take_the_gather_path(self):
-        # equal-size groups, but parent b holds a-1: siblings are not
-        # contiguous in id order
-        h = parse_hierarchy(
-            "node_id,parent_id,level,count\n"
-            "r,,1,100\na,r,2,60\nb,r,2,40\n"
-            "a-1,b,3,20\na-2,a,3,30\nb-1,a,3,30\nb-2,b,3,20\n"
-        )
+        h = parse_hierarchy(CROSSED_CSV)
         engine = ReleaseEngine(h)
         sliced, blocks = engine.families[2]
         assert not sliced and len(blocks) == 1
@@ -481,40 +504,50 @@ class TestReleaseEngine:
         (empty,) = engine.release(arms, 0, 5, 5)
         assert [rows.shape for rows in empty.values()] == [(0, 1), (0, 2), (0, 5)]
 
+    def test_consistency_without_every_level_fails_before_drawing(
+        self, va_hierarchy, monkeypatch
+    ):
+        full = uniform_allocation(3, 1.0)
+        withheld = replace(full, eps=(1.0, 0.0, 1.0))
+        hashed = _hashing(monkeypatch)
+        engine = ReleaseEngine(va_hierarchy)
+        for arms in ([(withheld, True)], [(full, False), (withheld, True)]):
+            # refused on the call, not when the generator reaches the arm
+            with pytest.raises(UnreleasedLevel):
+                engine.release(arms, 0, 0, 1)
+        assert hashed == []
+        # an arm without consistency may withhold the level
+        (noisy,) = engine.release([(withheld, False)], 0, 0, 1)
+        assert list(noisy) == [1, 3]
+
 
 class TestEnforceConsistency:
     def test_consistent_input_unchanged(self, va_hierarchy):
         alloc = uniform_allocation(3, 1.0)
-        released = release_no_hier(va_hierarchy, alloc, seed=4)
-        adjusted = enforce_consistency(released)
-        again = enforce_consistency(adjusted)
-        for nid, v in adjusted.values.items():
-            assert again.values[nid] == pytest.approx(v, abs=1e-12)
+        adjusted = privatize(va_hierarchy, alloc, 4, True)
+        again = ReleaseEngine(va_hierarchy).apply_consistency(
+            {lv: row[None, :] for lv, row in adjusted.levels.items()}
+        )
+        for lv, row in adjusted.levels.items():
+            for nid, v, w in zip(va_hierarchy.level_ids(lv), row, again[lv][0]):
+                assert w == pytest.approx(v, abs=1e-12), nid
 
     def test_two_sibling_shift(self):
         text = "node_id,parent_id,level,count\nP,,1,10\nP-1,P,2,3\nP-2,P,2,3\n"
         h = parse_hierarchy(text)
-        alloc = uniform_allocation(2, 1e9)  # keep noise negligible
-        released = release_no_hier(h, alloc, seed=0)
-        # overwrite with the pinned scenario, then project
-        released = released.__class__(
-            source=h,
-            levels={1: np.array([10.0]), 2: np.array([3.0, 3.0])},
-            allocation=alloc,
-            seed=0,
-            consistency_applied=False,
+        # the pinned scenario, projected
+        adjusted = ReleaseEngine(h).apply_consistency(
+            {1: np.array([[10.0]]), 2: np.array([[3.0, 3.0]])}
         )
-        adjusted = enforce_consistency(released)
-        assert adjusted.values["P-1"] == pytest.approx(5.0, abs=1e-12)
-        assert adjusted.values["P-2"] == pytest.approx(5.0, abs=1e-12)
+        by_id = dict(zip(h.level_ids(2), adjusted[2][0].tolist()))
+        assert by_id["P-1"] == pytest.approx(5.0, abs=1e-12)
+        assert by_id["P-2"] == pytest.approx(5.0, abs=1e-12)
 
     def test_three_level_residuals(self, va_hierarchy):
         alloc = uniform_allocation(3, 0.3)
-        adjusted = enforce_consistency(
-            release_no_hier(va_hierarchy, alloc, seed=5)
-        )
+        adjusted = privatize(va_hierarchy, alloc, 5, True)
         assert adjusted.consistency_applied
-        root_value = adjusted.values["VA"]
+        root_value = _by_id(adjusted)["VA"]
         for lv, residual in residuals(va_hierarchy, adjusted.levels).items():
             parent = adjusted.levels[lv]
             assert (np.abs(residual) <= 1e-9 * np.maximum(1.0, parent)).all()
@@ -525,16 +558,21 @@ class TestEnforceConsistency:
 
     def test_root_kept_exactly(self, va_hierarchy):
         alloc = uniform_allocation(3, 0.5)
-        released = release_no_hier(va_hierarchy, alloc, seed=6)
-        adjusted = enforce_consistency(released)
-        assert adjusted.values["VA"] == released.values["VA"]
+        released = privatize(va_hierarchy, alloc, 6, False)
+        adjusted = privatize(va_hierarchy, alloc, 6, True)
+        assert _by_id(adjusted)["VA"] == _by_id(released)["VA"]
 
     def test_requires_all_levels(self, va_hierarchy):
         stats = level_stats(va_hierarchy)
         alloc = allocate_fixed_budget(stats, (1.0, 0.0, 1.0), 1.0)
-        released = release_no_hier(va_hierarchy, alloc, seed=0)
         with pytest.raises(UnreleasedLevel):
-            enforce_consistency(released)
+            privatize(va_hierarchy, alloc, 0, True)
+        # and for a direct caller of the projection
+        released = privatize(va_hierarchy, alloc, 0, False)
+        with pytest.raises(UnreleasedLevel):
+            ReleaseEngine(va_hierarchy).apply_consistency(
+                {lv: row[None, :] for lv, row in released.levels.items()}
+            )
 
 
 class TestConsistencyHelpsAtScale:
