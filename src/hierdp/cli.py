@@ -90,8 +90,8 @@ class RunConfig:
 
 
 def _read_tree(path: str) -> Hierarchy:
-    # the text as written: line ends are the parser's to read
-    with open(path, encoding="utf-8", newline="") as f:
+    # the text as written, less any BOM: line ends are the parser's to read
+    with open(path, encoding="utf-8-sig", newline="") as f:
         return parse_hierarchy(f.read())
 
 

@@ -62,11 +62,14 @@ def proportions(counts: Sequence[float]) -> np.ndarray:
     finite = np.isfinite(arr)
     if not finite.all():
         raise DomainError(f"counts must be finite, got {float(arr[~finite][0])!r}")
-    total = float(arr.sum())
+    if (arr < 0).any():
+        raise DomainError("counts must be nonnegative")
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
+    if not math.isfinite(total):
+        raise DomainError(f"counts sum to {total!r}, beyond the float range")
     if not total > 0:
         raise ZeroTotal(f"counts sum to {total!r}; proportions undefined")
-    if arr.min() < 0:
-        raise DomainError("counts must be nonnegative")
     return arr / total
 
 

@@ -24,7 +24,7 @@ from .allocator import (
     allocate_fixed_budget,
     uniform_allocation,
 )
-from .analytics import _bias_sum, _check_eps, mse_sum, weighted_total_mse
+from .analytics import _bias_sum, _check_eps, mse_sum
 from .errors import DomainError, InvalidSplit
 from .hierarchy import Hierarchy, LevelStats, level_stats
 from .release import ReleaseEngine
@@ -173,10 +173,9 @@ def monte_carlo_moments(
 
 def analytic_total_mse(h: Hierarchy, alloc: BudgetAllocation) -> float:
     """Unweighted closed-form total mse of the independent release: the
-    weighted total with weight 1 on each released level."""
+    summed per-node mse of each released level."""
     released = ReleaseEngine(h).levels(alloc)
-    w = [float(lv in released) for lv in range(1, h.depth + 1)]
-    return weighted_total_mse(level_stats(h), w, alloc.eps)
+    return float(sum(mse_sum(h.level_counts(lv), alloc.eps[lv - 1]) for lv in released))
 
 
 def compare_allocations(

@@ -8,9 +8,9 @@ targets the parent's already-adjusted value.
 
 :class:`ReleaseEngine` is the one place that computation lives: per
 tree, it draws any block of replicates as a ``(replicates, nodes)``
-matrix per level, scales and clamps that one draw once for each
-allocation, shares the result between the allocation's arms, and
-projects all of them at once. Sibling families that are the whole
+matrix per level, scales and clamps that one draw for each allocation,
+shares the result between neighbouring arms of one allocation, and
+projects every replicate at once. Sibling families that are the whole
 child level in order (uniform fanout, siblings contiguous) are
 projected on a reshape of the child rows; other families gather their
 columns. :func:`privatize` is a single release: replicate 0 of one
@@ -116,8 +116,8 @@ class ReleaseEngine:
         withholds a level raises :class:`UnreleasedLevel`, before any key
         is hashed or noise drawn. Unit-scale noise is drawn once, on the
         call, for every level any arm releases, so the arms share their
-        noise. It is scaled and clamped once per allocation, into
-        read-only arrays that the allocation's arms share."""
+        noise. It is scaled and clamped once for each run of neighbouring
+        arms with one allocation, into read-only arrays they share."""
         if rep_hi < rep_lo:
             raise DomainError(f"replicate range [{rep_lo}, {rep_hi}) is reversed")
         if not 0 <= seed < 2**64:
@@ -134,35 +134,29 @@ class ReleaseEngine:
                 centered_uniform_matrix(seed, self.keys[lv], rep_lo, rep_hi)
             )
 
-        # an allocation's clamped draw is built once and shared, read-only,
-        # by its arms; it is held only until the last of them is made
-        last_use = {alloc.eps: i for i, (alloc, _) in enumerate(arms)}
-        shared: dict[tuple[float, ...], dict[int, np.ndarray]] = {}
-
-        def clamped(eps: tuple[float, ...], levels: list[int]):
-            noisy = {}
-            for lv in levels:
-                v = laplace[lv] / eps[lv - 1]
-                v += self.counts[lv][None, :]
-                np.maximum(0.0, v, out=v)
-                v.flags.writeable = False
-                noisy[lv] = v
-            return noisy
-
-        def scaled(i: int, alloc: BudgetAllocation, with_hier: bool, levels: list[int]):
-            eps = alloc.eps
-            noisy = shared.pop(eps) if eps in shared else clamped(eps, levels)
-            if last_use[eps] > i:
-                shared[eps] = noisy
-            return self.apply_consistency(noisy) if with_hier else noisy
+        eps = [alloc.eps for alloc, _ in arms] + [None]
 
         # one arm at a time, so a caller that consumes each arm before
         # the next holds one arm's blocks: holding every arm at once
         # made malloc map and page-fault fresh blocks every chunk
-        return (
-            scaled(i, alloc, with_hier, levels)
-            for i, ((alloc, with_hier), levels) in enumerate(zip(arms, released))
-        )
+        def scaled():
+            noisy = None
+            for i, ((_, with_hier), levels) in enumerate(zip(arms, released)):
+                if noisy is None:
+                    noisy = {}
+                    for lv in levels:
+                        v = laplace[lv] / eps[i][lv - 1]
+                        v += self.counts[lv][None, :]
+                        np.maximum(0.0, v, out=v)
+                        v.flags.writeable = False
+                        noisy[lv] = v
+                arm = self.apply_consistency(noisy) if with_hier else noisy
+                # the draw is held only while the next arm shares it
+                if eps[i + 1] != eps[i]:
+                    noisy = None
+                yield arm
+
+        return scaled()
 
     def apply_consistency(self, noisy: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Project every sibling group onto its parent's adjusted value,

@@ -183,6 +183,24 @@ class TestRelease:
             ))
         assert len(outputs) == 1
 
+    @pytest.mark.parametrize("flag", ["--input", "--prior"])
+    def test_byte_order_mark_is_skipped(self, runner, workdir, va_csv, flag):
+        # Excel's "CSV UTF-8" files start with a UTF-8 byte-order mark
+        (workdir / "bom.csv").write_bytes(b"\xef\xbb\xbf" + va_csv.encode())
+        outputs = []
+        for name in ("va", "bom"):
+            tree = str(workdir / f"{name}.csv")
+            source = ["--input", tree]
+            if flag == "--prior":
+                source = ["--input", str(workdir / "va.csv"), "--prior", tree]
+            args = ["release", *source, "--eps-total", "2", "--seed", "5", "--hier",
+                    "--out-dir", str(workdir / name)]
+            assert _invoke(runner, args).exit_code == 0
+            outputs.append(tuple(
+                (workdir / name / f"release.{ext}").read_bytes() for ext in ("csv", "json")
+            ))
+        assert outputs[0] == outputs[1]
+
     def test_quoted_cr_survives(self, runner, tmp_path):
         # the file reaches the parser as written, so a quoted CRLF stays
         # in the id, and so the id's noise key is the one the parser gives

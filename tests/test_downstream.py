@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,7 @@ class TestTractPrivatizer:
         (math.inf, "counts must be finite, got inf"),
         (math.nan, "counts must be finite, got nan"),
         (-1.0, "counts must be nonnegative"),
+        (-5.0, "counts must be nonnegative"),
     ])
     def test_bad_block_named_as_a_count(self, bad, message, monkeypatch):
         # refused by proportions' rule, not by the tree validator, whose
@@ -219,6 +221,16 @@ class TestTractPrivatizer:
         monkeypatch.setattr(ReleaseEngine, "release", _refuse_draw)
         with pytest.raises(ZeroTotal):
             tract_release([0.0, 0.0], 1.0, 10, 0)
+
+    def test_overflowing_total_refused_without_a_warning(self, monkeypatch):
+        # finite counts whose sum overflows are refused as a sum, with no
+        # numpy overflow warning and no word of the tract's node 't'
+        monkeypatch.setattr(ReleaseEngine, "release", _refuse_draw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                tract_release([1e308, 1e308], 1.0, 10, 0)
+        assert str(info.value) == "counts sum to inf, beyond the float range"
 
     def test_deterministic_per_seed(self, tract_blocks):
         a = tract_release(tract_blocks, 1.0, 50, 12345)

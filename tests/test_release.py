@@ -433,8 +433,9 @@ class TestReleaseEngine:
                 assert noisy[lv].tolist() == want.tolist()
 
     def test_arms_match_one_arm_calls_bit_for_bit(self):
-        # groups of 12 leaves, a withheld level, and arms with and
-        # without consistency, drawn for replicates 5..24
+        # groups of 12 leaves, a withheld level, arms with and without
+        # consistency, and the first allocation again after others,
+        # drawn for replicates 5..24
         h = synth_hierarchy(SynthSpec(seed=2, fanouts=(3, 12)))
         stats = level_stats(h)
         arms = [
@@ -442,6 +443,7 @@ class TestReleaseEngine:
             (uniform_allocation(3, 1.0), True),
             (allocate_fixed_budget(stats, (1.0, 0.0, 1.0), 0.7), False),
             (allocate_fixed_budget(stats, (1.0, 1.0, 1.0), 0.3), True),
+            (uniform_allocation(3, 1.0), True),
         ]
         together = list(ReleaseEngine(h).release(arms, 8, 5, 25))
         assert len(together) == len(arms)
@@ -486,12 +488,18 @@ class TestReleaseEngine:
 
     def test_arms_share_one_read_only_draw(self, va_hierarchy):
         alloc = uniform_allocation(3, 1.0)
-        arms = [(alloc, False), (uniform_allocation(3, 0.5), False), (alloc, True)]
-        raw, other, adjusted = ReleaseEngine(va_hierarchy).release(arms, 2, 0, 6)
+        arms = [(alloc, False), (alloc, True), (uniform_allocation(3, 0.5), False),
+                (alloc, False)]
+        raw, adjusted, other, again = ReleaseEngine(va_hierarchy).release(arms, 2, 0, 6)
         # the with-consistency arm keeps the shared draw's root row
         assert adjusted[1] is raw[1]
         assert other[1] is not raw[1]
-        for rows in (*raw.values(), *other.values()):
+        # an allocation after a different one is drawn afresh, to the
+        # same bytes
+        for lv, rows in raw.items():
+            assert again[lv] is not rows
+            assert again[lv].tobytes() == rows.tobytes()
+        for rows in (*raw.values(), *other.values(), *again.values()):
             assert not rows.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             raw[3][0, 0] = 1.0
