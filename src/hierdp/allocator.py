@@ -54,6 +54,7 @@ stats source; the CLI's --prior flag exists for exactly that.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -64,8 +65,10 @@ from .analytics import (
     LevelWeights,
     _check_counts,
     _check_eps,
+    _kernel_scratch,
     _mse_deps_sums,
     _mse_sum,
+    _saturated_from,
     as_weights,
 )
 from .errors import ConvergenceFailure, DomainError
@@ -139,24 +142,29 @@ def _root(
 
 class _Level:
     """One level's deduplicated counts with weight attached. The counts
-    are validated here, once, so the solver's passes need not."""
+    are validated here, once, so the solver's passes need not, and the
+    kernels' scratch is allocated here, once per solve."""
 
-    __slots__ = ("vals", "mults", "k", "w")
+    __slots__ = ("vals", "mults", "k", "w", "scratch")
 
     def __init__(self, counts: np.ndarray, w: float):
         vals, mults = np.unique(_check_counts(counts), return_counts=True)
         self.vals = vals
-        self.mults = mults.astype(float)
         self.k = float(mults.sum())
+        # every count distinct (a real-valued prior): nothing to weight
+        self.mults = mults.astype(float) if vals.size < self.k else None
         self.w = w
+        self.scratch = _kernel_scratch(vals.size)
 
     def marginal(self, eps: float) -> tuple[float, float]:
         """D_l(eps) and its slope D_l'(eps)."""
-        d1, d2 = _mse_deps_sums(self.vals, eps, self.mults)
+        d1, d2 = _mse_deps_sums(self.vals, eps, self.mults, self.scratch,
+                                _saturated_from(self.vals, eps))
         return self.w * d1, self.w * d2
 
     def mse(self, eps: float) -> float:
-        return _mse_sum(self.vals, eps, self.mults)
+        return _mse_sum(self.vals, eps, self.mults, self.scratch,
+                        _saturated_from(self.vals, eps))
 
     def solve(self, lam: float) -> tuple[float, float, float]:
         """e_l(lam), the root of D_l(e) + lam, with the KKT residual
@@ -223,24 +231,39 @@ def _solve(
     else:
         scale = math.sqrt(c / target)
         low, high = min(cubes) * scale, max(cubes) * scale * 2.0 ** (5.0 / 6.0)
-    if not (low >= EPS_MIN and high <= _EPS_MAX):
+
+    def out_of_range(why: str) -> DomainError:
         name = "eps_total" if fixed else "tau"
-        raise DomainError(
-            f"{name} {target!r} is out of range for these counts and weights: "
-            f"level budgets would fall outside [{EPS_MIN:g}, {_EPS_MAX:g}]"
+        return DomainError(
+            f"{name} {target!r} is out of range for these counts and weights: {why}"
         )
 
-    if fixed and len(levels) == 1:
+    if not (low >= EPS_MIN and high <= _EPS_MAX):
+        raise out_of_range(f"level budgets would fall outside [{EPS_MIN:g}, {_EPS_MAX:g}]")
+
+    single = fixed and len(levels) == 1
+    if single:
         # the whole budget goes to the only level that matters; exact
         [(only, level)] = levels.items()
-        eps[only] = target
-        lam = -level.marginal(target)[0]
+        lo = hi = -level.marginal(target)[0]
     else:
-        if fixed:
-            lo, hi = 2.0 * (c / target) ** 3, 4.0 * (c / target) ** 3
-        else:
-            lo, hi = 2.0 * (target / (2.0 * c)) ** 1.5, 4.0 * (target / c) ** 1.5
+        try:
+            if fixed:
+                lo, hi = 2.0 * (c / target) ** 3, 4.0 * (c / target) ** 3
+            else:
+                lo, hi = 2.0 * (target / (2.0 * c)) ** 1.5, 4.0 * (target / c) ** 1.5
+        except OverflowError:
+            lo = hi = math.inf
+    # level budgets in range can still need a lambda past the float range
+    # (extreme weights): refuse it rather than solve in inf or in
+    # subnormals, or publish it as inf or 0
+    if not (lo >= sys.float_info.min and hi <= sys.float_info.max):
+        raise out_of_range("the multiplier lambda would fall outside the float range")
 
+    if single:
+        eps[only] = target
+        lam = lo
+    else:
         def roots(lam: float) -> list[tuple[float, float, float]]:
             return [lv.solve(lam) for lv in levels.values()]
 

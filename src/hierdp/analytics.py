@@ -98,6 +98,26 @@ def mse_deps2(n: float, eps: float) -> float:
 # once and then calls the unchecked kernels _mse_sum and _mse_deps_sums
 # on every pass. They reduce with numpy's pairwise sum, whose order
 # numpy fixes, so no split depends on the machine's BLAS kernel.
+#
+# Those two work through the counts one block at a time: x and e^{-x}
+# for a block stay in cache while each polynomial is evaluated in place
+# into a full-length term array, which the pairwise sum then reduces as
+# a whole. Every term, and so every sum, has the bits of the one-shot
+# formulas. The allocator passes a level's counts sorted, with the start
+# of their saturated suffix: those terms are filled with their limits,
+# not computed, and no count before them reaches the clamp. eps * N may
+# overflow to inf; the clamp at 745 takes it back, so the overflow is
+# not worth numpy's warning.
+
+# counts per block: a block's x, e^{-x} and two term slices take 1 MiB,
+# inside one core's L2 cache on current x86 server parts
+BLOCK_ELEMENTS = 2**15
+
+# from x = eps * N of this on, e^{-x} poly(x) < 5e-23 is far below half
+# an ulp of each term's limit (2 for mse, -4 for d1, 12 for d2), so
+# every term rounds to exactly that limit
+_X_SATURATED = 64.0
+
 
 def _check_counts(counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=float)
@@ -114,26 +134,104 @@ def mse_sum(counts: np.ndarray, eps: float) -> float:
 
 def _bias_sum(counts: np.ndarray, eps: float) -> float:
     """Summed clamp bias of the counts at a common eps."""
-    return float(np.sum(np.exp(-np.minimum(eps * counts, _X_UNDERFLOW)))) / (2.0 * eps)
+    with np.errstate(over="ignore"):
+        x = eps * counts
+    return float(np.sum(np.exp(-np.minimum(x, _X_UNDERFLOW)))) / (2.0 * eps)
 
 
-def _mse_sum(counts: np.ndarray, eps: float, mults=1.0) -> float:
-    """Summed per-count mse at a common eps, count j taken mults[j] times."""
-    x = np.minimum(eps * counts, _X_UNDERFLOW)
-    terms = 2.0 - (1.0 + x) * np.exp(-x)
-    terms *= mults
+def _kernel_scratch(n: int) -> tuple[np.ndarray, ...]:
+    """Work arrays for the level kernels over n counts: x and e^{-x} of
+    one block, then one full-length term array per sum."""
+    b = min(n, BLOCK_ELEMENTS)
+    return np.empty(b), np.empty(b), np.empty(n), np.empty(n)
+
+
+def _saturated_from(sorted_counts: np.ndarray, eps: float) -> int:
+    """Index of the first of ascending counts whose terms sit at their
+    limits at this eps: x >= 64, or one rounding below it, where the
+    terms are at their limits too."""
+    return int(sorted_counts.searchsorted(_X_SATURATED / eps))
+
+
+def _blocks(counts: np.ndarray, eps: float, scratch, sat):
+    """Yield (lo, hi, x, t) for each block of the counts before ``sat``
+    (all of them when it is None), with x = min(eps * counts, 745) and
+    t = e^{-x} filled in the scratch. Before a saturated suffix x < 65,
+    so the clamp is left out there."""
+    xs, ts = scratch[0], scratch[1]
+    stop = len(counts) if sat is None else sat
+    for lo in range(0, stop, BLOCK_ELEMENTS):
+        hi = min(lo + BLOCK_ELEMENTS, stop)
+        x, t = xs[: hi - lo], ts[: hi - lo]
+        if sat is None:
+            with np.errstate(over="ignore"):
+                np.multiply(counts[lo:hi], eps, out=x)
+            np.minimum(x, _X_UNDERFLOW, out=x)
+        else:
+            np.multiply(counts[lo:hi], eps, out=x)
+        np.negative(x, out=t)
+        np.exp(t, out=t)
+        yield lo, hi, x, t
+
+
+def _fill(terms: np.ndarray, limit: float, mults, sat) -> None:
+    """Set terms[sat:] to limit times each count's multiplicity."""
+    if sat is None or sat == len(terms):
+        return
+    if mults is None:
+        terms[sat:] = limit
+    else:
+        np.multiply(mults[sat:], limit, out=terms[sat:])
+
+
+def _mse_sum(counts: np.ndarray, eps: float, mults=None, scratch=None, sat=None) -> float:
+    """Summed per-count mse at a common eps, count j taken mults[j]
+    times (once each without mults). ``scratch`` is from
+    ``_kernel_scratch(len(counts))``. With ``sat``, the counts must be
+    ascending and ``sat`` from ``_saturated_from``."""
+    scratch = _kernel_scratch(len(counts)) if scratch is None else scratch
+    terms = scratch[2]
+    for lo, hi, x, t in _blocks(counts, eps, scratch, sat):
+        # 2 - (1 + x) e^{-x}
+        a = terms[lo:hi]
+        np.add(x, 1.0, out=a)
+        a *= t
+        np.subtract(2.0, a, out=a)
+        if mults is not None:
+            a *= mults[lo:hi]
+    _fill(terms, 2.0, mults, sat)
     return float(terms.sum()) / eps**2
 
 
-def _mse_deps_sums(counts: np.ndarray, eps: float, mults=1.0) -> tuple[float, float]:
+def _mse_deps_sums(counts: np.ndarray, eps: float, mults=None, scratch=None,
+                   sat=None) -> tuple[float, float]:
     """Summed first and second eps-derivatives of per-count mse at a
-    common eps, weighted as in ``_mse_sum``, from one exp per count."""
-    x = np.minimum(eps * counts, _X_UNDERFLOW)
-    t = np.exp(-x)
-    d1 = t * ((x + 2.0) * x + 2.0) - 4.0
-    d2 = 12.0 - t * (((x + 3.0) * x + 6.0) * x + 6.0)
-    d1 *= mults
-    d2 *= mults
+    common eps, weighted and computed as in ``_mse_sum``, from one exp
+    per count."""
+    scratch = _kernel_scratch(len(counts)) if scratch is None else scratch
+    d1, d2 = scratch[2], scratch[3]
+    for lo, hi, x, t in _blocks(counts, eps, scratch, sat):
+        # e^{-x} ((x + 2) x + 2) - 4
+        a = d1[lo:hi]
+        np.add(x, 2.0, out=a)
+        a *= x
+        a += 2.0
+        a *= t
+        a -= 4.0
+        # 12 - e^{-x} (((x + 3) x + 6) x + 6)
+        b = d2[lo:hi]
+        np.add(x, 3.0, out=b)
+        b *= x
+        b += 6.0
+        b *= x
+        b += 6.0
+        b *= t
+        np.subtract(12.0, b, out=b)
+        if mults is not None:
+            a *= mults[lo:hi]
+            b *= mults[lo:hi]
+    _fill(d1, -4.0, mults, sat)
+    _fill(d2, 12.0, mults, sat)
     return float(d1.sum()) / eps**3, float(d2.sum()) / eps**4
 
 

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the package's own code paths:
 Monte Carlo uses numpy's Laplace sampler, the projection oracle
 enumerates active sets, and the allocator oracle is a brute-force grid
-search over the reduced one-dimensional problem. The one exception is
-``project_rows_two_sorts``, the projection as first written, which pins
-the bytes of the package's leaner version.
+search over the reduced one-dimensional problem. The exceptions are
+code as first written, kept to pin the bits of the package's faster
+versions: ``project_rows_two_sorts``, the projection, and
+the ``*_one_shot`` level kernels and their terms.
 """
 
 from __future__ import annotations
@@ -70,6 +71,36 @@ def bias_closed_form(n, eps):
     unclamped: past the exp underflow threshold it reads exactly 0."""
     n = np.asarray(n, dtype=float)
     return np.exp(-eps * n) / (2.0 * eps)
+
+
+def mse_terms_one_shot(counts, eps, mults=1.0) -> np.ndarray:
+    """Per-count mse at a common eps times eps^2, count j weighted by
+    mults[j], from whole-vector temporaries."""
+    x = np.minimum(eps * counts, 745.0)
+    terms = 2.0 - (1.0 + x) * np.exp(-x)
+    terms *= mults
+    return terms
+
+
+def mse_deps_terms_one_shot(counts, eps, mults=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Per-count first and second eps-derivatives of mse times eps^3
+    and eps^4, weighted as in ``mse_terms_one_shot``."""
+    x = np.minimum(eps * counts, 745.0)
+    t = np.exp(-x)
+    d1 = t * ((x + 2.0) * x + 2.0) - 4.0
+    d2 = 12.0 - t * (((x + 3.0) * x + 6.0) * x + 6.0)
+    d1 *= mults
+    d2 *= mults
+    return d1, d2
+
+
+def mse_sum_one_shot(counts, eps, mults=1.0) -> float:
+    return float(mse_terms_one_shot(counts, eps, mults).sum()) / eps**2
+
+
+def mse_deps_sums_one_shot(counts, eps, mults=1.0) -> tuple[float, float]:
+    d1, d2 = mse_deps_terms_one_shot(counts, eps, mults)
+    return float(d1.sum()) / eps**3, float(d2.sum()) / eps**4
 
 
 def grid_search_two_level(root: float, leaves, w, eps_total: float, step: float = 1e-4):

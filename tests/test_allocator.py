@@ -232,6 +232,30 @@ class TestBudgetRange:
             "level budgets would fall outside [1e-12, 1.15e+77]"
         )
 
+    @pytest.mark.parametrize("name,value,weights", [
+        # level budgets of ~1e-4 and 5e-12, but lambda past 1e308
+        ("tau", 1e308, (0.0, 1e300)),
+        ("eps_total", 1e-11, (1e300, 1e300)),
+        # lambda below the smallest normal float, or 0.0
+        ("tau", 1e-300, (1e-283, 1e-283)),
+        ("tau", 1e-300, (1e-200, 1e-200)),
+        # the whole budget to one level: lambda is its marginal there
+        ("eps_total", 1e-11, (0.0, 1e300)),
+        ("eps_total", 1e70, (0.0, 1e-300)),
+    ])
+    def test_multiplier_past_the_float_range_refused(self, monkeypatch, name, value, weights):
+        def solve(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(allocator, "_root", solve)
+        allocate = allocate_fixed_budget if name == "eps_total" else allocate_target_mse
+        with pytest.raises(DomainError) as info:
+            allocate(_stats([0.5], [0.5]), weights, value)
+        assert str(info.value) == (
+            f"{name} {value!r} is out of range for these counts and weights: "
+            "the multiplier lambda would fall outside the float range"
+        )
+
     @pytest.mark.parametrize("name,value", [
         ("eps_total", 1e-11), ("eps_total", 1e77), ("tau", 1e-152), ("tau", 1e24),
     ])

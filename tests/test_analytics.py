@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from hierdp.allocator import _Level
 from hierdp.analytics import (
+    BLOCK_ELEMENTS,
     EPS_MIN,
     LevelWeights,
+    _kernel_scratch,
     _mse_deps_sums,
+    _mse_sum,
     bias,
     mse,
     mse_deps,
@@ -24,6 +28,8 @@ from oracles import (
     central_difference,
     mc_clamped_moments,
     mse_closed_form,
+    mse_deps_terms_one_shot,
+    mse_terms_one_shot,
     quad_clamped_moments,
     second_central_difference,
 )
@@ -251,6 +257,85 @@ class TestLevelKernels:
         # eps * n = 750 clamps to 745: each region adds the smallest
         # subnormal, exp(-745), rather than underflowing to 0
         assert total_clamp_bias((1500, 1500), 0.5) == 2 * np.nextafter(0.0, 1.0)
+
+
+def _regime_counts(rng, eps: float, size: int, repeats: bool) -> np.ndarray:
+    """``size`` counts with x = eps * N in every regime the kernels treat
+    apart: computed (x < 64, the last stretch 40-64), saturated, clamped
+    at 745 and overflowing, plus zeros, subnormals and the edges of the
+    saturated suffix and of the clamp. All distinct unless ``repeats``."""
+    m = max(size, 8)
+    x = np.concatenate((
+        rng.uniform(0.0, 40.0, m),
+        rng.uniform(40.0, 64.0, m),
+        rng.uniform(64.0, 745.0, m),
+        np.exp(rng.uniform(np.log(745.0), np.log(1e300), m)),
+    ))
+    edges = [64.0 / eps, 745.0 / eps]
+    special = [0.0, 5e-324, 1e-310, 1e300] + edges + [
+        np.nextafter(e, d) for e in edges for d in (0.0, np.inf)
+    ]
+    with np.errstate(over="ignore"):
+        counts = np.minimum(x / eps, 1e300)
+    pool = np.unique(np.concatenate((counts, special)))
+    return rng.choice(pool, size=size, replace=repeats)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBlockedKernels:
+    """The blocked, in-place kernels and the allocator's level, which
+    fills saturated terms with their limits, give every bit of the
+    one-shot formulas: each term in the scratch, and each sum."""
+
+    EPS = (1e-12, 3e-7, 0.01, 0.5, 1.0, 7.25, 1e3, 1e40, 1e77)
+
+    @staticmethod
+    def _one_shot(f, *args):
+        with np.errstate(over="ignore"):
+            return f(*args)
+
+    def _check(self, got_sums, got_terms, counts, eps, mults, w=1.0):
+        mse_terms = self._one_shot(mse_terms_one_shot, counts, eps, mults)
+        d1, d2 = self._one_shot(mse_deps_terms_one_shot, counts, eps, mults)
+        assert np.array_equal(got_terms[0], mse_terms)
+        assert got_sums[0] == float(mse_terms.sum()) / eps**2
+        assert np.array_equal(got_terms[1], d1)
+        assert np.array_equal(got_terms[2], d2)
+        assert got_sums[1] == (w * (float(d1.sum()) / eps**3), w * (float(d2.sum()) / eps**4))
+
+    @pytest.mark.parametrize("size", [
+        1, BLOCK_ELEMENTS - 1, BLOCK_ELEMENTS, BLOCK_ELEMENTS + 1, 3 * BLOCK_ELEMENTS + 7,
+    ])
+    @pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "repeats"])
+    def test_bits_match_the_one_shot_formulas(self, size, repeats):
+        rng = np.random.default_rng([size, repeats])
+        for eps in self.EPS:
+            counts = _regime_counts(rng, eps, size, repeats)
+            mults = rng.integers(1, 6, size).astype(float) if repeats else None
+            scratch = _kernel_scratch(size)
+            mse_total = _mse_sum(counts, eps, mults, scratch)
+            mse_terms = scratch[2].copy()
+            sums = _mse_deps_sums(counts, eps, mults, scratch)
+            self._check((mse_total, sums), (mse_terms, scratch[2], scratch[3]),
+                        counts, eps, 1.0 if mults is None else mults)
+
+            vals, k = np.unique(counts, return_counts=True)
+            level = _Level(counts, 2.5)
+            mse_total = level.mse(eps)
+            mse_terms = level.scratch[2].copy()
+            sums = level.marginal(eps)
+            self._check((mse_total, sums), (mse_terms, level.scratch[2], level.scratch[3]),
+                        vals, eps, k.astype(float), w=2.5)
+
+    def test_terms_sit_at_their_limits_from_x_64(self):
+        # the lemma behind the allocator's saturated suffix; it starts at
+        # 60 because eps * N for N >= 64 / eps can round a hair below 64
+        x = np.concatenate((np.linspace(60.0, 745.0, 200_001),
+                            [np.nextafter(64.0, 0.0), 64.0, np.nextafter(745.0, 0.0)]))
+        t = np.exp(-x)
+        assert np.all(2.0 - (1.0 + x) * t == 2.0)
+        assert np.all(t * ((x + 2.0) * x + 2.0) - 4.0 == -4.0)
+        assert np.all(12.0 - t * (((x + 3.0) * x + 6.0) * x + 6.0) == 12.0)
 
 
 class TestWeightedTotal:

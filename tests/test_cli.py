@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,10 +286,46 @@ class TestBudgetRange:
         assert "is out of range for these counts and weights" in result.stderr
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize("flag,value,weights", [
+        ("--tau", "1e308", "0,1e300"), ("--eps-total", "1e-11", "1e300,1e300"),
+        ("--eps-total", "1e-11", "0,1e300"),
+    ])
+    def test_multiplier_past_the_float_range_exits_3(self, runner, tmp_path, flag, value, weights):
+        tree = tmp_path / "t.csv"
+        tree.write_text("node_id,parent_id,level,count\nr,,1,0.5\nr-1,r,2,0.5\n")
+        result = runner.invoke(
+            main, ["allocate", "--input", str(tree), flag, value, "--weights", weights]
+        )
+        assert result.exit_code == 3
+        name = flag.lstrip("-").replace("-", "_")
+        assert f"error: {name} {float(value)!r} is out of range" in result.stderr
+        assert "lambda would fall outside the float range" in result.stderr
+
     def test_downstream_exits_3(self, runner):
         result = runner.invoke(main, ["downstream", "--blocks", "5,3", "--eps-total", "1e300"])
         assert result.exit_code == 3
         assert "eps_total 1e+300 is out of range" in result.stderr
+
+
+class TestNoOverflowWarning:
+    """eps * N past the float range is clamped like any saturated count,
+    without numpy's overflow warning on the way."""
+
+    @pytest.mark.parametrize("args", [
+        ["skew", "--eps-grid", "1e308"],
+        ["allocate", "--input", "B.csv", "--eps-total", "1e60"],
+    ])
+    def test_no_runtime_warning(self, runner, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "B.csv").write_text(
+            "node_id,parent_id,level,count\nr,,1,1e300\nr-1,r,2,5e299\nr-2,r,2,5e299\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert "RuntimeWarning" not in result.stderr
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestSeedRange:
