@@ -39,6 +39,7 @@ from .hierarchy import (
     Hierarchy,
     LevelStats,
     SynthSpec,
+    _read_hierarchy,
     level_stats,
     parse_hierarchy,
     synth_hierarchy,
@@ -92,7 +93,10 @@ class RunConfig:
 def _read_tree(path: str) -> Hierarchy:
     # the text as written, less any BOM: line ends are the parser's to read
     with open(path, encoding="utf-8-sig", newline="") as f:
-        return parse_hierarchy(f.read())
+        # read in blocks, so the text is never held whole; a text that
+        # needs csv.reader is read twice, which a pipe cannot be, so a
+        # pipe is read whole
+        return _read_hierarchy(f) if f.seekable() else parse_hierarchy(f.read())
 
 
 def _config(

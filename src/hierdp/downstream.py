@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -101,7 +101,8 @@ class MisallocationStats:
     excluded_replicates: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # the fields themselves: asdict would deep-copy every tuple
+        return dict(vars(self))
 
 
 def misallocation_stats(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,7 +54,8 @@ class MomentEstimate:
     replicates: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # the fields themselves: asdict would deep-copy every tuple
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,7 @@ class ReleaseEngine:
         laplace = {}
         for lv in sorted(set().union(*released)):
             if lv not in self.keys:
-                self.keys[lv] = node_keys(self.h.level_ids(lv))
+                self.keys[lv] = node_keys(self.h.level_id_column(lv))
             laplace[lv] = standard_laplace(
                 centered_uniform_matrix(seed, self.keys[lv], rep_lo, rep_hi)
             )

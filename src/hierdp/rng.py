@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 
+from .hierarchy import IdColumn, _utf8
+
 _U64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
@@ -30,15 +32,13 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> _S31)
 
 
-def node_key(node_id: str) -> int:
-    """Stable 64-bit key for a node id."""
-    return int.from_bytes(
-        hashlib.blake2b(node_id.encode("utf-8"), digest_size=8).digest(), "big"
-    )
-
-
 def node_keys(node_ids) -> np.ndarray:
-    return np.array([node_key(i) for i in node_ids], dtype=np.uint64)
+    """Stable 64-bit keys of node ids: the blake2b digest of each id's
+    UTF-8 bytes, read big-endian. An :class:`IdColumn` is hashed from
+    its stored bytes, without decoding them."""
+    utf8 = node_ids.utf8() if isinstance(node_ids, IdColumn) else map(_utf8, node_ids)
+    digests = [hashlib.blake2b(raw, digest_size=8).digest() for raw in utf8]
+    return np.frombuffer(b"".join(digests), dtype=">u8").astype(np.uint64)
 
 
 def _to_unit(out: np.ndarray) -> np.ndarray:

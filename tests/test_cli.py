@@ -391,11 +391,15 @@ class TestPrior:
 
     @pytest.fixture()
     def parses(self, monkeypatch):
+        """The text of each file the command parses, in order."""
         calls = []
-        parse = cli.parse_hierarchy
-        monkeypatch.setattr(
-            cli, "parse_hierarchy", lambda text: calls.append(text) or parse(text)
-        )
+        read = cli._read_hierarchy
+
+        def spy(f):
+            calls.append(f.read())
+            return read(f)
+
+        monkeypatch.setattr(cli, "_read_hierarchy", spy)
         return calls
 
     @staticmethod

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import warnings
 
@@ -101,6 +103,13 @@ class TestMisallocationStats:
         assert stats.variance_pct == 0.0
         assert stats.mse_pct == 0.0
         assert stats.excluded_replicates == 0
+
+    def test_json_dict_is_asdict(self, tract_blocks):
+        noisy = np.random.default_rng(0).poisson(tract_blocks, (1000, len(tract_blocks)))
+        stats = misallocation_stats(tract_blocks, noisy, WeightFunction.LOG)
+        assert json.dumps(stats.to_json_dict(), sort_keys=True) == json.dumps(
+            dataclasses.asdict(stats), sort_keys=True
+        )
 
     def test_replicate_floor(self, tract_blocks):
         with pytest.raises(DomainError):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -34,6 +36,12 @@ class TestMonteCarloMoments:
         assert abs(est.bias_sq - bias(5.0, 0.4) ** 2) <= 4.0 * est.se_bias_sq
         assert abs(est.variance - variance(5.0, 0.4)) <= 4.0 * est.se_variance
         assert abs(est.mse - mse(5.0, 0.4)) <= 4.0 * est.se_mse
+
+    def test_json_dict_is_asdict(self, va_hierarchy):
+        est = monte_carlo_moments(va_hierarchy, uniform_allocation(3, 1.0), 100, seed=5)
+        assert json.dumps(est.to_json_dict(), sort_keys=True) == json.dumps(
+            dataclasses.asdict(est), sort_keys=True
+        )
 
     def test_huge_budget_kills_error(self, va_hierarchy):
         est = monte_carlo_moments(va_hierarchy, uniform_allocation(3, 3e8), 200, seed=2)

@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import io
+import os
 import random
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from hierdp.errors import (
     NegativeCount,
     OrphanNode,
 )
+import hierdp.cli as cli
 import hierdp.hierarchy as hierarchy
 from hierdp.hierarchy import (
     CSV_HEADER,
@@ -242,6 +245,27 @@ class TestErrorPrecedence:
         with pytest.raises(LevelMismatch, match="row 3"):
             parse_hierarchy(HEADER + "A,,1,3\nB,A,99999999999999999999,1\n")
 
+    @pytest.mark.parametrize(
+        "spoil,error,message",
+        [
+            # a leaf renamed to a tract's id
+            (lambda rows: rows.__setitem__(-1, ("r-10", *rows[-1][1:])),
+             DuplicateId, "duplicate node id 'r-10'"),
+            # a leaf whose parent is another leaf
+            (lambda rows: rows.__setitem__(-1, (rows[-1][0], "r-01-02", *rows[-1][2:])),
+             LevelMismatch, "node 'r-40-50' at level 3 under parent 'r-01-02' at level 3"),
+        ],
+        ids=["bottom_id_above", "parent_at_the_bottom"],
+    )
+    def test_bottom_level_searched_in_a_wide_tree(self, spoil, error, message):
+        # 2,000 leaves under 40 tracts: the bottom level is searched, not
+        # scanned, for the ids above it and for a parent at the bottom
+        rows = rows_of(synth_hierarchy(SynthSpec(seed=0, fanouts=(40, 50))))
+        spoil(rows)
+        with pytest.raises(error) as info:
+            tree(rows)
+        assert str(info.value) == message
+
 
 class TestConstructor:
     """``Hierarchy(ids, parent_ids, levels, counts)``: one entry per node,
@@ -252,6 +276,15 @@ class TestConstructor:
         assert h.level_ids(1) == ("a",)
         assert h.level_parents(1).tolist() == [-1]
         assert h == parse_hierarchy(HEADER + "a,,1,3\na-1,a,2,1\na-2,a,2,2\n")
+
+    def test_ids_keep_their_text_and_code_point_order(self):
+        # kept as UTF-8 bytes, whose order is code-point order: a NUL at
+        # the end of an id counts, and a lone surrogate passes through
+        kids = ["a", "a\x00", "a\x00b", "ab", "é", "z", "😀", "\ud800", "\udfff"]
+        for order in (kids, kids[::-1], sorted(kids)):
+            h = Hierarchy(["r", *order], [""] + ["r"] * len(order),
+                          [1] + [2] * len(order), [9.0] + [1.0] * len(order))
+            assert h.level_ids(2) == tuple(sorted(kids))
 
     def test_keeps_its_count_array_read_only(self):
         # input already in node order is not copied
@@ -355,6 +388,12 @@ def _fuzz_text(rng):
     return text
 
 
+def _splits(text):
+    """The split tokenizer's columns of ``text``, or None when the text
+    needs csv.reader."""
+    return hierarchy._split_columns(hierarchy._text_blocks(text))
+
+
 def _any_columns(ids, parent_ids, level_text, count_text):
     """Stands in for the per-block conversion of the split path, and
     accepts any fields."""
@@ -369,7 +408,7 @@ def _split_accepts(text):
     real = hierarchy._columns
     hierarchy._columns = _any_columns
     try:
-        return hierarchy._split_fields(text) is not None
+        return _splits(text) is not None
     finally:
         hierarchy._columns = real
 
@@ -397,7 +436,7 @@ class TestTokenizers:
             twin = text.replace("\n", "\r\n")
             split += _split_accepts(text)
             twin_split += _split_accepts(twin)
-            converted += hierarchy._split_fields(text) is not None
+            converted += _splits(text) is not None
             outcome = outcomes[text] = outcomes[twin] = _outcome(text)
             parsed += isinstance(outcome, Hierarchy)
             assert outcome == _outcome(twin), repr(text)
@@ -408,7 +447,7 @@ class TestTokenizers:
         # the split path converts most of what it cuts
         assert converted > 900
         # the reference: every text and twin read by csv.reader alone
-        monkeypatch.setattr(hierarchy, "_split_fields", lambda text: None)
+        monkeypatch.setattr(hierarchy, "_split_columns", lambda blocks: None)
         for text, outcome in outcomes.items():
             assert _outcome(text) == outcome, repr(text)
 
@@ -455,7 +494,7 @@ class TestTokenizers:
              "nul", "blank_line", "padded_header", "five_field_header"],
     )
     def test_which_tokenizer(self, text, split):
-        assert (hierarchy._split_fields(text) is not None) is split
+        assert (_splits(text) is not None) is split
 
     def test_field_size_limit(self):
         # a line longer than the csv module's field limit may hold a field
@@ -463,7 +502,7 @@ class TestTokenizers:
         limit = csv.field_size_limit()
         for width, split in ((limit - 5, True), (limit - 4, False), (limit, False)):
             text = HEADER + "r" * width + ",,1,3\n"
-            assert (hierarchy._split_fields(text) is not None) is split
+            assert (_splits(text) is not None) is split
             assert parse_hierarchy(text).level_ids(1) == ("r" * width,)
         with pytest.raises(InvalidSpec, match=r"^row 2: field larger than field limit"):
             parse_hierarchy(HEADER + "r" * (limit + 1) + ",,1,3\n")
@@ -506,7 +545,7 @@ class TestTokenizers:
 def _reader_outcome(text, monkeypatch):
     """The outcome of ``text`` read by csv.reader alone."""
     with monkeypatch.context() as m:
-        m.setattr(hierarchy, "_split_fields", lambda text: None)
+        m.setattr(hierarchy, "_split_columns", lambda blocks: None)
         return _outcome(text)
 
 
@@ -548,7 +587,7 @@ class TestBlocks:
         text = HEADER + body
         expected = _reader_outcome(text, monkeypatch)
         monkeypatch.setattr(hierarchy, "_BLOCK_CHARS", chars)
-        assert (hierarchy._split_fields(text) is not None) is split
+        assert (_splits(text) is not None) is split
         assert _outcome(text) == expected
 
     def test_fuzz_texts_whatever_the_block_size(self, monkeypatch):
@@ -561,20 +600,23 @@ class TestBlocks:
 
     def test_siblings_share_one_parent_string(self, monkeypatch):
         monkeypatch.setattr(hierarchy, "_BLOCK_CHARS", 5)
-        ids, parent_ids, *_ = hierarchy._split_fields(HEADER + BLOCK_ROWS)
-        assert parent_ids == ["", "VA", "VA", "VA-100", "VA-100", "VA-100",
-                              "VA-200", "VA-200"]
-        assert len(set(map(id, parent_ids))) == 4
+        columns = _splits(HEADER + BLOCK_ROWS)
+        names = list(columns.names)
+        assert [names[c] for c in columns.codes] == [
+            "", "VA", "VA", "VA-100", "VA-100", "VA-100", "VA-200", "VA-200"
+        ]
+        assert len(names) == 4
 
 
 class TestMemory:
     def test_parse_bytes_per_node(self):
         # tracemalloc counts the bytes Python objects ask for, so the
         # figures do not depend on the allocator or the host. Measured on
-        # this tree (50,201 nodes) with Python 3.11: a parse peak of 264
-        # bytes per node over the text and 82 bytes retained by the
-        # tree, against 361 and 160 when the whole text was split at
-        # once and the tree kept an id index.
+        # this tree (50,201 nodes) with Python 3.11: a parse peak of 65
+        # bytes per node over the text and 34 bytes retained by the
+        # tree, against 264 and 82 when the tree kept a str per id, and
+        # 361 and 160 when the whole text was split at once and the tree
+        # kept an id index.
         text = serialize_hierarchy(synth_hierarchy(SynthSpec(seed=0, fanouts=(200, 250))))
         tracemalloc.start()
         try:
@@ -589,13 +631,13 @@ class TestMemory:
 
     def test_quoted_parse_bytes_per_node(self):
         # the same tree with the first field of every line quoted is read
-        # by csv.reader one record at a time: 192 bytes per node at the
-        # peak with Python 3.11, against 361 when every record was held
-        # at once
+        # by csv.reader one record at a time: 57 bytes per node at the
+        # peak with Python 3.11, against 192 when the tree kept a str per
+        # id and 361 when every record was held at once
         text = serialize_hierarchy(synth_hierarchy(SynthSpec(seed=0, fanouts=(200, 250))))
         quoted = "".join(f'"{nid}",{rest}' for nid, rest in
                          (line.split(",", 1) for line in text.splitlines(keepends=True)))
-        assert hierarchy._split_fields(quoted) is None
+        assert _splits(quoted) is None
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -605,6 +647,144 @@ class TestMemory:
             tracemalloc.stop()
         assert (peak - base) / len(h) < 260
         assert (retained - base) / len(h) < 120
+
+
+    def test_tree_keeps_few_bytes_per_node(self):
+        # one UTF-8 buffer and int64 offsets hold the ids: 34 bytes per
+        # node in all on this tree with Python 3.11, against 82 when
+        # the tree kept a str per id
+        text = serialize_hierarchy(synth_hierarchy(SynthSpec(seed=0, fanouts=(200, 250))))
+        h, retained, _ = _traced(lambda: parse_hierarchy(text))
+        assert retained / len(h) < 45
+
+    def test_read_tree_never_holds_the_text(self, tmp_path):
+        # a released tree (real-valued counts) read back as a prior: the
+        # file is read in blocks, so the parse peaks below the file's
+        # size plus the tree it keeps (5.7 MB against 3.6 + 3.4 MB with
+        # Python 3.11); reading the whole text first peaked at 21 MB
+        h = synth_hierarchy(SynthSpec(seed=0, fanouts=(250, 400)))
+        rng = np.random.default_rng(0)
+        noisy = {lv: h.level_counts(lv) + rng.uniform(0.0, 1.0, len(h.level_ids(lv)))
+                 for lv in range(1, h.depth + 1)}
+        path = tmp_path / "prior.csv"
+        path.write_text(serialize_hierarchy(h, noisy), encoding="utf-8")
+        size = path.stat().st_size
+        assert size > 2 * 2**20
+        tree_read, retained, peak = _traced(lambda: cli._read_tree(str(path)))
+        assert len(tree_read) == len(h)
+        assert peak < size + retained
+
+    def test_one_long_id_costs_only_its_own_bytes(self):
+        # memory follows the bytes of the ids, never the node count times
+        # the longest id (2 GB here): a 1.7 MB peak with Python 3.11,
+        # against 3.6 MB when the tree kept a str per id
+        long_id = "r-" + "z" * 100_000
+        rows = ["r,,1,20001"] + [f"r-{j:05d},r,2,1" for j in range(20_000)]
+        text = HEADER + "\n".join(rows + [f"{long_id},r,2,1"]) + "\n"
+        h, _, peak = _traced(lambda: parse_hierarchy(text))
+        assert h.level_ids(2)[-1] == long_id
+        assert peak < 2.5 * 2**20
+
+
+def _traced(fn):
+    """``fn()``, with the bytes it left allocated and the peak of its
+    allocations, both as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, retained - base, peak - base
+
+
+# plain rows, then a row that needs csv.reader or is faulty
+LATER_FAULTS = [
+    HEADER + "A,,1,3\nB,A,2,3\n" + last
+    for last in ('"C",A,2,1\n', "C\x00,A,2,1\n", "C\r,A,2,1\n", "\n", "C,A,2,x\n",
+                 "C,A,2\n", "C,Z,2,1\n", "B,A,2,1\n", '"C\r\nD",A,2,1\n')
+]
+
+
+def _read_outcome(path):
+    """The tree the CLI reads from ``path``, or the class and message of
+    the error."""
+    try:
+        return cli._read_tree(str(path))
+    except Exception as e:  # compared, not swallowed
+        return type(e), str(e)
+
+
+class TestReadTree:
+    """The CLI reads a file in blocks that end at a line end, and again
+    from the start when the text needs csv.reader. Wherever the blocks
+    end, and whatever a later block first holds, it gets the tree or the
+    error that parse_hierarchy gets from the whole text."""
+
+    @pytest.mark.parametrize("chars", [1, 4, 9])
+    def test_same_as_parse_hierarchy(self, tmp_path, monkeypatch, chars):
+        rng = random.Random(11)
+        texts = ([HEADER + body for _, body, *_ in PRECEDENCE] + LATER_FAULTS
+                 + [_fuzz_text(rng) for _ in range(300)])
+        expected = [_outcome(text) for text in texts]
+        monkeypatch.setattr(hierarchy, "_BLOCK_CHARS", chars)
+        path = tmp_path / "tree.csv"
+        for text, outcome in zip(texts, expected):
+            path.write_text(text, encoding="utf-8", newline="")
+            assert _read_outcome(path) == outcome, repr(text)
+
+    def test_precedence_messages(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hierarchy, "_BLOCK_CHARS", 1)
+        path = tmp_path / "tree.csv"
+        for _, body, error, message in PRECEDENCE:
+            path.write_text(HEADER + body, encoding="utf-8", newline="")
+            assert _read_outcome(path) == (error, message)
+
+    @pytest.mark.parametrize("text", [HEADER + "A,,1,3\nB,A,2,3\n", LATER_FAULTS[0]],
+                             ids=["plain", "quoted_later"])
+    def test_byte_order_mark_dropped_on_every_pass(self, tmp_path, text):
+        path = tmp_path / "tree.csv"
+        path.write_text(text, encoding="utf-8-sig", newline="")
+        assert _read_outcome(path) == _outcome(text)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_pipe_read_whole(self, tmp_path):
+        # a pipe cannot be read a second time, as a text that needs
+        # csv.reader is read
+        fifo = tmp_path / "tree.fifo"
+        os.mkfifo(fifo)
+        text = LATER_FAULTS[0]
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            outcome = _read_outcome(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert outcome == _outcome(text)
+
+
+class TestInOrderCheck:
+    """Node order is checked on the stored bytes, a chunk of ids at a
+    time, against comparing the ids as ``str``."""
+
+    PIECES = ["a", "b", "\x00", "é", "😀", "\ud800", "aaaaaaaa", "aaaaaaaa\x00", "zz"]
+
+    @pytest.mark.parametrize("chunk", [1, 5, hierarchy._CHUNK_IDS])
+    def test_against_str_comparisons(self, monkeypatch, chunk):
+        # small chunks put many pairs across a chunk boundary
+        monkeypatch.setattr(hierarchy, "_CHUNK_IDS", chunk)
+        rng = random.Random(3)
+        for _ in range(300):
+            n = rng.choice([2, 3, 40, 300, 700])
+            ids = ["".join(rng.choices(self.PIECES, k=rng.randrange(4))) for _ in range(n)]
+            for order in (ids, sorted(ids), sorted(set(ids))):
+                same = np.array([rng.random() < 0.9 for _ in order[1:]], dtype=bool)
+                data, lengths = hierarchy._encode(order)
+                expected = all(a < b for a, b, s in zip(order, order[1:], same) if s)
+                got = hierarchy._ascending(data, hierarchy._offsets(lengths), same)
+                assert got is expected, order
 
 
 class TestColumns:

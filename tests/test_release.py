@@ -64,6 +64,21 @@ def _laplace(scale, seed, node_id, replicates):
 
 
 class TestLaplaceSample:
+    def test_keys_hash_the_stored_bytes(self):
+        # a level's keys come from its stored UTF-8 bytes, bit for bit
+        # the keys of its ids as str, a lone surrogate included
+        ids = ["東京", "Zürich", "a-ß", "r-001", "😀", "\ud800"]
+        h = tree([("r", "", 1, 5.0)] + [(nid, "r", 2, 1.0) for nid in ids])
+        expected = [
+            int.from_bytes(
+                hashlib.blake2b(nid.encode("utf-8", "surrogatepass"), digest_size=8).digest(),
+                "big",
+            )
+            for nid in h.level_ids(2)
+        ]
+        assert node_keys(h.level_id_column(2)).tolist() == expected
+        assert node_keys(list(h.level_ids(2))).tolist() == expected
+
     def test_determinism(self):
         assert _laplace(2.0, 5, "node", 1) == _laplace(2.0, 5, "node", 1)
 
