@@ -148,11 +148,21 @@ class _Level:
     __slots__ = ("vals", "mults", "k", "w", "scratch")
 
     def __init__(self, counts: np.ndarray, w: float):
-        vals, mults = np.unique(_check_counts(counts), return_counts=True)
-        self.vals = vals
-        self.k = float(mults.sum())
+        # what np.unique(..., return_counts=True) gives, from one copy
+        # sorted in place and one mask of each value's first place
+        vals = _check_counts(np.array(counts, dtype=float))
+        vals.sort()
+        first = np.empty(vals.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(vals[1:], vals[:-1], out=first[1:])
+        self.k = float(vals.size)
         # every count distinct (a real-valued prior): nothing to weight
-        self.mults = mults.astype(float) if vals.size < self.k else None
+        self.mults = None
+        if not first.all():
+            self.mults = np.diff(np.flatnonzero(first), append=vals.size).astype(float)
+            vals = vals[first]
+        del first
+        self.vals = vals
         self.w = w
         self.scratch = _kernel_scratch(vals.size)
 

@@ -41,7 +41,7 @@ from .hierarchy import (
     SynthSpec,
     _read_hierarchy,
     level_stats,
-    parse_hierarchy,
+    parse_hierarchy,  # kept for callers that parse text here, as perfbench does
     synth_hierarchy,
 )
 from .release import privatize
@@ -91,12 +91,9 @@ class RunConfig:
 
 
 def _read_tree(path: str) -> Hierarchy:
-    # the text as written, less any BOM: line ends are the parser's to read
-    with open(path, encoding="utf-8-sig", newline="") as f:
-        # read in blocks, so the text is never held whole; a text that
-        # needs csv.reader is read twice, which a pipe cannot be, so a
-        # pipe is read whole
-        return _read_hierarchy(f) if f.seekable() else parse_hierarchy(f.read())
+    # the bytes as written: BOM, line ends and encoding are the parser's
+    with open(path, "rb") as f:
+        return _read_hierarchy(f)
 
 
 def _config(

@@ -1,0 +1,459 @@
+"""CSV text into the per-node columns that :class:`hierdp.hierarchy.Hierarchy`
+validates: two tokenizers, one for plain text and one for anything else.
+
+Text is read in blocks that each end at a line end, from a string
+(encoded a block at a time) or from a binary file, so a file's text is
+never held whole. Plain text (no quote, NUL or lone CR) is cut as UTF-8
+bytes with numpy, with no Python object per field: each block's
+delimiters are found through one array view of it, its ids are masked
+straight into one UTF-8 buffer, each run of equal parent fields is
+decoded once into a code in a table of the distinct parent ids, and
+levels and all-digit counts are read from their ASCII digits by
+Horner's rule (other counts through numpy's string cast, which calls
+``float``). Anything else goes to :mod:`csv`, which reads a record at a
+time. Both give the same fields, whitespace stripped as ``str.strip``
+does, so the same tree or the same error.
+
+:func:`hierdp.hierarchy.parse_hierarchy` imports this module on its
+first call, so a process that reads no CSV never loads it.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import math
+from array import array
+from codecs import BOM_UTF8
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .errors import InvalidSpec, LevelMismatch, MissingRoot, NegativeCount
+from .hierarchy import CSV_HEADER, _utf8
+
+# CSV text is read, cut and converted in blocks of about this many bytes
+# of a file, or characters of a string, each ending at a line end
+_BLOCK_SIZE = 1 << 16
+_LEVEL_MAX = np.iinfo(np.int64).max
+# a count of at most this many digits is exact as a float64; a level of
+# at most this many, as an int64
+_COUNT_DIGITS = 15
+_LEVEL_DIGITS = 18
+# other counts are converted through numpy's string cast when no field
+# of the block is wider than this, else one ``float`` call a field
+_CAST_WIDTH = 40
+
+
+def text_columns(text: str) -> list:
+    """The columns of CSV text given as a string, encoded a block at a
+    time with lone surrogates passed through."""
+    return _read_columns(partial(_text_blocks, text), "surrogatepass")
+
+
+def file_columns(f) -> list:
+    """The columns of the UTF-8 text of ``f``, a binary file, less a
+    leading byte order mark: a seekable file read in blocks, and again
+    from the start if it needs :mod:`csv`; any other file read whole."""
+    if f.seekable():
+        blocks = partial(_file_blocks, f)
+    else:
+        raw = f.read()
+        blocks = partial(_byte_blocks, raw[len(BOM_UTF8):] if raw.startswith(BOM_UTF8) else raw)
+    return _read_columns(blocks, "strict")
+
+
+def _read_columns(blocks: Callable[[], Iterable[bytes]], errors: str) -> list:
+    """The columns (see :meth:`_Columns.finish`) of the UTF-8 text that
+    each call of ``blocks`` yields afresh, in blocks that end at a line
+    end, decoded with the ``errors`` handler: cut by
+    :func:`_byte_columns` if it can be, else read by :mod:`csv`."""
+    columns = _byte_columns(blocks(), errors)
+    if columns is None:
+        columns = _reader_columns(blocks(), errors)
+    return columns.finish()
+
+
+def _line_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """The bytes of ``chunks`` regrouped into blocks that each end at a
+    line end (LF), but the last, which ends with the bytes."""
+    rest = b""
+    for chunk in chunks:
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield rest + chunk[:cut]
+            rest = chunk[cut:]
+        else:
+            rest += chunk
+    if rest:
+        yield rest
+
+
+def _byte_blocks(raw: bytes) -> Iterator[bytes]:
+    size = _BLOCK_SIZE
+    return _line_blocks(raw[i : i + size] for i in range(0, len(raw), size))
+
+
+def _text_blocks(text: str) -> Iterator[bytes]:
+    # each piece encoded on its own gives the bytes of the whole text:
+    # lone surrogates are encoded one by one, never paired
+    size = _BLOCK_SIZE
+    return _line_blocks(_utf8(text[i : i + size]) for i in range(0, len(text), size))
+
+
+def _file_blocks(f) -> Iterator[bytes]:
+    f.seek(0)
+    if f.read(len(BOM_UTF8)) != BOM_UTF8:
+        f.seek(0)
+    return _line_blocks(iter(partial(f.read, _BLOCK_SIZE), b""))
+
+
+class _Columns:
+    """Per-node columns as a tokenizer reads them, in input order: each
+    id appended to one UTF-8 buffer, each parent id as its code in the
+    table of distinct parent ids, levels and counts. No id string
+    outlives the block it was read in."""
+
+    def __init__(self):
+        self.data = bytearray()
+        self.offsets = array("q", [0])
+        self.names: dict[str, int] = {}
+        self.codes = array("q")
+        self.levels = array("q")
+        self.counts = array("d")
+
+    def append(self, nid: str, pid: str, level: int, count: float) -> None:
+        self.data += _utf8(nid)
+        self.offsets.append(len(self.data))
+        self.codes.append(self.names.setdefault(pid, len(self.names)))
+        self.levels.append(level)
+        self.counts.append(count)
+
+    def extend(self, data, lengths, codes, levels, counts) -> None:
+        """Append rows: their ids' bytes joined, each id's length, and
+        arrays of parent codes, levels and counts."""
+        self.offsets.frombytes((np.cumsum(lengths) + len(self.data)).tobytes())
+        self.data += memoryview(data)
+        self.codes.frombytes(codes.tobytes())
+        self.levels.frombytes(levels.tobytes())
+        self.counts.frombytes(counts.tobytes())
+
+    def finish(self) -> list:
+        """The columns, in the order :meth:`Hierarchy._of_columns`
+        takes them: the id buffer, its offsets, the table of parent ids,
+        the parent codes, levels and counts."""
+        return [
+            bytes(self.data),
+            np.frombuffer(self.offsets, dtype=np.int64),
+            self.names,
+            np.frombuffer(self.codes, dtype=np.int64),
+            np.frombuffer(self.levels, dtype=np.int64),
+            np.frombuffer(self.counts, dtype=float),
+        ]
+
+
+def _byte_columns(blocks: Iterable[bytes], errors: str) -> Optional[_Columns]:
+    """The columns of plain CSV text given as UTF-8 blocks that end at a
+    line end, or None when the text needs :mod:`csv`: it holds a quote,
+    a NUL or a CR that does not start a CRLF line end, it is not UTF-8
+    under the ``errors`` handler, its header is not :data:`CSV_HEADER`,
+    a data line does not hold exactly four fields or exceeds the csv
+    module's field size limit, or a row is blank or malformed. Each
+    block is cut by :func:`_cut` and converted by :func:`_convert`, so
+    no block's fields outlive it."""
+    limit = csv.field_size_limit()
+    columns = _Columns()
+    header = True
+    for block in blocks:
+        if b'"' in block or b"\x00" in block:
+            return None
+        if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+            return None
+        if not block.isascii():
+            try:
+                block.decode("utf-8", errors)
+            except UnicodeDecodeError:
+                return None
+        if header:
+            header = False
+            head = block.find(b"\n")
+            if head < 0:
+                head = len(block)
+            if head > limit:
+                return None
+            names = block[:head].decode("utf-8", errors).split(",")
+            if [h.strip() for h in names] != CSV_HEADER:
+                return None
+            block = block[head + 1 :]
+            if not block:
+                continue
+        fields = _cut(block, errors, limit)
+        if fields is None or not _convert(columns, block, *fields, errors):
+            return None
+    return None if header else columns
+
+
+def _cut(block: bytes, errors: str, limit: int):
+    """The bytes of ``block``, whole data lines, as a numpy view, and the
+    bounds [lo, hi) of its stripped fields as two arrays of four rows,
+    one per column; or None when a line does not hold exactly three
+    commas or is longer than ``limit`` bytes."""
+    size = len(block) - block.endswith(b"\n")
+    a = np.frombuffer(block, dtype=np.uint8, count=size)
+    delims = np.flatnonzero((a == 44) | (a == 10))
+    rows = (len(delims) + 1) // 4
+    # every fourth delimiter is a line end, and only those are
+    ends = a[delims] == 10
+    if len(delims) != 4 * rows - 1 or np.count_nonzero(ends) != rows - 1 or not ends[3::4].all():
+        return None
+    del ends
+    lo = np.empty(4 * rows, dtype=np.int64)
+    lo[0] = 0
+    lo[1:] = delims + 1
+    hi = np.empty(4 * rows, dtype=np.int64)
+    hi[:-1] = delims
+    hi[-1] = size
+    del delims
+    if int((hi[3::4] - lo[0::4]).max()) > limit:
+        return None
+    _strip(block, a, lo, hi, errors)
+    return a, lo.reshape(rows, 4).T, hi.reshape(rows, 4).T
+
+
+def _convert(columns: _Columns, block: bytes, a: np.ndarray, lo: np.ndarray,
+             hi: np.ndarray, errors: str) -> bool:
+    """Append the rows whose fields :func:`_cut` found in ``block`` to
+    ``columns``; or False when a row is blank or malformed. Ids are
+    masked out of the bytes, parent ids decoded once per run of equal
+    fields, and levels and counts read from their digits."""
+    (id_lo, pid_lo, level_lo, count_lo), (id_hi, pid_hi, level_hi, count_hi) = lo, hi
+    if not (id_lo < id_hi).all():
+        return False
+    levels = _numbers(block, a, level_lo, level_hi, _LEVEL_DIGITS, np.int64, errors)
+    if levels is None or (levels < 1).any():
+        return False
+    counts = _numbers(block, a, count_lo, count_hi, _COUNT_DIGITS, float, errors)
+    if counts is None or not (np.isfinite(counts) & (counts >= 0)).all():
+        return False
+    columns.extend(
+        _field_bytes(a, id_lo, id_hi), id_hi - id_lo,
+        _parent_codes(columns.names, block, a, pid_lo, pid_hi, errors), levels, counts,
+    )
+    return True
+
+
+def _is_space(b: np.ndarray) -> np.ndarray:
+    """Which of the bytes ``b`` are ASCII whitespace to ``str.strip``:
+    9 to 13 and 28 to 32 (the subtractions wrap around)."""
+    return ((b - np.uint8(9)) <= 4) | ((b - np.uint8(28)) <= 4)
+
+
+def _strip(block: bytes, a: np.ndarray, lo: np.ndarray, hi: np.ndarray, errors: str) -> None:
+    """Move the bounds [lo, hi) of fields in ``a``, the bytes of
+    ``block``, in past the whitespace ``str.strip`` removes. Only a
+    field with an edge byte below ``!`` or past ASCII is looked at: one
+    ASCII whitespace byte at each edge is dropped in numpy, and a field
+    still padded, or with a non-ASCII byte at an edge, is decoded and
+    stripped as ``str``."""
+    last = len(a) - 1
+    # bytes 0 to 32 and 128 to 255 wrap to 95 and up
+    odd = ((a[np.minimum(lo, last)] - np.uint8(33)) >= 95) | ((a[hi - 1] - np.uint8(33)) >= 95)
+    at = np.flatnonzero(odd & (lo < hi))
+    if not len(at):
+        return
+    start, end = lo[at], hi[at]
+    start += (start < end) & _is_space(a[np.minimum(start, last)])
+    end -= (start < end) & _is_space(a[end - 1])
+    first, final = a[np.minimum(start, last)], a[end - 1]
+    odd = _is_space(first) | _is_space(final) | (first >= 128) | (final >= 128)
+    for i in np.flatnonzero((start < end) & odd).tolist():
+        text = block[start[i] : end[i]].decode("utf-8", errors)
+        body = text.strip()
+        start[i] += len(_utf8(text[: len(text) - len(text.lstrip())]))
+        end[i] = start[i] + len(_utf8(body))
+    lo[at], hi[at] = start, end
+
+
+def _field_bytes(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The bytes of the fields [lo, hi) of ``a``, in order and apart,
+    joined. Fields and the gaps between them are masked by runs of
+    bools, so no index is made per byte."""
+    if not len(lo):
+        return a[:0]
+    runs = np.empty(2 * len(lo), dtype=np.int64)
+    runs[0::2] = lo
+    runs[2::2] -= hi[:-1]
+    runs[1::2] = hi - lo
+    return a[: hi[-1]][np.repeat(np.tile(np.array([False, True]), len(lo)), runs)]
+
+
+def _parent_codes(names: dict, block: bytes, a: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray, errors: str) -> np.ndarray:
+    """Each row's parent code (its parent id's place in ``names``, the
+    distinct parent ids in the order first seen), from its
+    stripped parent field [lo, hi) of ``a``, the bytes of ``block``:
+    each field as wide as the row before's is compared with it in
+    numpy, and each run of equal fields decoded once."""
+    width = hi - lo
+    wide = width[1:] == width[:-1]
+    same = np.zeros(len(lo), dtype=bool)
+    same[1:] = wide & (width[1:] == 0)
+    # fields as wide as the row before's, compared byte by byte
+    pairs = 1 + np.flatnonzero(wide & (width[1:] > 0))
+    if len(pairs):
+        differ = _field_bytes(a, lo[pairs], hi[pairs]) != _field_bytes(a, lo[pairs - 1], hi[pairs - 1])
+        n = width[pairs]
+        same[pairs] = ~np.logical_or.reduceat(differ, np.cumsum(n) - n)
+    runs = np.flatnonzero(~same)
+    codes = [
+        names.setdefault(block[i:j].decode("utf-8", errors), len(names))
+        for i, j in zip(lo[runs].tolist(), hi[runs].tolist())
+    ]
+    return np.repeat(np.array(codes, dtype=np.int64), np.diff(runs, append=len(lo)))
+
+
+def _numbers(block: bytes, a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+             digits: int, dtype, errors: str) -> Optional[np.ndarray]:
+    """The numbers in the stripped fields [lo, hi) of ``a``, the bytes of
+    ``block``, as ``dtype`` (np.int64 levels, float counts); or None
+    when a field is not one, as ``int`` or ``float`` reads it, or a
+    level is outside 1 to the int64 maximum. When every field is 1 to
+    ``digits`` ASCII digits, all are read by Horner's rule; else every
+    level is read by ``int``, and every count by :func:`_text_counts`."""
+    width = hi - lo
+    if 1 <= width.min() and width.max() <= digits:
+        value = np.zeros(len(lo), dtype=dtype)
+        stray = np.zeros(len(lo), dtype=bool)
+        narrowest = int(width.min())
+        # the digits right-aligned, most significant first; a position
+        # before the block's start wraps to its end, and is masked
+        for k in range(int(width.max()), 0, -1):
+            digit = a[hi - k] - np.uint8(48)
+            if k > narrowest:
+                digit[width < k] = 0
+            stray |= digit > 9
+            value *= 10
+            value += digit
+        if not stray.any():
+            return value
+    if dtype is float:
+        return _text_counts(block, a, lo, hi, errors)
+    texts = map(block.__getitem__, map(slice, lo.tolist(), hi.tolist()))
+    try:
+        levels = [int(t.decode("utf-8", errors)) for t in texts]
+    except ValueError:
+        return None
+    if not 1 <= min(levels) <= max(levels) <= _LEVEL_MAX:
+        return None
+    return np.array(levels, dtype=np.int64)
+
+
+def _text_counts(block: bytes, a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 errors: str) -> Optional[np.ndarray]:
+    """The counts in the fields [lo, hi) of ``a``, the bytes of
+    ``block``, as ``float`` reads each field; or None when one is not a
+    number. The fields go through numpy's string cast, which calls
+    ``float`` on each, and one by one through ``float`` if the cast
+    fails (it reads ASCII only) or a field is wider than
+    :data:`_CAST_WIDTH`."""
+    width = hi - lo
+    if not width.min():
+        return None
+    widest = int(width.max())
+    if widest <= _CAST_WIDTH:
+        # each field and the bytes after it, up to the widest field, with
+        # those bytes zeroed: numpy's 'S' drops trailing NULs
+        padded = np.zeros(len(a) + widest, dtype=np.uint8)
+        padded[: len(a)] = a
+        cells = sliding_window_view(padded, widest)[lo]
+        np.multiply(cells, np.arange(widest) < width[:, None], out=cells)
+        try:
+            return cells.view(f"S{widest}").ravel().astype(float)
+        except ValueError:
+            pass
+    texts = map(block.__getitem__, map(slice, lo.tolist(), hi.tolist()))
+    try:
+        return np.array([float(t.decode("utf-8", errors)) for t in texts], dtype=float)
+    except ValueError:
+        return None
+
+
+def _lines(blocks: Iterable[bytes], errors: str) -> Iterator[str]:
+    """The lines of UTF-8 ``blocks`` that end at a line end, decoded with
+    the ``errors`` handler; a block that is not UTF-8 yields the lines
+    before its first bad byte, then raises UnicodeDecodeError."""
+    for block in blocks:
+        try:
+            text = block.decode("utf-8", errors)
+        except UnicodeDecodeError as e:
+            good = block.rfind(b"\n", 0, e.start) + 1
+            # a string's lines end at LF only, so a lone CR stays inside its line
+            yield from io.StringIO(block[:good].decode("utf-8", errors))
+            raise
+        yield from io.StringIO(text)
+
+
+def _reader_columns(blocks: Iterable[bytes], errors: str) -> _Columns:
+    """The columns of CSV text given as UTF-8 blocks that end at a line
+    end, read by :mod:`csv` one record at a time. Blank rows are
+    skipped; the first faulty record in row order (bytes that are not
+    UTF-8, one the csv module cannot read, a bad header, a malformed
+    data row) raises an error naming its row."""
+    columns = _Columns()
+    records = enumerate(csv.reader(_lines(blocks, errors)), start=1)
+    row = 0
+    try:
+        row, header = next(records, (0, None))
+        if header is None:
+            raise MissingRoot("empty CSV input")
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise InvalidSpec(
+                f"bad header {header!r}; expected {','.join(CSV_HEADER)}"
+            )
+        for row, record in records:
+            if len(record) != 4:
+                if any(map(str.strip, record)):
+                    raise InvalidSpec(f"row {row}: expected 4 fields, got {len(record)}")
+                continue
+            nid, pid, level_s, count_s = map(str.strip, record)
+            if not nid:
+                if pid or level_s or count_s:
+                    raise InvalidSpec(f"row {row}: empty node_id")
+                continue
+            try:
+                level = int(level_s)
+            except ValueError:
+                raise LevelMismatch(
+                    f"row {row} ({nid!r}): level {level_s!r} is not an integer"
+                ) from None
+            if level < 1:
+                raise LevelMismatch(f"row {row} ({nid!r}): level must be >= 1")
+            if level > _LEVEL_MAX:
+                raise LevelMismatch(f"row {row} ({nid!r}): level {level} is out of range")
+            try:
+                count = float(count_s)
+            except ValueError:
+                raise NegativeCount(
+                    f"row {row} ({nid!r}): count {count_s!r} is not a number"
+                ) from None
+            if count < 0 or not math.isfinite(count):
+                raise NegativeCount(
+                    f"row {row} ({nid!r}): count must be a nonnegative real, "
+                    f"got {count_s}"
+                )
+            columns.append(nid, pid, level, count)
+    except csv.Error as e:
+        # text read from a string splits lines at LF only, so an unquoted
+        # newline is a CR that no LF follows
+        message = str(e)
+        if message.startswith("new-line character seen in unquoted field"):
+            message = (
+                "lone carriage return (a CR with no LF after it) outside quotes; "
+                "end lines with LF or CRLF"
+            )
+        raise InvalidSpec(f"row {row + 1}: {message}") from None
+    except UnicodeDecodeError as e:
+        raise InvalidSpec(f"row {row + 1}: not UTF-8 text ({e.reason})") from None
+    return columns

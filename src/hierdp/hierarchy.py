@@ -12,28 +12,22 @@ ids, counts and parent links are slices. Ids are decoded to ``str``
 only on demand. Instances are immutable after construction and safe to
 share across workers.
 
-CSV text is read in blocks that each end at a line end, from a string
-or from an open file, so a file's text is never held whole. Each node's
-id is appended to one UTF-8 buffer as its block is read, and each parent
-id becomes a code into a table of the distinct parent ids, so no id
-string outlives its block. Ids are encoded as UTF-8 with lone
-surrogates passed through: the byte order of that encoding is the
-code-point order of ``str``, so sorting the bytes sorts the ids as
-Python does.
+CSV text is read into these columns by :mod:`hierdp.csvread`. Ids are
+encoded as UTF-8 with lone surrogates passed through: the byte order of
+that encoding is the code-point order of ``str``, so sorting the bytes
+sorts the ids as Python does. Ids are compared and sorted as big-endian
+8-byte words, and as ``bytes`` only where words tie.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 import operator
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, compress, islice, repeat
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from itertools import chain, islice, repeat
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -52,12 +46,13 @@ CSV_HEADER = ["node_id", "parent_id", "level", "count"]
 # parent index of the root, and of a node whose parent id is unknown
 _ROOT = -1
 _ORPHAN = -2
-_LEVEL_MAX = np.iinfo(np.int64).max
-# CSV text is read, split and converted in blocks of about this many
-# characters, each ending at a line end
-_BLOCK_CHARS = 1 << 16
 # stored ids are compared and looked up as bytes this many at a time
 _CHUNK_IDS = 1 << 12
+# ids are compared as this many 8-byte words before they are compared
+# as bytes
+_WORD_ROUNDS = 4
+# the first k bytes of a big-endian word, for k = 0..8
+_WORD_MASKS = np.array([(1 << 64) - (1 << 8 * (8 - k)) for k in range(9)], dtype=np.uint64)
 
 
 def _utf8(text: str) -> bytes:
@@ -106,15 +101,107 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
     return offsets
 
 
+def _words(data: bytes, at: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 8 bytes of ``data`` from each of ``at`` as a big-endian word,
+    with the bytes past the id's end zeroed, where ``left`` bytes of the
+    id remain; and ``left`` clipped to 0..9, 9 for an id that runs on
+    past the word. Two ids order as their (word, rest) keys do, word by
+    word, while the words tie and both ids run on."""
+    words = np.zeros(len(at), dtype=np.uint64)
+    whole = at <= len(data) - 8
+    if whole.any():
+        # every 8 bytes of the buffer, one word per byte offset
+        view = np.ndarray((len(data) - 7,), dtype=">u8", buffer=data, strides=(1,))
+        words[whole] = view[at[whole]]
+    for i in np.flatnonzero(~whole).tolist():
+        words[i] = int.from_bytes(data[at[i] : at[i] + 8].ljust(8, b"\0"), "big")
+    rest = np.minimum(np.maximum(left, 0), 9)
+    return words & _WORD_MASKS[np.minimum(rest, 8)], rest
+
+
 def _ascending(data: bytes, offsets: np.ndarray, same: np.ndarray) -> bool:
     """Whether each id is below the next one wherever ``same`` marks the
-    pair, compared as ``bytes`` a chunk of ids at a time."""
+    pair, a chunk of ids at a time: compared as 8-byte words, and as
+    ``bytes`` only where :data:`_WORD_ROUNDS` words tie."""
     for lo in range(0, len(same), _CHUNK_IDS):
-        pairs = same[lo : lo + _CHUNK_IDS].tolist()
-        ids = _slices(data, offsets[lo : lo + len(pairs) + 2])
-        if not all(map(operator.lt, compress(ids, pairs), compress(islice(ids, 1, None), pairs))):
+        pairs = lo + np.flatnonzero(same[lo : lo + _CHUNK_IDS])
+        start, mid, end = offsets[pairs], offsets[pairs + 1], offsets[pairs + 2]
+        for skip in range(0, 8 * _WORD_ROUNDS, 8):
+            if not len(start):
+                break
+            a, ra = _words(data, start + skip, mid - start - skip)
+            b, rb = _words(data, mid + skip, end - mid - skip)
+            tie = (a == b) & (ra == 9) & (rb == 9)
+            if not ((a < b) | ((a == b) & (ra < rb)) | tie).all():
+                return False
+            start, mid, end = start[tie], mid[tie], end[tie]
+        # what follows the tied words
+        skip = 8 * _WORD_ROUNDS
+        mid = mid.tolist()
+        firsts = map(data.__getitem__, map(slice, (start + skip).tolist(), mid))
+        seconds = map(data.__getitem__, map(slice, [m + skip for m in mid], end.tolist()))
+        if not all(map(operator.lt, firsts, seconds)):
             return False
     return True
+
+
+def _id_order(data: bytes, offsets: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Node positions in level-then-id order, ties in input order: ids
+    sorted as 8-byte words, and as ``bytes`` only within the runs that
+    :data:`_WORD_ROUNDS` words leave tied."""
+    word, rest = _words(data, offsets[:-1], np.diff(offsets))
+    rest = rest.astype(np.int8)
+    order = np.lexsort((rest, word, levels))
+    run, word, rest = levels[order], word[order], rest[order]
+    # the positions in ``order`` still tied with a neighbour (None for
+    # all), and a key the same along each tied run, growing run by run;
+    # each array is let go as soon as it is spent, so that only a few
+    # arrays of one word a node are alive at once
+    at = None
+    for skip in range(8, 8 * _WORD_ROUNDS + 8, 8):
+        tie = (run[1:] == run[:-1]) & (word[1:] == word[:-1]) & (rest[1:] == 9) & (rest[:-1] == 9)
+        del word, rest
+        kept = np.zeros(len(run), dtype=bool)
+        kept[1:] = tie
+        kept[:-1] |= tie
+        run = np.cumsum(np.concatenate(([True], ~tie)))[kept]
+        del tie
+        at = np.flatnonzero(kept) if at is None else at[kept]
+        del kept
+        if not len(at):
+            return order
+        if skip == 8 * _WORD_ROUNDS:
+            break
+        ids = order[at]
+        start = offsets[ids]
+        word, rest = _words(data, start + skip, offsets[ids + 1] - start - skip)
+        del start
+        by = np.lexsort((rest, word, run))
+        order[at] = ids[by]
+        del ids
+        word, rest = word[by], rest[by]
+    # each run still tied, sorted by the bytes that follow its words
+    cuts = np.flatnonzero(np.diff(run)) + 1
+    for lo, hi in zip(at[np.concatenate(([0], cuts))].tolist(),
+                      (at[np.append(cuts, len(at)) - 1] + 1).tolist()):
+        ids = order[lo:hi].tolist()
+        tails = {i: data[offsets[i] + skip : offsets[i + 1]] for i in ids}
+        order[lo:hi] = sorted(ids, key=tails.__getitem__)
+    return order
+
+
+def _gather(data: bytes, offsets: np.ndarray, order: np.ndarray) -> bytearray:
+    """The ids ``data`` holds, in ``order``, copied one by one into one
+    buffer, so that no id is held as an object of its own."""
+    out = bytearray(len(data))
+    view = memoryview(data)
+    at = 0
+    for lo in range(0, len(order), _CHUNK_IDS):
+        ids = order[lo : lo + _CHUNK_IDS]
+        for start, end in zip(offsets[ids].tolist(), offsets[ids + 1].tolist()):
+            out[at : at + end - start] = view[start:end]
+            at += end - start
+    return out
 
 
 class IdColumn:
@@ -177,23 +264,27 @@ class Hierarchy:
     def __init__(self, ids, parent_ids, levels, counts):
         data, lengths = _encode(ids)
         names: dict = {}
-        self._validate(
+        self._validate([
             data, _offsets(lengths), names, _codes(names, parent_ids),
             np.asarray(levels, dtype=np.int64), np.asarray(counts, dtype=float),
-        )
+        ])
 
     @classmethod
-    def _of_columns(cls, data, offsets, names, codes, levels, counts) -> Hierarchy:
+    def _of_columns(cls, columns: list) -> Hierarchy:
         tree = cls.__new__(cls)
-        tree._validate(data, offsets, names, codes, levels, counts)
+        tree._validate(columns)
         return tree
 
-    def _validate(self, data, offsets, names, codes, levels, counts) -> None:
-        """Check and store the tree, one node per entry in input order:
-        the ids as UTF-8 ``data`` cut by ``offsets``, each parent id as
-        its code in ``names`` (a dict of the distinct parent ids, in code
-        order), levels and counts. The one validator, whether the tree
-        comes from a tokenizer or from lists."""
+    def _validate(self, columns: list) -> None:
+        """Check and store the tree, one node per entry in input order.
+        ``columns`` holds the ids as UTF-8 ``data`` cut by ``offsets``,
+        each parent id as its code in ``names`` (a dict of the distinct
+        parent ids, in code order), levels and counts; it is emptied, so
+        that a column sorted here frees the one it replaces. The one
+        validator, whether the tree comes from a tokenizer or from
+        lists."""
+        data, offsets, names, codes, levels, counts = columns
+        columns.clear()
         n = len(offsets) - 1
         if n == 0:
             raise MissingRoot("hierarchy has no nodes")
@@ -205,21 +296,18 @@ class Hierarchy:
         )
         if in_order:
             order = None
-            sorted_levels = levels
             repeats = False
         else:
-            keys = _slices(data, offsets)
-            order = np.array(sorted(range(n), key=keys.__getitem__), dtype=np.intp)
-            order = order[np.argsort(levels[order], kind="stable")]
-            keys = list(map(keys.__getitem__, order.tolist()))
-            data = b"".join(keys)
+            order = _id_order(data, offsets, levels)
+            # each sorted column frees the one it replaces
+            sorted_ids = _gather(data, offsets, order)
+            data = None
+            data = bytes(sorted_ids)
+            del sorted_ids
             offsets = _offsets(np.diff(offsets)[order])
-            sorted_levels = levels[order]
-            same = (np.diff(sorted_levels) == 0).tolist()
-            repeats = any(
-                map(operator.eq, compress(keys, same), compress(islice(keys, 1, None), same))
-            )
-            del keys, same
+            levels = levels[order]
+            # sorted ids ascend strictly within a level unless one repeats
+            repeats = not _ascending(data, offsets, levels[1:] == levels[:-1])
 
         ids = IdColumn(data, offsets)
 
@@ -230,7 +318,7 @@ class Hierarchy:
         # a valid tree names only nodes above its bottom level as parents,
         # so only they are indexed; an id that repeats does so within a
         # level, at two levels above the bottom, or above and at the bottom
-        above = int(np.searchsorted(sorted_levels, sorted_levels[-1]))
+        above = int(np.searchsorted(levels, levels[-1]))
         index = dict(zip(_slices(data, offsets[: above + 1]), range(above)))
         bottom = IdColumn(data, offsets[above:])
         repeats = repeats or len(index) < above or bottom.meets(index)
@@ -249,7 +337,8 @@ class Hierarchy:
                 seen.add(nid)
 
         if not in_order:
-            levels, codes, counts = sorted_levels, codes[order], counts[order]
+            codes = codes[order]
+            counts = counts[order]
         names = list(names)
         is_root = np.fromiter(map(operator.not_, names), dtype=bool, count=len(names))
         found = np.array(
@@ -401,224 +490,28 @@ def parse_hierarchy(csv_text: str) -> Hierarchy:
     offending node.
 
     Plain text (no quote, NUL or lone CR, four fields on every line) is
-    cut into columns with ``str.split``; anything else, and plain text
-    with a blank or malformed row, is read by :mod:`csv`. Both give the
-    same fields.
+    cut into columns as UTF-8 bytes with numpy; anything else, and plain
+    text with a blank or malformed row, is read by :mod:`csv`. Both give
+    the same fields (see :mod:`hierdp.csvread`).
     """
-    return Hierarchy._of_columns(*_read_columns(lambda: _text_blocks(csv_text)))
+    # the tokenizers are loaded by the first parse: where no bytecode is
+    # cached, every start compiles each module it imports, and a process
+    # that reads no CSV need not compile them
+    from .csvread import text_columns
+
+    return Hierarchy._of_columns(text_columns(csv_text))
 
 
 def _read_hierarchy(f) -> Hierarchy:
-    """:func:`parse_hierarchy` of the text of ``f``, a seekable text
-    file, read in blocks so that the text is never held whole; it is
-    read a second time, from the start, if it needs :mod:`csv`."""
-    return Hierarchy._of_columns(*_read_columns(lambda: _file_blocks(f)))
+    """:func:`parse_hierarchy` of the UTF-8 text of ``f``, a binary
+    file, less a leading byte order mark. A seekable file is read in
+    blocks, so that its text is never held whole, and read a second
+    time, from the start, if it needs :mod:`csv`; any other file is read
+    whole. Bytes that are not UTF-8 raise :class:`InvalidSpec` naming
+    their row."""
+    from .csvread import file_columns
 
-
-def _read_columns(blocks: Callable[[], Iterable[str]]) -> tuple:
-    """The columns (see :meth:`_Columns.finish`) of the CSV text that
-    each call of ``blocks`` yields afresh, in blocks that end at a line
-    end: cut by ``str.split`` if it can be, else read by :mod:`csv`."""
-    columns = _split_columns(blocks())
-    if columns is None:
-        columns = _reader_columns(blocks())
-    return columns.finish()
-
-
-def _line_blocks(chunks: Iterable[str]) -> Iterator[str]:
-    """The text of ``chunks`` regrouped into blocks that each end at a
-    line end (LF), but the last, which ends with the text."""
-    rest = ""
-    for chunk in chunks:
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            yield rest + chunk[:cut]
-            rest = chunk[cut:]
-        else:
-            rest += chunk
-    if rest:
-        yield rest
-
-
-def _text_blocks(text: str) -> Iterator[str]:
-    size = _BLOCK_CHARS
-    return _line_blocks(text[i : i + size] for i in range(0, len(text), size))
-
-
-def _file_blocks(f) -> Iterator[str]:
-    f.seek(0)
-    return _line_blocks(iter(partial(f.read, _BLOCK_CHARS), ""))
-
-
-class _Columns:
-    """Per-node columns as a tokenizer reads them, in input order: each
-    id appended to one UTF-8 buffer, each parent id as its code in the
-    table of distinct parent ids, levels and counts. No id string
-    outlives the block it was read in."""
-
-    def __init__(self):
-        self.data = bytearray()
-        self.offsets = array("q", [0])
-        self.names: dict[str, int] = {}
-        self.codes = array("q")
-        self.levels = array("q")
-        self.counts = array("d")
-
-    def append(self, nid: str, pid: str, level: int, count: float) -> None:
-        self.data += _utf8(nid)
-        self.offsets.append(len(self.data))
-        self.codes.append(self.names.setdefault(pid, len(self.names)))
-        self.levels.append(level)
-        self.counts.append(count)
-
-    def extend(self, ids, parent_ids, levels: np.ndarray, counts: np.ndarray) -> None:
-        data, lengths = _encode(ids)
-        self.offsets.frombytes((np.cumsum(lengths) + len(self.data)).tobytes())
-        self.data += data
-        self.codes.frombytes(_codes(self.names, parent_ids).tobytes())
-        self.levels.frombytes(levels.tobytes())
-        self.counts.frombytes(counts.tobytes())
-
-    def finish(self) -> tuple:
-        """The columns, in the order :meth:`Hierarchy._of_columns`
-        takes them: the id buffer, its offsets, the table of parent ids,
-        the parent codes, levels and counts."""
-        return (
-            bytes(self.data),
-            np.frombuffer(self.offsets, dtype=np.int64),
-            self.names,
-            np.frombuffer(self.codes, dtype=np.int64),
-            np.frombuffer(self.levels, dtype=np.int64),
-            np.frombuffer(self.counts, dtype=float),
-        )
-
-
-def _split_columns(blocks: Iterable[str]) -> Optional[_Columns]:
-    """The columns of plain CSV text given in blocks that end at a line
-    end, or None when the text needs :mod:`csv`: it holds a quote, a NUL
-    or a CR that does not start a CRLF line end, its header is not
-    :data:`CSV_HEADER`, a data line does not hold exactly four fields or
-    exceeds the csv module's field size limit, or a row is blank or
-    malformed. Each block's lines are cut with ``str.split`` and
-    converted by :func:`_columns`, so no block's raw fields outlive it.
-    A CRLF line end leaves its CR on the count field, which ``float``
-    ignores."""
-    limit = csv.field_size_limit()
-    columns = _Columns()
-    header = True
-    for block in blocks:
-        if '"' in block or "\x00" in block or block.count("\r") != block.count("\r\n"):
-            return None
-        if header:
-            header = False
-            head = block.find("\n")
-            if head < 0:
-                head = len(block)
-            if head > limit or [h.strip() for h in block[:head].split(",")] != CSV_HEADER:
-                return None
-            block = block[head + 1 :]
-            if not block:
-                continue
-        # the block's lines, less the line end of the last
-        text = block[:-1] if block.endswith("\n") else block
-        del block
-        lines = text.split("\n")
-        if len(text) > limit and max(map(len, lines)) > limit:
-            return None
-        if set(map(str.count, lines, repeat(","))) - {3}:
-            return None
-        del lines
-        flat = text.replace("\n", ",").split(",")
-        del text
-        fields = _columns(flat[0::4], flat[1::4], flat[2::4], flat[3::4])
-        del flat
-        if fields is None:
-            return None
-        columns.extend(*fields)
-    return None if header else columns
-
-
-def _columns(ids, parent_ids, level_text, count_text):
-    """Per-node columns (ids, parent ids, levels, counts)
-    from the raw field columns of the data rows, or None when any row
-    is blank or malformed. Ids are stripped; ``int`` and ``float``
-    ignore the whitespace around a number themselves."""
-    ids = list(map(str.strip, ids))
-    if not all(ids):
-        return None
-    parent_ids = list(map(str.strip, parent_ids))
-    n = len(ids)
-    try:
-        levels = np.fromiter(map(int, level_text), np.int64, n)
-        counts = np.fromiter(map(float, count_text), float, n)
-    except (ValueError, OverflowError):
-        return None
-    if (levels < 1).any() or not (np.isfinite(counts) & (counts >= 0)).all():
-        return None
-    return ids, parent_ids, levels, counts
-
-
-def _reader_columns(blocks: Iterable[str]) -> _Columns:
-    """The columns of CSV text given in blocks that end at a line end,
-    read by :mod:`csv` one record at a time. Blank rows are skipped; the
-    first faulty record in row order (one the csv module cannot read, a
-    bad header, a malformed data row) raises an error naming its row."""
-    columns = _Columns()
-    # a string's lines end at LF only, so a lone CR stays inside its line
-    lines = chain.from_iterable(map(io.StringIO, blocks))
-    records = enumerate(csv.reader(lines), start=1)
-    row = 0
-    try:
-        row, header = next(records, (0, None))
-        if header is None:
-            raise MissingRoot("empty CSV input")
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise InvalidSpec(
-                f"bad header {header!r}; expected {','.join(CSV_HEADER)}"
-            )
-        for row, record in records:
-            if len(record) != 4:
-                if any(map(str.strip, record)):
-                    raise InvalidSpec(f"row {row}: expected 4 fields, got {len(record)}")
-                continue
-            nid, pid, level_s, count_s = map(str.strip, record)
-            if not nid:
-                if pid or level_s or count_s:
-                    raise InvalidSpec(f"row {row}: empty node_id")
-                continue
-            try:
-                level = int(level_s)
-            except ValueError:
-                raise LevelMismatch(
-                    f"row {row} ({nid!r}): level {level_s!r} is not an integer"
-                ) from None
-            if level < 1:
-                raise LevelMismatch(f"row {row} ({nid!r}): level must be >= 1")
-            if level > _LEVEL_MAX:
-                raise LevelMismatch(f"row {row} ({nid!r}): level {level} is out of range")
-            try:
-                count = float(count_s)
-            except ValueError:
-                raise NegativeCount(
-                    f"row {row} ({nid!r}): count {count_s!r} is not a number"
-                ) from None
-            if count < 0 or not math.isfinite(count):
-                raise NegativeCount(
-                    f"row {row} ({nid!r}): count must be a nonnegative real, "
-                    f"got {count_s}"
-                )
-            columns.append(nid, pid, level, count)
-    except csv.Error as e:
-        # text read from a string splits lines at LF only, so an unquoted
-        # newline is a CR that no LF follows
-        message = str(e)
-        if message.startswith("new-line character seen in unquoted field"):
-            message = (
-                "lone carriage return (a CR with no LF after it) outside quotes; "
-                "end lines with LF or CRLF"
-            )
-        raise InvalidSpec(f"row {row + 1}: {message}") from None
-    return columns
+    return Hierarchy._of_columns(file_columns(f))
 
 
 def serialize_hierarchy(

@@ -162,8 +162,8 @@ class TestRelease:
             )
 
     def test_same_bytes_from_every_tokenizer(self, runner, workdir, va_csv):
-        # the plain file and its CRLF twin are cut with str.split, the
-        # quoted one goes through csv.reader
+        # the plain file and its CRLF twin are cut as bytes with numpy,
+        # the quoted one goes through csv.reader
         rows = [line.split(",") for line in va_csv.splitlines()]
         quoted = [rows[0]] + [
             [f'"{nid}"', f'"{pid}"' if pid else "", *rest] for nid, pid, *rest in rows[1:]
@@ -201,6 +201,21 @@ class TestRelease:
                 (workdir / name / f"release.{ext}").read_bytes() for ext in ("csv", "json")
             ))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flag", ["--input", "--prior"])
+    def test_invalid_utf8_is_a_data_error(self, runner, workdir, flag):
+        # bytes that are not UTF-8 name their row and exit 3, with no
+        # traceback
+        bad = workdir / "bad.csv"
+        bad.write_bytes(b"node_id,parent_id,level,count\nr,,1,3\nr-\xff,r,2,3\n")
+        source = ["--input", str(bad)]
+        if flag == "--prior":
+            source = ["--input", str(workdir / "va.csv"), "--prior", str(bad)]
+        result = runner.invoke(main, ["allocate", *source, "--eps-total", "1"])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "row 3: not UTF-8 text (invalid start byte)" in result.output
 
     def test_quoted_cr_survives(self, runner, tmp_path):
         # the file reaches the parser as written, so a quoted CRLF stays
@@ -396,7 +411,7 @@ class TestPrior:
         read = cli._read_hierarchy
 
         def spy(f):
-            calls.append(f.read())
+            calls.append(f.read().decode("utf-8"))
             return read(f)
 
         monkeypatch.setattr(cli, "_read_hierarchy", spy)
