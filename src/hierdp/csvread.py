@@ -1,18 +1,20 @@
 """CSV text into the per-node columns that :class:`hierdp.hierarchy.Hierarchy`
 validates: two tokenizers, one for plain text and one for anything else.
 
-Text is read in blocks that each end at a line end, from a string
-(encoded a block at a time) or from a binary file, so a file's text is
-never held whole. Plain text (no quote, NUL or lone CR) is cut as UTF-8
-bytes with numpy, with no Python object per field: each block's
-delimiters are found through one array view of it, its ids are masked
-straight into one UTF-8 buffer, each run of equal parent fields is
-decoded once into a code in a table of the distinct parent ids, and
+Text is read once, in blocks that each end at a line end, from a string
+(encoded a block at a time) or from a binary file or pipe, so a file's
+text is never held whole. A block of plain text (no quote, NUL or lone
+CR) is cut as UTF-8 bytes with numpy, with no Python object per field:
+its delimiters are found through one array view of it, its ids are
+masked straight into one UTF-8 buffer, each run of equal parent fields
+is decoded once into a code in a table of the distinct parent ids, and
 levels and all-digit counts are read from their ASCII digits by
 Horner's rule (other counts through numpy's string cast, which calls
-``float``). Anything else goes to :mod:`csv`, which reads a record at a
-time. Both give the same fields, whitespace stripped as ``str.strip``
-does, so the same tree or the same error.
+``float``). The first block that is not plain, or that holds a blank or
+malformed row, goes to :mod:`csv` with every block after it, read a
+record at a time into the same columns, its rows numbered on from the
+lines cut before it. Both give the same fields, whitespace stripped as
+``str.strip`` does, so the same tree or the same error.
 
 :func:`hierdp.hierarchy.parse_hierarchy` imports this module on its
 first call, so a process that reads no CSV never loads it.
@@ -26,13 +28,14 @@ import math
 from array import array
 from codecs import BOM_UTF8
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidSpec, LevelMismatch, MissingRoot, NegativeCount
-from .hierarchy import CSV_HEADER, _utf8
+from .hierarchy import CSV_HEADER, _text, _utf8
 
 # CSV text is read, cut and converted in blocks of about this many bytes
 # of a file, or characters of a string, each ending at a line end
@@ -50,29 +53,36 @@ _CAST_WIDTH = 40
 def text_columns(text: str) -> list:
     """The columns of CSV text given as a string, encoded a block at a
     time with lone surrogates passed through."""
-    return _read_columns(partial(_text_blocks, text), "surrogatepass")
+    return _read_columns(_text_blocks(text), "surrogatepass")
 
 
 def file_columns(f) -> list:
-    """The columns of the UTF-8 text of ``f``, a binary file, less a
-    leading byte order mark: a seekable file read in blocks, and again
-    from the start if it needs :mod:`csv`; any other file read whole."""
-    if f.seekable():
-        blocks = partial(_file_blocks, f)
+    """The columns of the UTF-8 text of ``f``, a binary file or a pipe,
+    less a leading byte order mark, read once, in blocks."""
+    head = f.read(len(BOM_UTF8))
+    chunks = iter(partial(f.read, _BLOCK_SIZE), b"")
+    if head != BOM_UTF8:
+        chunks = chain([head], chunks)
+    return _read_columns(_line_blocks(chunks), "strict")
+
+
+def _read_columns(blocks: Iterator[bytes], errors: str) -> list:
+    """The columns (see :meth:`_Columns.finish`) of the UTF-8 text of
+    ``blocks``, which end at a line end, decoded with the ``errors``
+    handler: each block cut by :func:`_byte_block` until the first one
+    it cannot cut, which :mod:`csv` reads with every block after it."""
+    limit = csv.field_size_limit()
+    columns = _Columns()
+    row = 0
+    for block in blocks:
+        if not _byte_block(columns, block, not row, errors, limit):
+            _reader_columns(columns, chain([block], blocks), errors, row)
+            break
+        # the header, then one line per node
+        row = 1 + len(columns.levels)
     else:
-        raw = f.read()
-        blocks = partial(_byte_blocks, raw[len(BOM_UTF8):] if raw.startswith(BOM_UTF8) else raw)
-    return _read_columns(blocks, "strict")
-
-
-def _read_columns(blocks: Callable[[], Iterable[bytes]], errors: str) -> list:
-    """The columns (see :meth:`_Columns.finish`) of the UTF-8 text that
-    each call of ``blocks`` yields afresh, in blocks that end at a line
-    end, decoded with the ``errors`` handler: cut by
-    :func:`_byte_columns` if it can be, else read by :mod:`csv`."""
-    columns = _byte_columns(blocks(), errors)
-    if columns is None:
-        columns = _reader_columns(blocks(), errors)
+        if not row:
+            raise MissingRoot("empty CSV input")
     return columns.finish()
 
 
@@ -91,23 +101,11 @@ def _line_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
         yield rest
 
 
-def _byte_blocks(raw: bytes) -> Iterator[bytes]:
-    size = _BLOCK_SIZE
-    return _line_blocks(raw[i : i + size] for i in range(0, len(raw), size))
-
-
 def _text_blocks(text: str) -> Iterator[bytes]:
     # each piece encoded on its own gives the bytes of the whole text:
     # lone surrogates are encoded one by one, never paired
     size = _BLOCK_SIZE
     return _line_blocks(_utf8(text[i : i + size]) for i in range(0, len(text), size))
-
-
-def _file_blocks(f) -> Iterator[bytes]:
-    f.seek(0)
-    if f.read(len(BOM_UTF8)) != BOM_UTF8:
-        f.seek(0)
-    return _line_blocks(iter(partial(f.read, _BLOCK_SIZE), b""))
 
 
 class _Columns:
@@ -154,48 +152,41 @@ class _Columns:
         ]
 
 
-def _byte_columns(blocks: Iterable[bytes], errors: str) -> Optional[_Columns]:
-    """The columns of plain CSV text given as UTF-8 blocks that end at a
-    line end, or None when the text needs :mod:`csv`: it holds a quote,
-    a NUL or a CR that does not start a CRLF line end, it is not UTF-8
-    under the ``errors`` handler, its header is not :data:`CSV_HEADER`,
-    a data line does not hold exactly four fields or exceeds the csv
-    module's field size limit, or a row is blank or malformed. Each
-    block is cut by :func:`_cut` and converted by :func:`_convert`, so
-    no block's fields outlive it."""
-    limit = csv.field_size_limit()
-    columns = _Columns()
-    header = True
-    for block in blocks:
-        if b'"' in block or b"\x00" in block:
-            return None
-        if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
-            return None
-        if not block.isascii():
-            try:
-                block.decode("utf-8", errors)
-            except UnicodeDecodeError:
-                return None
-        if header:
-            header = False
-            head = block.find(b"\n")
-            if head < 0:
-                head = len(block)
-            if head > limit:
-                return None
-            names = block[:head].decode("utf-8", errors).split(",")
-            if [h.strip() for h in names] != CSV_HEADER:
-                return None
-            block = block[head + 1 :]
-            if not block:
-                continue
-        fields = _cut(block, errors, limit)
-        if fields is None or not _convert(columns, block, *fields, errors):
-            return None
-    return None if header else columns
+def _byte_block(columns: _Columns, block: bytes, header: bool, errors: str,
+                limit: int) -> bool:
+    """Append the rows of ``block``, plain CSV text as UTF-8 that ends at
+    a line end and, when ``header``, starts with the header line, to
+    ``columns``; or append nothing and return False when the block needs
+    :mod:`csv`: it holds a quote, a NUL or a CR that does not start a
+    CRLF line end, it is not UTF-8 under the ``errors`` handler, its
+    header is not :data:`CSV_HEADER`, a data line does not hold exactly
+    four fields or is longer than ``limit`` bytes (the csv module's
+    field size limit), or a row is blank or malformed. The block is cut
+    by :func:`_cut` and converted by :func:`_convert`, so none of its
+    fields outlive it."""
+    if b'"' in block or b"\x00" in block:
+        return False
+    if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+        return False
+    if not block.isascii():
+        try:
+            block.decode("utf-8", errors)
+        except UnicodeDecodeError:
+            return False
+    if header:
+        head = block.find(b"\n")
+        if head < 0:
+            head = len(block)
+        if head > limit or [h.strip() for h in _text(block[:head]).split(",")] != CSV_HEADER:
+            return False
+        block = block[head + 1 :]
+        if not block:
+            return True
+    fields = _cut(block, limit)
+    return fields is not None and _convert(columns, block, *fields)
 
 
-def _cut(block: bytes, errors: str, limit: int):
+def _cut(block: bytes, limit: int):
     """The bytes of ``block``, whole data lines, as a numpy view, and the
     bounds [lo, hi) of its stripped fields as two arrays of four rows,
     one per column; or None when a line does not hold exactly three
@@ -218,12 +209,12 @@ def _cut(block: bytes, errors: str, limit: int):
     del delims
     if int((hi[3::4] - lo[0::4]).max()) > limit:
         return None
-    _strip(block, a, lo, hi, errors)
+    _strip(block, a, lo, hi)
     return a, lo.reshape(rows, 4).T, hi.reshape(rows, 4).T
 
 
 def _convert(columns: _Columns, block: bytes, a: np.ndarray, lo: np.ndarray,
-             hi: np.ndarray, errors: str) -> bool:
+             hi: np.ndarray) -> bool:
     """Append the rows whose fields :func:`_cut` found in ``block`` to
     ``columns``; or False when a row is blank or malformed. Ids are
     masked out of the bytes, parent ids decoded once per run of equal
@@ -231,15 +222,15 @@ def _convert(columns: _Columns, block: bytes, a: np.ndarray, lo: np.ndarray,
     (id_lo, pid_lo, level_lo, count_lo), (id_hi, pid_hi, level_hi, count_hi) = lo, hi
     if not (id_lo < id_hi).all():
         return False
-    levels = _numbers(block, a, level_lo, level_hi, _LEVEL_DIGITS, np.int64, errors)
+    levels = _numbers(block, a, level_lo, level_hi, _LEVEL_DIGITS, np.int64)
     if levels is None or (levels < 1).any():
         return False
-    counts = _numbers(block, a, count_lo, count_hi, _COUNT_DIGITS, float, errors)
+    counts = _numbers(block, a, count_lo, count_hi, _COUNT_DIGITS, float)
     if counts is None or not (np.isfinite(counts) & (counts >= 0)).all():
         return False
     columns.extend(
         _field_bytes(a, id_lo, id_hi), id_hi - id_lo,
-        _parent_codes(columns.names, block, a, pid_lo, pid_hi, errors), levels, counts,
+        _parent_codes(columns.names, block, a, pid_lo, pid_hi), levels, counts,
     )
     return True
 
@@ -250,7 +241,7 @@ def _is_space(b: np.ndarray) -> np.ndarray:
     return ((b - np.uint8(9)) <= 4) | ((b - np.uint8(28)) <= 4)
 
 
-def _strip(block: bytes, a: np.ndarray, lo: np.ndarray, hi: np.ndarray, errors: str) -> None:
+def _strip(block: bytes, a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
     """Move the bounds [lo, hi) of fields in ``a``, the bytes of
     ``block``, in past the whitespace ``str.strip`` removes. Only a
     field with an edge byte below ``!`` or past ASCII is looked at: one
@@ -269,7 +260,7 @@ def _strip(block: bytes, a: np.ndarray, lo: np.ndarray, hi: np.ndarray, errors: 
     first, final = a[np.minimum(start, last)], a[end - 1]
     odd = _is_space(first) | _is_space(final) | (first >= 128) | (final >= 128)
     for i in np.flatnonzero((start < end) & odd).tolist():
-        text = block[start[i] : end[i]].decode("utf-8", errors)
+        text = _text(block[start[i] : end[i]])
         body = text.strip()
         start[i] += len(_utf8(text[: len(text) - len(text.lstrip())]))
         end[i] = start[i] + len(_utf8(body))
@@ -290,7 +281,7 @@ def _field_bytes(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _parent_codes(names: dict, block: bytes, a: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray, errors: str) -> np.ndarray:
+                  hi: np.ndarray) -> np.ndarray:
     """Each row's parent code (its parent id's place in ``names``, the
     distinct parent ids in the order first seen), from its
     stripped parent field [lo, hi) of ``a``, the bytes of ``block``:
@@ -308,14 +299,14 @@ def _parent_codes(names: dict, block: bytes, a: np.ndarray, lo: np.ndarray,
         same[pairs] = ~np.logical_or.reduceat(differ, np.cumsum(n) - n)
     runs = np.flatnonzero(~same)
     codes = [
-        names.setdefault(block[i:j].decode("utf-8", errors), len(names))
+        names.setdefault(_text(block[i:j]), len(names))
         for i, j in zip(lo[runs].tolist(), hi[runs].tolist())
     ]
     return np.repeat(np.array(codes, dtype=np.int64), np.diff(runs, append=len(lo)))
 
 
 def _numbers(block: bytes, a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-             digits: int, dtype, errors: str) -> Optional[np.ndarray]:
+             digits: int, dtype) -> Optional[np.ndarray]:
     """The numbers in the stripped fields [lo, hi) of ``a``, the bytes of
     ``block``, as ``dtype`` (np.int64 levels, float counts); or None
     when a field is not one, as ``int`` or ``float`` reads it, or a
@@ -339,10 +330,10 @@ def _numbers(block: bytes, a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         if not stray.any():
             return value
     if dtype is float:
-        return _text_counts(block, a, lo, hi, errors)
+        return _text_counts(block, a, lo, hi)
     texts = map(block.__getitem__, map(slice, lo.tolist(), hi.tolist()))
     try:
-        levels = [int(t.decode("utf-8", errors)) for t in texts]
+        levels = [int(_text(t)) for t in texts]
     except ValueError:
         return None
     if not 1 <= min(levels) <= max(levels) <= _LEVEL_MAX:
@@ -350,8 +341,8 @@ def _numbers(block: bytes, a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return np.array(levels, dtype=np.int64)
 
 
-def _text_counts(block: bytes, a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 errors: str) -> Optional[np.ndarray]:
+def _text_counts(block: bytes, a: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> Optional[np.ndarray]:
     """The counts in the fields [lo, hi) of ``a``, the bytes of
     ``block``, as ``float`` reads each field; or None when one is not a
     number. The fields go through numpy's string cast, which calls
@@ -375,7 +366,7 @@ def _text_counts(block: bytes, a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             pass
     texts = map(block.__getitem__, map(slice, lo.tolist(), hi.tolist()))
     try:
-        return np.array([float(t.decode("utf-8", errors)) for t in texts], dtype=float)
+        return np.array([float(_text(t)) for t in texts], dtype=float)
     except ValueError:
         return None
 
@@ -395,23 +386,25 @@ def _lines(blocks: Iterable[bytes], errors: str) -> Iterator[str]:
         yield from io.StringIO(text)
 
 
-def _reader_columns(blocks: Iterable[bytes], errors: str) -> _Columns:
-    """The columns of CSV text given as UTF-8 blocks that end at a line
-    end, read by :mod:`csv` one record at a time. Blank rows are
+def _reader_columns(columns: _Columns, blocks: Iterable[bytes], errors: str,
+                    row: int) -> None:
+    """Append the rows of CSV text given as UTF-8 blocks that end at a
+    line end to ``columns``, read by :mod:`csv` one record at a time;
+    ``row`` lines, the header and then one a node, came before the
+    blocks (0: they start with the header, in a block that is not
+    empty). Blank rows are
     skipped; the first faulty record in row order (bytes that are not
     UTF-8, one the csv module cannot read, a bad header, a malformed
     data row) raises an error naming its row."""
-    columns = _Columns()
-    records = enumerate(csv.reader(_lines(blocks, errors)), start=1)
-    row = 0
+    records = enumerate(csv.reader(_lines(blocks, errors)), start=row + 1)
     try:
-        row, header = next(records, (0, None))
-        if header is None:
-            raise MissingRoot("empty CSV input")
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise InvalidSpec(
-                f"bad header {header!r}; expected {','.join(CSV_HEADER)}"
-            )
+        if not row:
+            # a block is never empty, so it holds a record
+            row, header = next(records)
+            if [h.strip() for h in header] != CSV_HEADER:
+                raise InvalidSpec(
+                    f"bad header {header!r}; expected {','.join(CSV_HEADER)}"
+                )
         for row, record in records:
             if len(record) != 4:
                 if any(map(str.strip, record)):
@@ -456,4 +449,3 @@ def _reader_columns(blocks: Iterable[bytes], errors: str) -> _Columns:
         raise InvalidSpec(f"row {row + 1}: {message}") from None
     except UnicodeDecodeError as e:
         raise InvalidSpec(f"row {row + 1}: not UTF-8 text ({e.reason})") from None
-    return columns

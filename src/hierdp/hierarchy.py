@@ -489,10 +489,12 @@ def parse_hierarchy(csv_text: str) -> Hierarchy:
     error names the first faulty row, every structural error the
     offending node.
 
-    Plain text (no quote, NUL or lone CR, four fields on every line) is
-    cut into columns as UTF-8 bytes with numpy; anything else, and plain
-    text with a blank or malformed row, is read by :mod:`csv`. Both give
-    the same fields (see :mod:`hierdp.csvread`).
+    The text is read once, in blocks that end at a line end: blocks of
+    plain text (no quote, NUL or lone CR, four fields on every line) are
+    cut into columns as UTF-8 bytes with numpy, until the first block
+    that is not plain or holds a blank or malformed row, which
+    :mod:`csv` reads with the rest. Both give the same fields (see
+    :mod:`hierdp.csvread`).
     """
     # the tokenizers are loaded by the first parse: where no bytecode is
     # cached, every start compiles each module it imports, and a process
@@ -504,11 +506,10 @@ def parse_hierarchy(csv_text: str) -> Hierarchy:
 
 def _read_hierarchy(f) -> Hierarchy:
     """:func:`parse_hierarchy` of the UTF-8 text of ``f``, a binary
-    file, less a leading byte order mark. A seekable file is read in
-    blocks, so that its text is never held whole, and read a second
-    time, from the start, if it needs :mod:`csv`; any other file is read
-    whole. Bytes that are not UTF-8 raise :class:`InvalidSpec` naming
-    their row."""
+    file or pipe, less a leading byte order mark. The file is read once,
+    in blocks, so that its text is never held whole, whichever
+    tokenizer reads it. Bytes that are not UTF-8 raise
+    :class:`InvalidSpec` naming their row."""
     from .csvread import file_columns
 
     return Hierarchy._of_columns(file_columns(f))

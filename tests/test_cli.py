@@ -412,6 +412,7 @@ class TestPrior:
 
         def spy(f):
             calls.append(f.read().decode("utf-8"))
+            f.seek(0)
             return read(f)
 
         monkeypatch.setattr(cli, "_read_hierarchy", spy)

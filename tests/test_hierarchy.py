@@ -391,12 +391,19 @@ def _fuzz_text(rng):
 
 
 def _reads(text):
-    """The byte tokenizer's columns of ``text``, or None when the text
-    needs csv.reader."""
-    return csvread._byte_columns(csvread._text_blocks(text), "surrogatepass")
+    """The byte tokenizer's columns of ``text``, or None when a block of
+    it needs csv.reader."""
+    columns = csvread._Columns()
+    limit = csv.field_size_limit()
+    header = True
+    for block in csvread._text_blocks(text):
+        if not csvread._byte_block(columns, block, header, "surrogatepass", limit):
+            return None
+        header = False
+    return None if header else columns
 
 
-def _any_fields(columns, block, a, lo, hi, errors):
+def _any_fields(columns, block, a, lo, hi):
     """Stands in for the per-block conversion of the byte path, and
     accepts any fields."""
     return True
@@ -449,7 +456,7 @@ class TestTokenizers:
         # it replaced read: every field str.strip, int and float accept
         assert read >= 987
         # the reference: every text and twin read by csv.reader alone
-        monkeypatch.setattr(csvread, "_byte_columns", lambda blocks, errors: None)
+        monkeypatch.setattr(csvread, "_byte_block", lambda *args: False)
         for text, outcome in outcomes.items():
             assert _outcome(text) == outcome, repr(text)
 
@@ -598,7 +605,7 @@ class TestTokenizers:
 def _reader_outcome(text, monkeypatch):
     """The outcome of ``text`` read by csv.reader alone."""
     with monkeypatch.context() as m:
-        m.setattr(csvread, "_byte_columns", lambda blocks, errors: None)
+        m.setattr(csvread, "_byte_block", lambda *args: False)
         return _outcome(text)
 
 
@@ -715,17 +722,38 @@ class TestMemory:
         # file is read in blocks, so the parse peaks below the file's
         # size plus the tree it keeps (5.7 MB against 3.6 + 3.4 MB with
         # Python 3.11); reading the whole text first peaked at 21 MB
-        h = synth_hierarchy(SynthSpec(seed=0, fanouts=(250, 400)))
-        rng = np.random.default_rng(0)
-        noisy = {lv: h.level_counts(lv) + rng.uniform(0.0, 1.0, len(h.level_ids(lv)))
-                 for lv in range(1, h.depth + 1)}
+        text = _noisy_prior()
         path = tmp_path / "prior.csv"
-        path.write_text(serialize_hierarchy(h, noisy), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         size = path.stat().st_size
         assert size > 2 * 2**20
         tree_read, retained, peak = _traced(lambda: cli._read_tree(str(path)))
-        assert len(tree_read) == len(h)
+        assert len(tree_read) == 100_251
         assert peak < size + retained
+
+    def test_pipe_never_holds_the_text(self):
+        # the same prior through a pipe is read in blocks as the file is:
+        # 5.5 MB at the peak against 3.5 + 3.3 MB; reading a pipe whole
+        # first peaked at 8.5 MB (Python 3.11)
+        raw = _noisy_prior().encode()
+        r, w = os.pipe()
+
+        def write():
+            with open(w, "wb", buffering=0) as out:
+                view = memoryview(raw)
+                while view:
+                    view = view[out.write(view[: 1 << 16]) :]
+
+        writer = threading.Thread(target=write, daemon=True)
+        with open(r, "rb") as f:
+            writer.start()
+            try:
+                tree_read, retained, peak = _traced(lambda: hierarchy._read_hierarchy(f))
+            finally:
+                writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert len(tree_read) == 100_251
+        assert peak < len(raw) + retained
 
     def test_one_long_id_costs_only_its_own_bytes(self):
         # memory follows the bytes of the ids, never the node count times
@@ -754,6 +782,15 @@ class TestMemory:
         assert peak <= 1.25 * sorted_peak
 
 
+def _noisy_prior():
+    """A released tree (100,251 nodes, real-valued counts) as CSV text."""
+    h = synth_hierarchy(SynthSpec(seed=0, fanouts=(250, 400)))
+    rng = np.random.default_rng(0)
+    noisy = {lv: h.level_counts(lv) + rng.uniform(0.0, 1.0, len(h.level_ids(lv)))
+             for lv in range(1, h.depth + 1)}
+    return serialize_hierarchy(h, noisy)
+
+
 def _traced(fn):
     """``fn()``, with the bytes it left allocated and the peak of its
     allocations, both as tracemalloc counts them."""
@@ -767,12 +804,10 @@ def _traced(fn):
     return out, retained - base, peak - base
 
 
-# plain rows, then a row that needs csv.reader or is faulty
-LATER_FAULTS = [
-    HEADER + "A,,1,3\nB,A,2,3\n" + last
-    for last in ('"C",A,2,1\n', "C\x00,A,2,1\n", "C\r,A,2,1\n", "\n", "C,A,2,x\n",
-                 "C,A,2\n", "C,Z,2,1\n", "B,A,2,1\n", '"C\r\nD",A,2,1\n')
-]
+# a row that needs csv.reader or is faulty, after plain rows
+LATER_ROWS = ['"C",A,2,1\n', "C\x00,A,2,1\n", "C\r,A,2,1\n", "\n", "C,A,2,x\n",
+              "C,A,2\n", "C,Z,2,1\n", "B,A,2,1\n", '"C\r\nD",A,2,1\n']
+LATER_FAULTS = [HEADER + "A,,1,3\nB,A,2,3\n" + last for last in LATER_ROWS]
 
 
 def _read_outcome(path):
@@ -790,12 +825,16 @@ class _Pipe(io.BytesIO):
     def seekable(self):
         return False
 
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
 
 class TestReadTree:
-    """The CLI reads a file in blocks that end at a line end, and again
-    from the start when the text needs csv.reader. Wherever the blocks
-    end, and whatever a later block first holds, it gets the tree or the
-    error that parse_hierarchy gets from the whole text."""
+    """The CLI reads a file once, in blocks that end at a line end, and
+    hands the first block that needs csv.reader to it with the rest.
+    Wherever the blocks end, and whatever a later block first holds, it
+    gets the tree or the error that parse_hierarchy gets from the whole
+    text."""
 
     @pytest.mark.parametrize("chars", [1, 4, 9])
     def test_same_as_parse_hierarchy(self, tmp_path, monkeypatch, chars):
@@ -815,6 +854,27 @@ class TestReadTree:
         for _, body, error, message in PRECEDENCE:
             path.write_text(HEADER + body, encoding="utf-8", newline="")
             assert _read_outcome(path) == (error, message)
+
+    @pytest.mark.parametrize("last", LATER_ROWS)
+    def test_rows_numbered_across_the_hand_over(self, tmp_path, monkeypatch, last):
+        # several full blocks of plain rows are cut before the last row;
+        # csv.reader, if it takes over there, numbers its rows on from them
+        rows = "".join(f"A-{j:05d}-{'p' * 24},A,2,1\n" for j in range(5000))
+        text = HEADER + "A,,1,3\nB,A,2,3\n" + rows + last
+        expected = _reader_outcome(text, monkeypatch)
+        cut = []
+        byte_block = csvread._byte_block
+
+        def spy(*args):
+            cut.append(byte_block(*args))
+            return cut[-1]
+
+        monkeypatch.setattr(csvread, "_byte_block", spy)
+        path = tmp_path / "tree.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _read_outcome(path) == expected
+        assert cut.count(True) >= 2
+        assert _outcome(text) == expected
 
     @pytest.mark.parametrize("text", [HEADER + "A,,1,3\nB,A,2,3\n", LATER_FAULTS[0]],
                              ids=["plain", "quoted_later"])
@@ -857,8 +917,8 @@ class TestReadTree:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
     def test_pipe_read_whole(self, tmp_path):
-        # a pipe cannot be read a second time, as a text that needs
-        # csv.reader is read
+        # a pipe is read once, in blocks, as a file is, and a text that
+        # needs csv.reader is handed to it at its first such block
         fifo = tmp_path / "tree.fifo"
         os.mkfifo(fifo)
         text = LATER_FAULTS[0]
