@@ -8,13 +8,14 @@ CR) is cut as UTF-8 bytes with numpy, with no Python object per field:
 its delimiters are found through one array view of it, its ids are
 masked straight into one UTF-8 buffer, each run of equal parent fields
 is decoded once into a code in a table of the distinct parent ids, and
-levels and all-digit counts are read from their ASCII digits by
-Horner's rule (other counts through numpy's string cast, which calls
-``float``). The first block that is not plain, or that holds a blank or
-malformed row, goes to :mod:`csv` with every block after it, read a
-record at a time into the same columns, its rows numbered on from the
-lines cut before it. Both give the same fields, whitespace stripped as
-``str.strip`` does, so the same tree or the same error.
+numbers are read only as numpy can read them alone: levels of 1 to 18
+and counts of 1 to 15 ASCII digits by Horner's rule, other counts
+through numpy's string cast, which calls ``float``. The first block that
+is not plain, that holds a blank or malformed row, or that holds a
+number in any other form goes to :mod:`csv` with every block after it,
+read a record at a time into the same columns, its rows numbered on from
+the lines cut before it. Both give the same fields, whitespace stripped
+as ``str.strip`` does, so the same tree or the same error.
 
 :func:`hierdp.hierarchy.parse_hierarchy` imports this module on its
 first call, so a process that reads no CSV never loads it.
@@ -45,8 +46,8 @@ _LEVEL_MAX = np.iinfo(np.int64).max
 # at most this many, as an int64
 _COUNT_DIGITS = 15
 _LEVEL_DIGITS = 18
-# other counts are converted through numpy's string cast when no field
-# of the block is wider than this, else one ``float`` call a field
+# other counts are converted through numpy's string cast when no count
+# field of the block is wider than this; else csv reads the block
 _CAST_WIDTH = 40
 
 
@@ -161,8 +162,9 @@ def _byte_block(columns: _Columns, block: bytes, header: bool, errors: str,
     CRLF line end, it is not UTF-8 under the ``errors`` handler, its
     header is not :data:`CSV_HEADER`, a data line does not hold exactly
     four fields or is longer than ``limit`` bytes (the csv module's
-    field size limit), or a row is blank or malformed. The block is cut
-    by :func:`_cut` and converted by :func:`_convert`, so none of its
+    field size limit), a row is blank or malformed, or a level or count
+    is in a form :func:`_convert` does not read. The block is cut by
+    :func:`_cut` and converted by :func:`_convert`, so none of its
     fields outlive it."""
     if b'"' in block or b"\x00" in block:
         return False
@@ -216,16 +218,19 @@ def _cut(block: bytes, limit: int):
 def _convert(columns: _Columns, block: bytes, a: np.ndarray, lo: np.ndarray,
              hi: np.ndarray) -> bool:
     """Append the rows whose fields :func:`_cut` found in ``block`` to
-    ``columns``; or False when a row is blank or malformed. Ids are
-    masked out of the bytes, parent ids decoded once per run of equal
-    fields, and levels and counts read from their digits."""
+    ``columns``; or False when a row is blank or malformed, or a number
+    is in a form read here by neither :func:`_numbers` nor, for counts,
+    :func:`_text_counts`. Ids are masked out of the bytes, parent ids
+    decoded once per run of equal fields."""
     (id_lo, pid_lo, level_lo, count_lo), (id_hi, pid_hi, level_hi, count_hi) = lo, hi
     if not (id_lo < id_hi).all():
         return False
-    levels = _numbers(block, a, level_lo, level_hi, _LEVEL_DIGITS, np.int64)
+    levels = _numbers(a, level_lo, level_hi, _LEVEL_DIGITS, np.int64)
     if levels is None or (levels < 1).any():
         return False
-    counts = _numbers(block, a, count_lo, count_hi, _COUNT_DIGITS, float)
+    counts = _numbers(a, count_lo, count_hi, _COUNT_DIGITS, float)
+    if counts is None:
+        counts = _text_counts(a, count_lo, count_hi)
     if counts is None or not (np.isfinite(counts) & (counts >= 0)).all():
         return False
     columns.extend(
@@ -305,68 +310,46 @@ def _parent_codes(names: dict, block: bytes, a: np.ndarray, lo: np.ndarray,
     return np.repeat(np.array(codes, dtype=np.int64), np.diff(runs, append=len(lo)))
 
 
-def _numbers(block: bytes, a: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-             digits: int, dtype) -> Optional[np.ndarray]:
-    """The numbers in the stripped fields [lo, hi) of ``a``, the bytes of
-    ``block``, as ``dtype`` (np.int64 levels, float counts); or None
-    when a field is not one, as ``int`` or ``float`` reads it, or a
-    level is outside 1 to the int64 maximum. When every field is 1 to
-    ``digits`` ASCII digits, all are read by Horner's rule; else every
-    level is read by ``int``, and every count by :func:`_text_counts`."""
+def _numbers(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, digits: int,
+             dtype) -> Optional[np.ndarray]:
+    """The numbers in the stripped fields [lo, hi) of ``a`` as ``dtype``
+    (np.int64 levels, float counts), read by Horner's rule; or None
+    unless every field is 1 to ``digits`` ASCII digits."""
     width = hi - lo
-    if 1 <= width.min() and width.max() <= digits:
-        value = np.zeros(len(lo), dtype=dtype)
-        stray = np.zeros(len(lo), dtype=bool)
-        narrowest = int(width.min())
-        # the digits right-aligned, most significant first; a position
-        # before the block's start wraps to its end, and is masked
-        for k in range(int(width.max()), 0, -1):
-            digit = a[hi - k] - np.uint8(48)
-            if k > narrowest:
-                digit[width < k] = 0
-            stray |= digit > 9
-            value *= 10
-            value += digit
-        if not stray.any():
-            return value
-    if dtype is float:
-        return _text_counts(block, a, lo, hi)
-    texts = map(block.__getitem__, map(slice, lo.tolist(), hi.tolist()))
-    try:
-        levels = [int(_text(t)) for t in texts]
-    except ValueError:
+    if not (1 <= width.min() and width.max() <= digits):
         return None
-    if not 1 <= min(levels) <= max(levels) <= _LEVEL_MAX:
-        return None
-    return np.array(levels, dtype=np.int64)
+    value = np.zeros(len(lo), dtype=dtype)
+    stray = np.zeros(len(lo), dtype=bool)
+    narrowest = int(width.min())
+    # the digits right-aligned, most significant first; a position
+    # before the block's start wraps to its end, and is masked
+    for k in range(int(width.max()), 0, -1):
+        digit = a[hi - k] - np.uint8(48)
+        if k > narrowest:
+            digit[width < k] = 0
+        stray |= digit > 9
+        value *= 10
+        value += digit
+    return None if stray.any() else value
 
 
-def _text_counts(block: bytes, a: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray) -> Optional[np.ndarray]:
-    """The counts in the fields [lo, hi) of ``a``, the bytes of
-    ``block``, as ``float`` reads each field; or None when one is not a
-    number. The fields go through numpy's string cast, which calls
-    ``float`` on each, and one by one through ``float`` if the cast
-    fails (it reads ASCII only) or a field is wider than
-    :data:`_CAST_WIDTH`."""
+def _text_counts(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
+    """The counts in the fields [lo, hi) of ``a`` through numpy's string
+    cast, which calls ``float`` on each; or None when a field is empty or
+    wider than :data:`_CAST_WIDTH`, or the cast rejects one (it reads
+    ASCII only)."""
     width = hi - lo
-    if not width.min():
-        return None
     widest = int(width.max())
-    if widest <= _CAST_WIDTH:
-        # each field and the bytes after it, up to the widest field, with
-        # those bytes zeroed: numpy's 'S' drops trailing NULs
-        padded = np.zeros(len(a) + widest, dtype=np.uint8)
-        padded[: len(a)] = a
-        cells = sliding_window_view(padded, widest)[lo]
-        np.multiply(cells, np.arange(widest) < width[:, None], out=cells)
-        try:
-            return cells.view(f"S{widest}").ravel().astype(float)
-        except ValueError:
-            pass
-    texts = map(block.__getitem__, map(slice, lo.tolist(), hi.tolist()))
+    if not width.min() or widest > _CAST_WIDTH:
+        return None
+    # each field and the bytes after it, up to the widest field, with
+    # those bytes zeroed: numpy's 'S' drops trailing NULs
+    padded = np.zeros(len(a) + widest, dtype=np.uint8)
+    padded[: len(a)] = a
+    cells = sliding_window_view(padded, widest)[lo]
+    np.multiply(cells, np.arange(widest) < width[:, None], out=cells)
     try:
-        return np.array([float(_text(t)) for t in texts], dtype=float)
+        return cells.view(f"S{widest}").ravel().astype(float)
     except ValueError:
         return None
 

@@ -122,6 +122,16 @@ class _MomentAccumulator:
         se_var = math.sqrt(max(float(np.sum(np.maximum(m4 - s2 * s2, 0.0))), 0.0) / r)
         mse_emp = float(np.mean(self.per_rep_sq))
         se_mse = float(np.std(self.per_rep_sq, ddof=1)) / math.sqrt(r)
+        # power sums about zero overflow, or cancel to a negative
+        # variance, once the mean error dwarfs its spread: with
+        # consistency, on a level far from its parent's sums
+        moments = (bias_sq, var_total, mse_emp, se_bias, se_var, se_mse)
+        if not all(map(math.isfinite, moments)) or var_total < 0:
+            raise DomainError(
+                f"release-error moments overflow or cancel in float64 (variance "
+                f"{var_total!r}, mse {mse_emp!r}): the mean error dwarfs its "
+                "spread, as on a level whose counts are far from their parents'"
+            )
         return MomentEstimate(
             bias_sq=bias_sq,
             variance=var_total,
@@ -152,12 +162,15 @@ def _moment_pass(
     # a mapped block (mallopt(3)): one freed 2 MiB block lets each chunk
     # reuse the last one's memory instead of faulting it in afresh
     np.empty(4 * CHUNK_ELEMENTS)
-    for rep_lo in range(0, replicates, step):
-        rep_hi = min(rep_lo + step, replicates)
-        for noisy, acc in zip(engine.release(arms, seed, rep_lo, rep_hi), accs):
-            for lv, rows in noisy.items():
-                acc.add(rows - engine.counts[lv][None, :], lv, rep_lo, rep_hi)
-    return [acc.finalize() for acc in accs]
+    # an overflow or a cancellation shows in the moments, which finalize
+    # refuses, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rep_lo in range(0, replicates, step):
+            rep_hi = min(rep_lo + step, replicates)
+            for noisy, acc in zip(engine.release(arms, seed, rep_lo, rep_hi), accs):
+                for lv, rows in noisy.items():
+                    acc.add(rows - engine.counts[lv][None, :], lv, rep_lo, rep_hi)
+        return [acc.finalize() for acc in accs]
 
 
 def monte_carlo_moments(

@@ -396,6 +396,23 @@ class TestEvaluate:
         assert "optimized_with_hier" not in arms
         assert "optimized_with_hier" not in result.output
 
+    @pytest.mark.parametrize("leaf", ["1e300", "1e9"])
+    def test_unrepresentable_moments_refused(self, runner, workdir, leaf):
+        # with consistency, the error of a level far from its parent is
+        # about the gap between them: its power sums overflow (1e300) or
+        # cancel to a negative variance (1e9). Nothing is written.
+        tree = workdir / "gap.csv"
+        tree.write_text(f"node_id,parent_id,level,count\nr,,1,1\nr-1,r,2,{leaf}\n")
+        out = workdir / "eval"
+        args = ["evaluate", "--input", str(tree), "--replicates", "100",
+                "--out-dir", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = _invoke(runner, args)
+        assert result.exit_code == 3
+        assert "error: release-error moments overflow or cancel" in result.stderr
+        assert not out.exists()
+
 
 TWO_LEVEL_CSV = "node_id,parent_id,level,count\nA,,1,450\nA-1,A,2,300\nA-2,A,2,150\n"
 

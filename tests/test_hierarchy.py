@@ -638,10 +638,15 @@ class TestBlocks:
             (BLOCK_ROWS.replace("VA-200-2,", " ,"), False),
             (BLOCK_ROWS.replace("VA-100-3,VA-100", "VA-100-3,VA-1"), True),
             (BLOCK_ROWS.replace("VA-200-2", "VA-100-1"), True),
+            # numbers the byte path does not read: csv.reader reads them
+            (BLOCK_ROWS.replace("3,80", "3,80." + "0" * 38), False),
+            (BLOCK_ROWS.replace("3,60", "3,\u0666\u0660"), False),
+            (BLOCK_ROWS.replace("3,100", "+3,100"), False),
         ],
         ids=["lf", "no_final_newline", "crlf", "crlf_no_final_newline",
              "whitespace_row", "blank_last_row", "bad_count", "bad_level",
-             "five_fields", "empty_id", "orphan", "duplicate"],
+             "five_fields", "empty_id", "orphan", "duplicate",
+             "count_of_41_chars", "non_ascii_digits", "signed_level"],
     )
     def test_same_as_csv_reader(self, monkeypatch, chars, body, cut):
         text = HEADER + body
