@@ -56,7 +56,8 @@ PRIOR_WARNING = (
 
 @dataclass
 class RunConfig:
-    """Everything a command needs, resolved from flags."""
+    """Everything a command needs, resolved from flags. A prior tree is
+    kept as its :func:`level_stats`, all that the split reads of it."""
 
     hierarchy: Optional[Hierarchy] = None
     blocks: Optional[tuple[float, ...]] = None
@@ -67,26 +68,25 @@ class RunConfig:
     replicates: int = 1000
     hier: bool = False
     weight_fns: tuple[WeightFunction, ...] = ()
-    prior: Optional[Hierarchy] = None
+    prior: Optional[LevelStats] = None
     prior_given: bool = False
 
-    def _counts_tree(self) -> Hierarchy:
-        return self.prior if self.prior is not None else self.hierarchy
+    def __post_init__(self):
+        if isinstance(self.prior, Hierarchy):
+            self.prior = level_stats(self.prior)
 
     def level_weights(self) -> tuple[float, ...]:
-        return self.weights or (1.0,) * self._counts_tree().depth
+        return self.weights or (1.0,) * (self.prior or self.hierarchy).depth
 
     def prior_stats(self) -> LevelStats:
         """Counts that drive the allocation: the prior if given, else
-        the input itself. With both trees, their depths must match.
-        Without an input tree (``allocate --prior`` never reads it) the
-        prior alone sets the depth."""
-        stats = level_stats(self._counts_tree())
+        the input itself. With both, their depths must match. Without
+        an input tree (``allocate --prior`` never reads it) the prior
+        alone sets the depth."""
+        stats = self.prior or level_stats(self.hierarchy)
         if self.hierarchy is not None and stats.depth != self.hierarchy.depth:
-            raise DataError(
-                f"prior depth {stats.depth} does not match input depth "
-                f"{self.hierarchy.depth}"
-            )
+            raise DataError(f"prior depth {stats.depth} does not match "
+                            f"input depth {self.hierarchy.depth}")
         return stats
 
 

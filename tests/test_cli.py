@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hierdp.allocator import allocate_fixed_budget
 from hierdp.analytics import weighted_total_mse
 from hierdp import cli
 from hierdp.cli import main
-from hierdp.errors import InvalidSpec
+from hierdp.errors import DataError, InvalidSpec
 from hierdp.hierarchy import level_stats, parse_hierarchy
 
 from trees import residuals
@@ -416,6 +417,18 @@ class TestEvaluate:
 
 TWO_LEVEL_CSV = "node_id,parent_id,level,count\nA,,1,450\nA-1,A,2,300\nA-2,A,2,150\n"
 
+# the shape of VA_CSV with noisy, real-valued counts
+VA_PRIOR_CSV = """node_id,parent_id,level,count
+VA,,1,461.5
+VA-100,VA,2,290.25
+VA-200,VA,2,170
+VA-100-1,VA-100,3,111
+VA-100-2,VA-100,3,95.5
+VA-100-3,VA-100,3,88
+VA-200-1,VA-200,3,97
+VA-200-2,VA-200,3,54
+"""
+
 
 class TestPrior:
     """--prior drives the split; allocate then reads nothing from the
@@ -488,6 +501,112 @@ class TestPrior:
         assert result.exit_code == 3
         assert "prior depth 3 does not match input depth 2" in result.output
         assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("command", ["allocate", "release", "evaluate"])
+    def test_the_prior_tree_is_freed_before_the_split(
+        self, runner, workdir, monkeypatch, command
+    ):
+        """Only the prior's per-level counts outlive its parse: the tree
+        read from the prior file is dead when the split is solved."""
+        prior_path = str(workdir / "prior.csv")
+        (workdir / "prior.csv").write_text(VA_PRIOR_CSV)
+        trees, alive = [], []
+        read, solve = cli._read_hierarchy, cli.allocate_fixed_budget
+
+        def read_spy(f):
+            tree = read(f)
+            if f.name == prior_path:
+                trees.append(weakref.ref(tree))
+            return tree
+
+        def solve_spy(*args, **kwargs):
+            alive.append(trees[-1]() is not None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_read_hierarchy", read_spy)
+        monkeypatch.setattr(cli, "allocate_fixed_budget", solve_spy)
+        args = [command, "--input", str(workdir / "va.csv"), "--prior", prior_path,
+                "--eps-total", "1"]
+        if command == "allocate":
+            args += ["-o", str(workdir / "out.json")]
+        else:
+            args += ["--out-dir", str(workdir / "out")]
+        if command == "evaluate":
+            args += ["--eps-grid", "1", "--replicates", "100"]
+        assert _invoke(runner, args).exit_code == 0
+        assert len(trees) == 1
+        assert alive and not any(alive)
+
+    def test_a_prior_tree_and_its_level_stats_give_the_same_bytes(self, va_hierarchy):
+        """A library caller may pass the prior as a tree, as perfbench
+        does; it is reduced to the per-level counts the CLI keeps."""
+        prior = parse_hierarchy(VA_PRIOR_CSV)
+
+        def outputs(prior):
+            common = dict(hierarchy=va_hierarchy, prior=prior, prior_given=True)
+            return (
+                cli.cmd_allocate(cli.RunConfig(eps_total=1.0, **common)),
+                cli.cmd_allocate(cli.RunConfig(tau=100.0, **common)),
+                cli.cmd_release(cli.RunConfig(eps_total=1.0, hier=True, **common)),
+                cli.cmd_evaluate(cli.RunConfig(eps_total=1.0, replicates=100, **common),
+                                 (0.5, 1.0)),
+            )
+
+        assert outputs(prior) == outputs(level_stats(prior))
+
+    def test_a_prior_tree_of_another_depth_is_a_data_error(self, va_hierarchy):
+        config = cli.RunConfig(hierarchy=parse_hierarchy(TWO_LEVEL_CSV),
+                               prior=va_hierarchy, prior_given=True, eps_total=1.0)
+        with pytest.raises(DataError, match="prior depth 3 does not match input depth 2"):
+            cli.cmd_allocate(config)
+
+
+TRACT_CSV = "node_id,parent_id,level,count\nt,,1,14\nt-1,t,2,7\nt-2,t,2,2\nt-3,t,2,5\n"
+# the tract with one person added to each of its first two blocks
+NEIGHBOUR_CSV = "node_id,parent_id,level,count\nt,,1,16\nt-1,t,2,8\nt-2,t,2,3\nt-3,t,2,5\n"
+
+
+class TestOpenPrivacyLeaks:
+    """Two ways a release made with the defaults is not private. Each
+    test asserts what a private release must satisfy and fails today, so
+    the change that closes the leak turns its strict xfail into a pass."""
+
+    @staticmethod
+    def _release(runner, tmp_path, name, text):
+        (tmp_path / f"{name}.csv").write_text(text)
+        args = ["release", "--input", str(tmp_path / f"{name}.csv"),
+                "--eps-total", "1", "--out-dir", str(tmp_path / name)]
+        assert _invoke(runner, args).exit_code == 0
+        return tmp_path / name
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1a: the noise is a public function "
+                       "of the sidecar's seed and the node ids")
+    def test_the_noise_cannot_be_rebuilt_from_the_release(self, runner, tmp_path):
+        # imported here: once releases no longer draw from these
+        # streams they may go, and this module must still load
+        from hierdp.rng import centered_uniform_matrix, node_keys, standard_laplace
+
+        out = self._release(runner, tmp_path, "tract", TRACT_CSV)
+        released = parse_hierarchy((out / "release.csv").read_text())
+        sidecar = json.loads((out / "release.json").read_text())
+        eps = sidecar["allocation"]["eps"]
+        # with no seed in the sidecar, guess the default one
+        seed = sidecar.get("seed", 0)
+        recovered = []
+        for lv in range(1, released.depth + 1):
+            keys = node_keys(released.level_id_column(lv))
+            noise = standard_laplace(centered_uniform_matrix(seed, keys, 0, 1))[0]
+            recovered.append(np.rint(released.level_counts(lv) - noise / eps[lv - 1]).tolist())
+        assert recovered != [[14.0], [7.0, 2.0, 5.0]]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 2: the split is solved from the "
+                       "true counts and published in the sidecar")
+    def test_neighbouring_tracts_publish_the_same_sidecar(self, runner, tmp_path):
+        tract = self._release(runner, tmp_path, "tract", TRACT_CSV)
+        neighbour = self._release(runner, tmp_path, "neighbour", NEIGHBOUR_CSV)
+        assert (tract / "release.json").read_bytes() == (neighbour / "release.json").read_bytes()
 
 
 class TestDownstream:
