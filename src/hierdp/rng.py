@@ -8,7 +8,8 @@ than Python's ``hash`` to stay stable across processes.
 
 from __future__ import annotations
 
-import hashlib
+# hashlib.blake2b is always this one, never OpenSSL's, and hashlib would load OpenSSL
+from _blake2 import blake2b
 
 import numpy as np
 
@@ -37,7 +38,7 @@ def node_keys(node_ids) -> np.ndarray:
     UTF-8 bytes, read big-endian. An :class:`IdColumn` is hashed from
     its stored bytes, without decoding them."""
     utf8 = node_ids.utf8() if isinstance(node_ids, IdColumn) else map(_utf8, node_ids)
-    digests = [hashlib.blake2b(raw, digest_size=8).digest() for raw in utf8]
+    digests = [blake2b(raw, digest_size=8).digest() for raw in utf8]
     return np.frombuffer(b"".join(digests), dtype=">u8").astype(np.uint64)
 
 

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own code paths:
 Monte Carlo uses numpy's Laplace sampler, the projection oracle
 enumerates active sets, and the allocator oracle is a brute-force grid
-search over the reduced one-dimensional problem. The exceptions are
+search over the reduced one-dimensional problem, and the reference
+release walks a dict-based tree node by node. The exceptions are
 code as first written, kept to pin the bits of the package's faster
 versions: ``project_rows_two_sorts``, the projection, and
 the ``*_one_shot`` level kernels and their terms.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict, deque
 
 import numpy as np
 
@@ -142,6 +144,49 @@ def qp_projection(y, target: float) -> np.ndarray:
             if dist < best:
                 best, best_v = dist, v
     return best_v
+
+
+def reference_release(rows, eps, uniforms, hier: bool) -> dict:
+    """The release of the tree of ``(id, parent_id, level, count)`` rows,
+    in any order, as ``{id: value}`` over the levels with budget.
+
+    Node j of level l, in the order of its id's UTF-8 bytes, gets
+    ``max(0, count + standard_laplace(u) / eps[l - 1])`` with ``u =
+    uniforms[l][j]``, in the engine's order of operations. The Laplace
+    transform is applied to each level's vector of uniforms at once, as
+    the engine does, so that both take the same ``log1p`` path. With
+    ``hier`` (every level released), each sibling group is then projected
+    with :func:`qp_projection` onto its parent's adjusted value, top-down
+    in breadth-first order."""
+    children, by_level = defaultdict(list), defaultdict(list)
+    count = {}
+    for nid, pid, lv, c in rows:
+        count[nid] = float(c)
+        by_level[lv].append(nid)
+        if pid:
+            children[pid].append(nid)
+        else:
+            root = nid
+    value = {}
+    for lv, ids in by_level.items():
+        if eps[lv - 1] == 0:
+            continue
+        u = np.asarray(uniforms[lv], dtype=float)
+        lap = -np.sign(u) * np.log1p(-2.0 * np.abs(u))
+        ids = sorted(ids, key=lambda nid: nid.encode("utf-8", "surrogatepass"))
+        for j, nid in enumerate(ids):
+            value[nid] = max(0.0, lap[j] / eps[lv - 1] + count[nid])
+    if not hier:
+        return value
+    queue = deque([root])
+    while queue:
+        parent = queue.popleft()
+        kids = children[parent]
+        projected = qp_projection([value[k] for k in kids], value[parent]) if kids else ()
+        for kid, v in zip(kids, projected):
+            value[kid] = float(v)
+        queue.extend(kids)
+    return value
 
 
 def project_rows_two_sorts(noisy: np.ndarray, targets: np.ndarray) -> np.ndarray:

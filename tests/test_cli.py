@@ -2,13 +2,18 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import hierdp
 from hierdp.allocator import allocate_fixed_budget
 from hierdp.analytics import weighted_total_mse
 from hierdp import cli
@@ -737,6 +742,42 @@ class TestSynth:
         released = parse_hierarchy(text)
         assert released.depth == 4
         assert [len(released.level_ids(lv)) for lv in range(1, 5)] == [1, 5, 20, 60]
+
+
+SRC = str(Path(hierdp.__file__).resolve().parents[1])
+
+
+class TestNoOpenSSL:
+    """No command run on a file, a prior or ``--blocks`` loads OpenSSL:
+    node ids are hashed with CPython's own BLAKE2b (``_blake2``), and
+    ``import hashlib`` alone maps libcrypto (~3.5 MB and ~4 ms a
+    process). Each command runs in a fresh interpreter, which loads
+    only what it needs. ``--synth`` is left out: ``numpy.random``
+    imports ``secrets``, which loads ``_hashlib`` through ``hmac``."""
+
+    SCRIPT = (
+        "import sys\n"
+        "from hierdp.cli import main\n"
+        "main(sys.argv[1:], standalone_mode=False)\n"
+        "print(sorted({'_hashlib', '_ssl'} & set(sys.modules)))\n"
+    )
+
+    @pytest.mark.parametrize("args", [
+        ["allocate", "--input", "va.csv", "--eps-total", "1"],
+        ["allocate", "--input", "va.csv", "--prior", "va.csv", "--eps-total", "1"],
+        ["release", "--input", "va.csv", "--hier", "--eps-total", "1"],
+        ["evaluate", "--input", "va.csv", "--replicates", "100"],
+        ["downstream", "--blocks", "500,200,100,50", "--eps-total", "1"],
+        ["skew"],
+    ], ids=["allocate", "allocate-prior", "release", "evaluate", "downstream", "skew"])
+    def test_loads_no_openssl(self, workdir, args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *args], cwd=workdir, env=env,
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestListFlags:

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import replace
@@ -25,7 +27,7 @@ from hierdp.release import (
 from hierdp.rng import centered_uniform_matrix, node_keys, standard_laplace
 
 from conftest import VA_CSV
-from oracles import project_rows_two_sorts, qp_projection
+from oracles import project_rows_two_sorts, qp_projection, reference_release
 from test_hierarchy import random_tree
 from trees import residuals, tree
 
@@ -611,3 +613,79 @@ class TestConsistencyHelpsAtScale:
         hier = monte_carlo_moments(h, alloc, 3000, seed=0, with_hier=True)
         slack = 4.0 * math.hypot(plain.se_mse, hier.se_mse)
         assert hier.mse <= plain.mse + slack
+
+
+# characters that make an id need quoting, or that are not ASCII; each
+# id token puts one between two digits, so no id at a level is a prefix
+# of another and siblings stay contiguous in id order
+_MARKS = ["", "", "", ",", '"', " ", "\n", "é"]
+
+
+def _reference_case(seed: int):
+    """A random tree as ``(rows, csv text)``, its level budgets, its noise
+    seed and whether to project. Rows come shuffled; fanouts are ragged,
+    or equal along a level, up to 8 (4 on the deepest trees); counts are
+    all integers or all reals; a projected tree releases every level,
+    and a third of the others withhold one."""
+    rng = np.random.default_rng(seed)
+    depth = int(rng.integers(2, 5))
+    widest = 8 if depth < 4 else 4
+    equal = rng.random() < 0.3
+    integer = rng.random() < 0.5
+
+    def count():
+        return int(rng.integers(0, 40)) if integer else float(rng.uniform(0.0, 40.0))
+
+    rows, above = [("r", "", 1, count())], ["r"]
+    for lv in range(2, depth + 1):
+        fanout = int(rng.integers(1, widest + 1))
+        level = []
+        for pid in above:
+            for j in range(fanout if equal else int(rng.integers(1, widest + 1))):
+                nid = f"{pid}-{j}{_MARKS[rng.integers(len(_MARKS))]}{j}"
+                rows.append((nid, pid, lv, count()))
+                level.append(nid)
+        above = level
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["node_id", "parent_id", "level", "count"])
+    writer.writerows(rows)
+    hier = bool(rng.random() < 0.5)
+    eps = rng.uniform(0.05, 2.0, size=depth)
+    if not hier and rng.random() < 1 / 3:
+        eps[rng.integers(depth)] = 0.0
+    return rows, out.getvalue(), tuple(eps.tolist()), int(rng.integers(0, 2**63)), hier
+
+
+class TestAgainstReferenceRelease:
+    def test_engine_matches_node_by_node_release(self):
+        seen = set()
+        for case in range(50):
+            rows, text, eps, seed, hier = _reference_case(case)
+            h = parse_hierarchy(text)
+            uniforms = {
+                lv: centered_uniform_matrix(seed, node_keys(h.level_id_column(lv)), 0, 1)[0]
+                for lv in range(1, h.depth + 1)
+            }
+            alloc = replace(uniform_allocation(h.depth, 1.0), eps=eps)
+            got = _by_id(privatize(h, alloc, seed, hier))
+            want = reference_release(rows, eps, uniforms, hier)
+            assert got.keys() == want.keys(), case
+            if hier:
+                parent = {nid: pid for nid, pid, *_ in rows}
+                for nid, v in got.items():
+                    scale = max(1.0, want[parent[nid]]) if parent[nid] else 1.0
+                    assert v == pytest.approx(want[nid], rel=0, abs=1e-9 * scale), (case, nid)
+                seen.update(
+                    "sliced" if sliced else "gathered"
+                    for sliced, _ in ReleaseEngine(h).families.values()
+                )
+            else:
+                assert got == want, case
+            seen.add("integer" if all(isinstance(c, int) for *_, c in rows) else "real")
+            if 0.0 in eps:
+                seen.add("withheld")
+            if '"' in text:
+                seen.add("quoted")
+        assert seen == {"sliced", "gathered", "integer", "real", "withheld", "quoted"}
