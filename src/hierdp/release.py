@@ -10,12 +10,12 @@ targets the parent's already-adjusted value.
 tree, it draws any block of replicates as a ``(replicates, nodes)``
 matrix per level, scales and clamps that one draw for each allocation,
 shares the result between neighbouring arms of one allocation, and
-projects every replicate at once. Sibling families that are the whole
-child level in order (uniform fanout, siblings contiguous) are
-projected on a reshape of the child rows; other families gather their
-columns. :func:`privatize` is a single release: replicate 0 of one
-engine call, bit for bit; the Monte Carlo harness and the downstream
-study draw many.
+projects every replicate at once: each sibling-group size is one
+reshape of a contiguous run of the child level in family order, and a
+level already in that order (uniform fanout, siblings contiguous) is
+projected on views. :func:`privatize` is a single release: replicate 0
+of one engine call, bit for bit; the Monte Carlo harness and the
+downstream study draw many.
 
 Noise comes from the counter-based streams in :mod:`hierdp.rng`, so a
 release is a pure function of (hierarchy, allocation, seed) no matter
@@ -78,26 +78,29 @@ class ReleaseEngine:
         return released
 
     @cached_property
-    def families(self) -> dict[int, tuple[bool, list[tuple[np.ndarray, np.ndarray]]]]:
-        """Per parent level, ``(sliced, blocks)``: one block per distinct
-        sibling-group size, (parent columns, child columns), the latter
-        shaped ``(parents, size)`` with each row's children in id order.
-        ``sliced`` marks a level whose one block is the whole child level
-        in column order (equal group sizes, siblings contiguous), which
-        is projected as a reshape of the child rows."""
+    def families(self) -> dict[int, tuple]:
+        """Per parent level, ``(order, inverse, runs)``. Family order sorts
+        the child level by sibling-group size, then by parent, keeping
+        each group's children in id order; ``order`` takes the child
+        columns into it and ``inverse`` back, both ``slice(None)`` for a
+        level already in it. ``runs`` holds, per group size in increasing
+        order, (size, parent columns, slice of family order)."""
         families = {}
         for lv in range(1, self.h.depth):
             parents = self.h.level_parents(lv + 1)
-            cols = np.argsort(parents, kind="stable")
             # every node above the bottom level has children
             sizes = np.bincount(parents)
-            starts = np.cumsum(sizes) - sizes
-            blocks = []
-            for size in np.flatnonzero(np.bincount(sizes)):
+            order = np.lexsort((parents, sizes[parents]))
+            runs, stop = [], 0
+            for size in np.flatnonzero(np.bincount(sizes)).tolist():
                 group = np.flatnonzero(sizes == size)
-                blocks.append((group, cols[starts[group][:, None] + np.arange(size)]))
-            sliced = len(blocks) == 1 and bool(np.all(parents[1:] >= parents[:-1]))
-            families[lv] = (sliced, blocks)
+                start, stop = stop, stop + len(group) * size
+                if group[-1] - group[0] == len(group) - 1:
+                    group = slice(group[0], group[-1] + 1)
+                runs.append((size, group, slice(start, stop)))
+            in_order = np.array_equal(order, np.arange(len(order)))
+            inverse = slice(None) if in_order else np.argsort(order)
+            families[lv] = (slice(None) if in_order else order, inverse, runs)
         return families
 
     def release(
@@ -165,25 +168,21 @@ class ReleaseEngine:
         if len(noisy) != self.h.depth:
             raise UnreleasedLevel(_EVERY_LEVEL)
         adjusted = {1: noisy[1]}
-        for lv, (sliced, blocks) in self.families.items():
-            parent, child = adjusted[lv], noisy[lv + 1]
-            if sliced:
-                # row-major rows of the child block are its sibling groups
-                size = blocks[0][1].shape[1]
-                adjusted[lv + 1] = project_rows(
-                    child.reshape(-1, size), parent.reshape(-1)
-                ).reshape(child.shape)
-                continue
-            # the blocks cover every child column
-            out = np.empty_like(child)
-            for group, cols in blocks:
-                # np.take gathers C-contiguous rows, which sum alike for
-                # one replicate or many; never pass a transposed view
-                rows = np.take(child, cols, axis=1).reshape(-1, cols.shape[1])
-                targets = np.take(parent, group, axis=1).reshape(-1)
-                out[:, cols] = project_rows(rows, targets).reshape(-1, *cols.shape)
-            adjusted[lv + 1] = out
+        for lv, (order, inverse, runs) in self.families.items():
+            parent, child = adjusted[lv], _columns(noisy[lv + 1], order)
+            # row-major rows of a run are its sibling groups
+            out = [
+                project_rows(child[:, cols].reshape(-1, size), _columns(parent, group).reshape(-1))
+                .reshape(-1, cols.stop - cols.start) for size, group, cols in runs
+            ]
+            out = out[0] if len(out) == 1 else np.concatenate(out, axis=1)
+            adjusted[lv + 1] = _columns(out, inverse)
         return adjusted
+
+
+def _columns(x: np.ndarray, cols: slice | np.ndarray) -> np.ndarray:
+    # x[:, array] would be F-ordered, and every later reduction over its rows slow
+    return x[:, cols] if isinstance(cols, slice) else np.take(x, cols, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
