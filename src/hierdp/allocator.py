@@ -206,6 +206,18 @@ def level_marginal(
     return _Level(stats.counts[level - 1], w[level - 1]).marginal(eps)[0]
 
 
+def _at_most(eps: list[float], total: float) -> tuple[float, ...]:
+    """``eps`` with its largest entry lowered until their exact sum is
+    at most ``total``: levels compose, so a release spends that sum.
+    ``math.fsum`` rounds the exact excess correctly, so its sign is
+    exact. The excess, up to ~1e-13 of the total after a solve, is
+    taken off at once, and whatever rounding leaves an ulp at a time."""
+    i = eps.index(max(eps))
+    while (over := math.fsum([*eps, -total])) > 0:
+        eps[i] = min(eps[i] - over, math.nextafter(eps[i], 0.0))
+    return tuple(eps)
+
+
 def _solve(
     stats: LevelStats,
     w: Sequence[float] | LevelWeights,
@@ -303,6 +315,8 @@ def _solve(
                 f"{program}: KKT residual {worst:g} exceeds 1e-8 * lambda ({lam:g})"
             )
 
+    if fixed:
+        eps = _at_most(eps, target)
     objective = sum(lv.w * lv.mse(eps[i]) for i, lv in levels.items())
     achieved = sum(eps) if fixed else objective
     if abs(achieved - target) > 1e-9 * target:
@@ -310,7 +324,7 @@ def _solve(
         raise ConvergenceFailure(f"{program}: {what}={achieved!r} misses {target!r}")
     return BudgetAllocation(
         eps=tuple(eps),
-        eps_total_used=sum(eps),
+        eps_total_used=math.fsum(eps),
         objective_value=objective,
         program=program,
         weights=tuple(weights.w),
@@ -326,7 +340,8 @@ def allocate_fixed_budget(
     """Minimize the weighted total mse subject to sum(eps) <= eps_total.
 
     Returns the unique optimum: positive-weight levels share a common
-    marginal -lambda and their budgets sum exactly to eps_total.
+    marginal -lambda and their budgets sum to eps_total, the largest
+    lowered until their exact sum is not above it.
     """
     if not (eps_total > 0 and math.isfinite(eps_total)):
         raise DomainError(f"eps_total must be positive, got {eps_total!r}")
@@ -351,15 +366,16 @@ def allocate_target_mse(
 
 
 def uniform_allocation(depth: int, eps_total: float) -> BudgetAllocation:
-    """The even-split baseline: every level gets eps_total / depth."""
+    """The even-split baseline: every level gets eps_total / depth, the
+    first lowered until their exact sum is not above eps_total."""
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
     if not (eps_total > 0 and math.isfinite(eps_total)):
         raise DomainError(f"eps_total must be positive, got {eps_total!r}")
-    share = eps_total / depth
+    eps = _at_most([eps_total / depth] * depth, eps_total)
     return BudgetAllocation(
-        eps=(share,) * depth,
-        eps_total_used=eps_total,
+        eps=eps,
+        eps_total_used=math.fsum(eps),
         objective_value=None,
         program=PROGRAM_UNIFORM,
         weights=(1.0,) * depth,

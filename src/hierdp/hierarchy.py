@@ -207,7 +207,7 @@ def _gather(data: bytes, offsets: np.ndarray, order: np.ndarray) -> bytearray:
 class IdColumn:
     """Node ids kept as one UTF-8 buffer and the offsets that cut it: id
     ``i`` is ``data[offsets[i]:offsets[i + 1]]``. Iterating decodes each
-    id to ``str``; :meth:`utf8` yields the bytes as stored."""
+    id to ``str``."""
 
     __slots__ = ("data", "offsets")
 
@@ -222,11 +222,8 @@ class IdColumn:
         """Id ``i`` as stored."""
         return self.data[self.offsets[i] : self.offsets[i + 1]]
 
-    def utf8(self) -> Iterator[bytes]:
-        return chain.from_iterable(_chunks(self.data, self.offsets, 0, len(self)))
-
     def __iter__(self) -> Iterator[str]:
-        return map(_text, self.utf8())
+        return map(_text, chain.from_iterable(_chunks(self.data, self.offsets, 0, len(self))))
 
     def find(self, nid: bytes) -> int:
         """The position of ``nid`` in a column in ascending order, or -1."""
@@ -429,12 +426,8 @@ class Hierarchy:
 
     def level_ids(self, level: int) -> tuple[str, ...]:
         """Node ids at ``level`` (1-based), sorted by id."""
-        return tuple(self.level_id_column(level))
-
-    def level_id_column(self, level: int) -> IdColumn:
-        """The ids at ``level`` as stored, in :meth:`level_ids` order."""
         s = self._level_slice(level)
-        return IdColumn(self._data, self._offsets[s.start : s.stop + 1])
+        return tuple(IdColumn(self._data, self._offsets[s.start : s.stop + 1]))
 
     def level_counts(self, level: int) -> np.ndarray:
         """Counts at ``level``, in :meth:`level_ids` order (a copy)."""

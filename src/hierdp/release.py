@@ -17,14 +17,15 @@ projected on views. :func:`privatize` is a single release: replicate 0
 of one engine call, bit for bit; the Monte Carlo harness and the
 downstream study draw many.
 
-Noise comes from the counter-based streams in :mod:`hierdp.rng`, so a
+Noise comes from the counter-based streams in :mod:`hierdp.rng`, one
+per node, keyed by its index in node order (level, then id), so a
 release is a pure function of (hierarchy, allocation, seed) no matter
-how the work is chunked. Levels allocated eps = 0 are omitted from the
-release entirely: emitting their true counts would cost unbounded
-privacy, and emitting nothing is the only budget-true option. Any other
-eps must pass the closed forms' domain check (finite, at least 1e-12):
-an infinite eps would publish the true counts, and a NaN or negative
-one would silently withhold its level.
+how the rows are ordered or the work is chunked. Levels allocated
+eps = 0 are omitted from the release entirely: emitting their true
+counts would cost unbounded privacy, and emitting nothing is the only
+budget-true option. Any other eps must pass the closed forms' domain
+check (finite, at least 1e-12): an infinite eps would publish the true
+counts, and a NaN or negative one would silently withhold its level.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .allocator import BudgetAllocation
 from .analytics import _check_eps
 from .errors import AllocationMismatch, DomainError, UnreleasedLevel
 from .hierarchy import Hierarchy, serialize_hierarchy
-from .rng import centered_uniform_matrix, node_keys, standard_laplace
+from .rng import centered_uniform_matrix, standard_laplace
 
 _EVERY_LEVEL = "consistency requires a released value at every level"
 
@@ -51,15 +52,15 @@ class ReleaseEngine:
     over any block of replicates and any allocation.
 
     Arrays are keyed by level and shaped ``(replicates, nodes)``, with
-    columns in :meth:`Hierarchy.level_ids` order. Node keys, counts and
-    sibling groups are computed once per tree, keys only for levels
-    drawn; :meth:`release` draws a block of unit-scale noise once and
-    scales it for any number of allocations.
+    columns in :meth:`Hierarchy.level_ids` order. Counts and sibling
+    groups are computed once per tree; :meth:`release` draws a block of
+    unit-scale noise once, keying column ``j`` of a level by
+    ``level_first + j``, the number of nodes above the level plus ``j``,
+    and scales it for any number of allocations.
     """
 
     def __init__(self, h: Hierarchy):
         self.h = h
-        self.keys: dict[int, np.ndarray] = {}
 
     @cached_property
     def counts(self) -> dict[int, np.ndarray]:
@@ -116,11 +117,11 @@ class ReleaseEngine:
         the arm asks.
 
         Every arm is checked, and a with-consistency arm whose allocation
-        withholds a level raises :class:`UnreleasedLevel`, before any key
-        is hashed or noise drawn. Unit-scale noise is drawn once, on the
-        call, for every level any arm releases, so the arms share their
-        noise. It is scaled and clamped once for each run of neighbouring
-        arms with one allocation, into read-only arrays they share."""
+        withholds a level raises :class:`UnreleasedLevel`, before any noise
+        is drawn. Unit-scale noise is drawn once, on the call, for every
+        level any arm releases, so the arms share their noise. It is
+        scaled and clamped once for each run of neighbouring arms with
+        one allocation, into read-only arrays they share."""
         if rep_hi < rep_lo:
             raise DomainError(f"replicate range [{rep_lo}, {rep_hi}) is reversed")
         if not 0 <= seed < 2**64:
@@ -131,11 +132,9 @@ class ReleaseEngine:
                 raise UnreleasedLevel(_EVERY_LEVEL)
         laplace = {}
         for lv in sorted(set().union(*released)):
-            if lv not in self.keys:
-                self.keys[lv] = node_keys(self.h.level_id_column(lv))
-            laplace[lv] = standard_laplace(
-                centered_uniform_matrix(seed, self.keys[lv], rep_lo, rep_hi)
-            )
+            first = sum(len(self.counts[above]) for above in range(1, lv))
+            keys = np.arange(first, first + len(self.counts[lv]), dtype=np.uint64)
+            laplace[lv] = standard_laplace(centered_uniform_matrix(seed, keys, rep_lo, rep_hi))
 
         eps = [alloc.eps for alloc, _ in arms] + [None]
 

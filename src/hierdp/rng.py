@@ -1,19 +1,14 @@
 """Counter-based random streams for reproducible noise generation.
 
-Each (seed, node id, replicate index) triple maps to one uniform draw
-through a splitmix64-style hash, so noise values do not depend on
-traversal order or chunking. Node ids are hashed with blake2b rather
-than Python's ``hash`` to stay stable across processes.
+Each (seed, key, replicate index) triple maps to one uniform draw
+through a splitmix64-style hash. A node's key is its index in node
+order (level, then id), so noise values do not depend on row order,
+traversal order or chunking, and need no hash of the node's id.
 """
 
 from __future__ import annotations
 
-# hashlib.blake2b is always this one, never OpenSSL's, and hashlib would load OpenSSL
-from _blake2 import blake2b
-
 import numpy as np
-
-from .hierarchy import IdColumn, _utf8
 
 _U64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _C1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -33,15 +28,6 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> _S31)
 
 
-def node_keys(node_ids) -> np.ndarray:
-    """Stable 64-bit keys of node ids: the blake2b digest of each id's
-    UTF-8 bytes, read big-endian. An :class:`IdColumn` is hashed from
-    its stored bytes, without decoding them."""
-    utf8 = node_ids.utf8() if isinstance(node_ids, IdColumn) else map(_utf8, node_ids)
-    digests = [blake2b(raw, digest_size=8).digest() for raw in utf8]
-    return np.frombuffer(b"".join(digests), dtype=">u8").astype(np.uint64)
-
-
 def _to_unit(out: np.ndarray) -> np.ndarray:
     """Map 64-bit words to uniforms strictly inside (-1/2, 1/2)."""
     return ((out >> _S11).astype(np.float64) + 0.5) * 2.0**-53 - 0.5
@@ -51,9 +37,9 @@ def centered_uniform_matrix(
     seed: int, keys: np.ndarray, rep_lo: int, rep_hi: int
 ) -> np.ndarray:
     """Matrix of uniforms, rows = replicates [rep_lo, rep_hi), columns =
-    node keys. Entry (r, j) depends only on (seed, key j, replicate r),
-    so any split of the replicate range yields the same rows. The seed
-    is a 64-bit word, in [0, 2**64)."""
+    uint64 node keys. Entry (r, j) depends only on (seed, key j,
+    replicate r), so any split of the replicate range yields the same
+    rows. The seed is a 64-bit word, in [0, 2**64)."""
     base = _mix64_np(np.uint64(seed ^ 0x5DEECE66D))
     reps = np.arange(rep_lo, rep_hi, dtype=np.uint64)
     with np.errstate(over="ignore"):

@@ -306,22 +306,26 @@ class TestUniform:
 
 
 class TestOpenBudgetOverspend:
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 2: the level budgets' exact sum can "
-                       "exceed the total they split")
     def test_level_budgets_sum_to_at_most_the_total(self):
         # levels compose sequentially, so a release spends the exact sum
-        # of its level budgets; today 192 of these 300 (tree, total)
-        # pairs spend more than the total, by up to 9.9e-14 of it
+        # of its level budgets
+        totals = np.logspace(-2, 2, 25).tolist()
         over = []
         for fanouts in ((128, 164), (8, 6), (3, 3, 3)):
             for seed in range(4):
                 stats = level_stats(synth_hierarchy(SynthSpec(seed=seed, fanouts=fanouts)))
                 weights = (1.0,) * stats.depth
-                for total in np.logspace(-2, 2, 25).tolist():
+                for total in totals:
                     alloc = allocate_fixed_budget(stats, weights, total)
                     if sum(map(Fraction, alloc.eps)) > Fraction(total):
                         over.append((fanouts, seed, total))
+                    assert alloc.eps_total_used <= total
+        for depth in (2, 3, 5, 7):
+            for total in totals:
+                alloc = uniform_allocation(depth, total)
+                if sum(map(Fraction, alloc.eps)) > Fraction(total):
+                    over.append((depth, total))
+                assert alloc.eps_total_used <= total
         assert over == []
 
 

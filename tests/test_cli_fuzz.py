@@ -4,7 +4,8 @@ Trees of one to three levels take their counts from a pool that holds
 0, 1e-300 and 1e300 at any level, so most are not consistent; flags take
 values from a pool of edge cases. Whatever the input, a command exits 0,
 2 (usage), 3 (data) or 4 (solver), with no traceback and no numpy
-warning, and the same arguments give the same bytes. A release keeps the
+warning, and the same arguments give the same bytes. A split of
+``--eps-total`` spends at most that total, exactly. A release keeps the
 input's ids, parents and levels for every level it releases, and with
 ``--hier`` each sibling group sums to its parent.
 """
@@ -15,6 +16,7 @@ import json
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -118,6 +120,14 @@ def _run(args, tmp_path):
     return result, result.output + result.stderr, files, runtime
 
 
+def _check_spend(args, allocation):
+    """The level budgets' exact sum, and the total written, are at most
+    ``--eps-total``: levels compose, so a release spends that sum."""
+    total = Fraction(float(args[args.index("--eps-total") + 1]))
+    assert sum(map(Fraction, allocation["eps"])) <= total, args
+    assert Fraction(allocation["eps_total"]) <= total, args
+
+
 def _check_release(rows, files, hier):
     """Check a release against its input rows; the number of sibling
     groups checked against their parent."""
@@ -142,7 +152,7 @@ def _check_release(rows, files, hier):
 def test_cli_fuzz(command, tmp_path):
     rng = random.Random(f"cli-fuzz-{command}")
     codes = set()
-    groups = 0
+    groups = spent = 0
     for case in range(CASES):
         args, rows = _case(command, rng, tmp_path)
         first = _run(args, tmp_path)
@@ -155,9 +165,16 @@ def test_cli_fuzz(command, tmp_path):
         assert (second[0].exit_code, second[1], second[2]) == (result.exit_code, output, files), context
         if result.exit_code == 0 and rows is not None:
             groups += _check_release(rows, files, "--hier" in args)
+        if result.exit_code == 0 and "--eps-total" in args and command in ("allocate", "release"):
+            if rows is None:
+                _check_spend(args, json.loads(result.stdout))
+            else:
+                _check_spend(args, json.loads(files["release.json"])["allocation"])
+            spent += 1
         codes.add(result.exit_code)
         for p in (tmp_path / "out").glob("*"):
             p.unlink()
     # both successes and refusals are exercised, and consistent releases
     assert 0 in codes and 3 in codes
     assert groups or command != "release"
+    assert spent or command not in ("allocate", "release")

@@ -107,21 +107,18 @@ class TestMonteCarloMoments:
 class TestCompareAllocations:
     def test_one_draw_per_level_per_chunk(self, monkeypatch):
         h = synth_hierarchy(SynthSpec(seed=2, fanouts=(8, 12)))
-        counted = {"centered_uniform_matrix": 0, "node_keys": 0}
-        for name in counted:
-            original = getattr(release, name)
-
-            def counting(*args, _name=name, _original=original):
-                counted[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(release, name, counting)
+        counted = []
+        original = release.centered_uniform_matrix
+        monkeypatch.setattr(
+            release, "centered_uniform_matrix",
+            lambda *args: counted.append(args) or original(*args),
+        )
         # 50 replicates per chunk: 150 replicates in 3 chunks, each drawn
         # once per level for all four arms
         monkeypatch.setattr(evaluation, "CHUNK_ELEMENTS", 50 * len(h))
         report = compare_allocations(h, 1.0, (1.0, 1.0, 1.0), 150, seed=7)
         assert len(report.arms) == 4
-        assert counted == {"centered_uniform_matrix": 3 * 3, "node_keys": 3}
+        assert len(counted) == 3 * 3
 
     def test_arms_match_one_arm_passes(self, va_hierarchy):
         report = compare_allocations(va_hierarchy, 1.0, (1, 1, 1), 200, seed=3)

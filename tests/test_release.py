@@ -24,7 +24,7 @@ from hierdp.release import (
     project_children,
     project_rows,
 )
-from hierdp.rng import centered_uniform_matrix, node_keys, standard_laplace
+from hierdp.rng import centered_uniform_matrix, standard_laplace
 
 from conftest import VA_CSV
 from oracles import project_rows_two_sorts, qp_projection, reference_release
@@ -50,44 +50,40 @@ def _by_id(released):
     }
 
 
-def _hashing(monkeypatch):
-    """The id lists ``release.node_keys`` is called with, from now on."""
-    hashed = []
-    monkeypatch.setattr(
-        release, "node_keys", lambda ids: hashed.append(ids) or node_keys(ids)
-    )
-    return hashed
+def _drawing(monkeypatch):
+    """The node keys ``release.centered_uniform_matrix`` draws for, from
+    now on, one list per call."""
+    drawn = []
+
+    def recording(seed, keys, rep_lo, rep_hi):
+        drawn.append(keys.tolist())
+        return centered_uniform_matrix(seed, keys, rep_lo, rep_hi)
+
+    monkeypatch.setattr(release, "centered_uniform_matrix", recording)
+    return drawn
 
 
-def _laplace(scale, seed, node_id, replicates):
-    """One node's Laplace(scale) draws over replicates 0..replicates-1."""
-    u = centered_uniform_matrix(seed, node_keys([node_id]), 0, replicates)
+def _level_keys(h, lv):
+    """The keys of level ``lv``'s nodes: their indices in node order,
+    counted from the level sizes of ``h``."""
+    first = sum(len(h.level_ids(above)) for above in range(1, lv))
+    return np.arange(first, first + len(h.level_ids(lv)), dtype=np.uint64)
+
+
+def _laplace(scale, seed, key, replicates):
+    """One key's Laplace(scale) draws over replicates 0..replicates-1."""
+    u = centered_uniform_matrix(seed, np.array([key], dtype=np.uint64), 0, replicates)
     return scale * standard_laplace(u[:, 0])
 
 
 class TestLaplaceSample:
-    def test_keys_hash_the_stored_bytes(self):
-        # a level's keys come from its stored UTF-8 bytes, bit for bit
-        # the keys of its ids as str, a lone surrogate included
-        ids = ["東京", "Zürich", "a-ß", "r-001", "😀", "\ud800"]
-        h = tree([("r", "", 1, 5.0)] + [(nid, "r", 2, 1.0) for nid in ids])
-        expected = [
-            int.from_bytes(
-                hashlib.blake2b(nid.encode("utf-8", "surrogatepass"), digest_size=8).digest(),
-                "big",
-            )
-            for nid in h.level_ids(2)
-        ]
-        assert node_keys(h.level_id_column(2)).tolist() == expected
-        assert node_keys(list(h.level_ids(2))).tolist() == expected
-
     def test_determinism(self):
-        assert _laplace(2.0, 5, "node", 1) == _laplace(2.0, 5, "node", 1)
+        assert _laplace(2.0, 5, 3, 1) == _laplace(2.0, 5, 3, 1)
 
     def test_stream_sequences_match(self):
         # a node's replicate sequence replays exactly, however the
         # replicate range is split
-        keys = node_keys(["x"])
+        keys = np.array([7], dtype=np.uint64)
         whole = centered_uniform_matrix(9, keys, 0, 20)
         split = np.vstack(
             [
@@ -99,19 +95,19 @@ class TestLaplaceSample:
         assert whole.tolist() == split.tolist()
 
     def test_different_nodes_differ(self):
-        u = centered_uniform_matrix(0, node_keys(["a", "b"]), 0, 1)
+        u = centered_uniform_matrix(0, np.arange(2, dtype=np.uint64), 0, 1)
         assert u[0, 0] != u[0, 1]
 
     def test_moments_at_scale_two(self):
         # variance of Laplace(b) is 2 b^2; fourth-moment standard error
-        x = _laplace(2.0, 123, "moment-check", 10**6)
+        x = _laplace(2.0, 123, 11, 10**6)
         v = x.var(ddof=1)
         m4 = np.mean((x - x.mean()) ** 4)
         se = math.sqrt((m4 - v * v) / x.size)
         assert abs(v - 8.0) <= 4.0 * se
 
     def test_median_zero(self):
-        x = _laplace(1.0, 77, "median", 200001)
+        x = _laplace(1.0, 77, 12, 200001)
         assert abs(np.median(x)) < 0.01
 
     def test_transform_median_exact(self):
@@ -165,16 +161,42 @@ class TestReleaseNoHier:
     def test_zero_budget_level_withheld(self, va_hierarchy, monkeypatch):
         stats = level_stats(va_hierarchy)
         alloc = allocate_fixed_budget(stats, (1.0, 0.0, 1.0), 1.0)
-        hashed = _hashing(monkeypatch)
+        drawn = _drawing(monkeypatch)
         released = privatize(va_hierarchy, alloc, 0, False)
-        # no noise is hashed or drawn for the withheld level
-        assert [list(ids) for ids in hashed] == [
-            ["VA"], list(va_hierarchy.level_ids(3))
-        ]
+        # no noise is drawn for the withheld level, and the bottom level
+        # keeps the keys after the root's and the withheld level's
+        assert drawn == [[0], [3, 4, 5, 6, 7]]
         assert "VA-100" not in _by_id(released)
         assert "VA-200" not in _by_id(released)
         assert "VA" in _by_id(released)
         assert list(released.levels) == [1, 3]
+
+    @pytest.mark.parametrize("hier", [False, True])
+    def test_renamed_ids_draw_the_same_noise(self, hier):
+        # noise is keyed by a node's place in the tree, not by its id:
+        # renaming every id, in the same order, moves no released value
+        rows = random_tree(5)
+        h = tree(rows)
+        twin = tree([("Q" + nid, pid and "Q" + pid, lv, c) for nid, pid, lv, c in rows])
+        assert twin.level_ids(2) != h.level_ids(2)
+        alloc = uniform_allocation(h.depth, 2.0)
+        got, want = (privatize(t, alloc, 8, hier).levels for t in (twin, h))
+        assert {lv: row.tobytes() for lv, row in got.items()} == \
+            {lv: row.tobytes() for lv, row in want.items()}
+
+    @pytest.mark.parametrize("withheld", [1, 2, 3])
+    def test_withheld_level_moves_no_other_level(self, withheld):
+        # keys count the nodes above a level whether or not they are
+        # released, so withholding one level keeps every other value
+        h = tree(random_tree(6))
+        full = uniform_allocation(h.depth, 4.0)
+        eps = list(full.eps)
+        eps[withheld - 1] = 0.0
+        got = privatize(h, replace(full, eps=tuple(eps)), 3, False).levels
+        want = privatize(h, full, 3, False).levels
+        assert list(got) == [lv for lv in range(1, h.depth + 1) if lv != withheld]
+        for lv, row in got.items():
+            assert row.tobytes() == want[lv].tobytes()
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0, 1e-320])
     def test_bad_level_eps_refused(self, bad, monkeypatch):
@@ -182,13 +204,13 @@ class TestReleaseNoHier:
         # root, and 1e-320 overflowed the noise scale
         h = synth_hierarchy(SynthSpec(seed=1, fanouts=(3, 4)))
         alloc = replace(uniform_allocation(3, 3.0), eps=(bad, 1.0, 1.0))
-        hashed = _hashing(monkeypatch)
+        drawn = _drawing(monkeypatch)
         for hier in (False, True):
             with pytest.raises(DomainError, match="eps must be"):
                 privatize(h, alloc, 0, hier)
         with pytest.raises(DomainError, match="eps must be"):
             analytic_total_mse(h, alloc)
-        assert hashed == []
+        assert drawn == []
 
     # sha256 of to_csv() for the fixture at eps_total 2, equal weights.
     # Rerun checks only compare one version with itself; these pin the
@@ -199,10 +221,10 @@ class TestReleaseNoHier:
     # that the solver's last bits cannot move the noise scale.
     PINNED_EPS = (0.5037914086253155, 0.6347374004832246, 0.8614711908916605)
     PINNED_CSV_SHA256 = {
-        (0, False): "a24a6503dcb07c3b29399177a053c214beeabde4bd4617623c0b8b739dfeaf03",
-        (0, True): "e2d2b571e6fe720453dcf5c69a1139e0206304b27504499654128ad90a7af215",
-        (5, False): "e965b865030c9085dbed784399aff06f556f3d30df8570231942d14ee4c35b6a",
-        (5, True): "01bcc797434b372c2c7b6e4085a237ddf46bae52b4f517de3baf4977111a7f16",
+        (0, False): "a06de2ec7bad9b11ed1b2a4a4fa915e64f038e8c22d530ffb590b613b1b7e7d8",
+        (0, True): "5b76445ef6cfac1337c57cef7a63529d8919bde0b49f3ab9718058158a79e903",
+        (5, False): "bf4ea750ed21734d8a94d3087cc1943f52a70e79c7a8c573baf446fafda61ebc",
+        (5, True): "801fad625bbbca829f006c926b4d2f1ae0bc3b2dc3ccd15ca61852a6c9c51ccb",
     }
 
     @pytest.mark.parametrize("seed,hier", sorted(PINNED_CSV_SHA256))
@@ -454,7 +476,7 @@ class TestReleaseEngine:
         released = engine.release([(alloc, False) for alloc in allocs], 3, 0, 4)
         for alloc, noisy in zip(allocs, released):
             for lv, eps in enumerate(alloc.eps, start=1):
-                keys = node_keys(va_hierarchy.level_ids(lv))
+                keys = _level_keys(va_hierarchy, lv)
                 laplace = standard_laplace(centered_uniform_matrix(3, keys, 0, 4))
                 want = np.maximum(0.0, engine.counts[lv] + laplace / eps)
                 assert noisy[lv].tolist() == want.tolist()
@@ -581,13 +603,13 @@ class TestReleaseEngine:
     ):
         full = uniform_allocation(3, 1.0)
         withheld = replace(full, eps=(1.0, 0.0, 1.0))
-        hashed = _hashing(monkeypatch)
+        drawn = _drawing(monkeypatch)
         engine = ReleaseEngine(va_hierarchy)
         for arms in ([(withheld, True)], [(full, False), (withheld, True)]):
             # refused on the call, not when the generator reaches the arm
             with pytest.raises(UnreleasedLevel):
                 engine.release(arms, 0, 0, 1)
-        assert hashed == []
+        assert drawn == []
         # an arm without consistency may withhold the level
         (noisy,) = engine.release([(withheld, False)], 0, 0, 1)
         assert list(noisy) == [1, 3]
@@ -733,7 +755,7 @@ class TestAgainstReferenceRelease:
             rows, text, eps, seed, hier = _reference_case(case)
             h = parse_hierarchy(text)
             uniforms = {
-                lv: centered_uniform_matrix(seed, node_keys(h.level_id_column(lv)), 0, 1)[0]
+                lv: centered_uniform_matrix(seed, _level_keys(h, lv), 0, 1)[0]
                 for lv in range(1, h.depth + 1)
             }
             alloc = replace(uniform_allocation(h.depth, 1.0), eps=eps)
