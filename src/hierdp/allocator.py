@@ -58,19 +58,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
-from .analytics import (
-    EPS_MIN,
-    LevelWeights,
-    _check_counts,
-    _check_eps,
-    _kernel_scratch,
-    _mse_deps_sums,
-    _mse_sum,
-    _saturated_from,
-    as_weights,
-)
+from .analytics import EPS_MIN, LevelWeights, _check_eps, _Level, as_weights
 from .errors import ConvergenceFailure, DomainError
 from .hierarchy import LevelStats
 
@@ -140,55 +128,29 @@ def _root(
     return x, fx, slope
 
 
-class _Level:
-    """One level's deduplicated counts with weight attached. The counts
-    are validated here, once, so the solver's passes need not, and the
-    kernels' scratch is allocated here, once per solve."""
+def _level_root(level: _Level, w: float, lam: float) -> tuple[float, float, float]:
+    """e_l(lam), the root of D_l(e) + lam for a level of weight w, with
+    the KKT residual D_l(e) + lam and D_l'(e) there."""
+    base = w * level.k
+    # widen a hair so float rounding cannot strand the root outside
+    lo = max((2.0 * base / lam) ** (1.0 / 3.0) * (1.0 - 1e-9), EPS_MIN)
+    hi = (4.0 * base / lam) ** (1.0 / 3.0) * (1.0 + 1e-9)
 
-    __slots__ = ("vals", "mults", "k", "w", "scratch")
+    def f(e: float) -> tuple[float, float]:
+        d1, d2 = level.mse_deps(e)
+        return w * d1 + lam, w * d2
 
-    def __init__(self, counts: np.ndarray, w: float):
-        # what np.unique(..., return_counts=True) gives, from one copy
-        # sorted in place and one mask of each value's first place
-        vals = _check_counts(np.array(counts, dtype=float))
-        vals.sort()
-        first = np.empty(vals.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(vals[1:], vals[:-1], out=first[1:])
-        self.k = float(vals.size)
-        # every count distinct (a real-valued prior): nothing to weight
-        self.mults = None
-        if not first.all():
-            self.mults = np.diff(np.flatnonzero(first), append=vals.size).astype(float)
-            vals = vals[first]
-        del first
-        self.vals = vals
-        self.w = w
-        self.scratch = _kernel_scratch(vals.size)
+    return _root(f, lo, hi, 1e-12 * lam)
 
-    def marginal(self, eps: float) -> tuple[float, float]:
-        """D_l(eps) and its slope D_l'(eps)."""
-        d1, d2 = _mse_deps_sums(self.vals, eps, self.mults, self.scratch,
-                                _saturated_from(self.vals, eps))
-        return self.w * d1, self.w * d2
 
-    def mse(self, eps: float) -> float:
-        return _mse_sum(self.vals, eps, self.mults, self.scratch,
-                        _saturated_from(self.vals, eps))
-
-    def solve(self, lam: float) -> tuple[float, float, float]:
-        """e_l(lam), the root of D_l(e) + lam, with the KKT residual
-        D_l(e) + lam and D_l'(e) there."""
-        base = self.w * self.k
-        # widen a hair so float rounding cannot strand the root outside
-        lo = max((2.0 * base / lam) ** (1.0 / 3.0) * (1.0 - 1e-9), EPS_MIN)
-        hi = (4.0 * base / lam) ** (1.0 / 3.0) * (1.0 + 1e-9)
-
-        def f(e: float) -> tuple[float, float]:
-            d, slope = self.marginal(e)
-            return d + lam, slope
-
-        return _root(f, lo, hi, 1e-12 * lam)
+def _weights_for(stats: LevelStats, w: Sequence[float] | LevelWeights) -> LevelWeights:
+    """The weights, one for each level of ``stats``."""
+    weights = as_weights(w)
+    if len(weights) != stats.depth:
+        raise DomainError(
+            f"stats has {stats.depth} levels but {len(weights)} weights given"
+        )
+    return weights
 
 
 def level_marginal(
@@ -197,13 +159,13 @@ def level_marginal(
     """Marginal value of budget at one level: the derivative of the
     weighted level mse with respect to that level's eps. Negative,
     strictly increasing in eps."""
-    w = as_weights(w)
+    w = _weights_for(stats, w)
     if not 1 <= level <= stats.depth:
         raise DomainError(f"level {level} out of range 1..{stats.depth}")
     if w[level - 1] <= 0:
         raise DomainError(f"level {level} has nonpositive weight")
     _check_eps(eps)
-    return _Level(stats.counts[level - 1], w[level - 1]).marginal(eps)[0]
+    return w[level - 1] * _Level(stats.counts[level - 1]).mse_deps(eps)[0]
 
 
 def _at_most(eps: list[float], total: float) -> tuple[float, ...]:
@@ -227,19 +189,11 @@ def _solve(
     """Shared dual solve: drive the outer residual of ``program`` to
     zero in lam, each level at its stationary e_l(lam), then check the
     KKT residuals and the constraint."""
-    weights = as_weights(w)
-    if len(weights) != stats.depth:
-        raise DomainError(
-            f"stats has {stats.depth} levels but {len(weights)} weights given"
-        )
-    levels = {
-        i: _Level(stats.counts[i], weights[i])
-        for i in range(stats.depth)
-        if weights[i] > 0
-    }
+    weights = _weights_for(stats, w)
+    levels = {i: _Level(stats.counts[i]) for i in range(stats.depth) if weights[i] > 0}
     fixed = program == PROGRAM_FIXED_BUDGET
     eps = [0.0] * stats.depth
-    cubes = [(lv.w * lv.k) ** (1.0 / 3.0) for lv in levels.values()]
+    cubes = [(weights[i] * lv.k) ** (1.0 / 3.0) for i, lv in levels.items()]
     c = sum(cubes)
     # Where its counts are negligible against 1/eps, level l gets
     # (w_l k_l)^{1/3} / C of a fixed budget, or (w_l k_l)^{1/3} (C/tau)^{1/2}
@@ -267,7 +221,7 @@ def _solve(
     if single:
         # the whole budget goes to the only level that matters; exact
         [(only, level)] = levels.items()
-        lo = hi = -level.marginal(target)[0]
+        lo = hi = -weights[only] * level.mse_deps(target)[0]
     else:
         try:
             if fixed:
@@ -287,7 +241,7 @@ def _solve(
         lam = lo
     else:
         def roots(lam: float) -> list[tuple[float, float, float]]:
-            return [lv.solve(lam) for lv in levels.values()]
+            return [_level_root(lv, weights[i], lam) for i, lv in levels.items()]
 
         last = (None, None)
 
@@ -297,7 +251,7 @@ def _solve(
             es, _, slopes = zip(*last[1])
             if fixed:
                 return target - sum(es), sum(1.0 / s for s in slopes)
-            mse = sum(lv.w * lv.mse(e) for lv, e in zip(levels.values(), es))
+            mse = sum(weights[i] * lv.mse(e) for (i, lv), e in zip(levels.items(), es))
             return mse - target, sum(lam / s for s in slopes)
 
         # inner roots stop at 1e-12 * lam, usually already at rounding
@@ -317,7 +271,7 @@ def _solve(
 
     if fixed:
         eps = _at_most(eps, target)
-    objective = sum(lv.w * lv.mse(eps[i]) for i, lv in levels.items())
+    objective = sum(weights[i] * lv.mse(eps[i]) for i, lv in levels.items())
     achieved = sum(eps) if fixed else objective
     if abs(achieved - target) > 1e-9 * target:
         what = "sum(eps)" if fixed else "objective"

@@ -11,10 +11,12 @@ Writing x = eps * N, its exact moments are
 
 In this x-parameterized form the identity mse = bias^2 + variance holds
 term for term, the bounds 1/eps^2 <= mse < 2/eps^2 are manifest
-(0 < (1+x)e^{-x} <= 1), and nothing overflows: the kernels clamp x
-at the float64 exp underflow threshold, past which every expression
-rounds to its asymptote (variance and mse 2/eps^2, bias a subnormal or
-0) instead of producing NaN.
+(0 < (1+x)e^{-x} <= 1), and nothing overflows. Each sum of mse or of
+its eps-derivatives, over a level or over one count, runs over the
+counts sorted once: from x = 64 on every term rounds to its asymptote
+(mse 2/eps^2), so those terms are set to it, not computed. The bias
+sum clamps x at the float64 exp underflow threshold instead, past
+which the bias is a subnormal or 0, not NaN.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .hierarchy import LevelStats
 # business operating anyway (mse -> infinity as eps -> 0)
 EPS_MIN = 1e-12
 
-# the kernels clamp x here: exp(-745) is the smallest subnormal, and
+# the bias sum clamps x here: exp(-745) is the smallest subnormal, and
 # exp(-x) underflows to exactly 0.0 just past it
 _X_UNDERFLOW = 745.0
 
@@ -72,7 +74,7 @@ def mse(n: float, eps: float) -> float:
     range [1/eps^2, 2/eps^2).
     """
     _check(n, eps)
-    return _mse_sum(np.array([n]), eps)
+    return _Level([n]).mse(eps)
 
 
 def mse_deps(n: float, eps: float) -> float:
@@ -83,31 +85,32 @@ def mse_deps(n: float, eps: float) -> float:
     n -> infinity and n = 0. Strictly increasing in eps.
     """
     _check(n, eps)
-    return _mse_deps_sums(np.array([n]), eps)[0]
+    return _Level([n]).mse_deps(eps)[0]
 
 
 def mse_deps2(n: float, eps: float) -> float:
     """Second derivative of mse in eps; strictly positive (convexity)."""
     _check(n, eps)
-    return _mse_deps_sums(np.array([n]), eps)[1]
+    return _Level([n]).mse_deps(eps)[1]
 
 
-# vectorized forms over a count vector at a shared eps, for whole
-# levels at once; the per-count functions above are their one-count
-# case. mse_sum checks its inputs; the allocator checks a level's counts
-# once and then calls the unchecked kernels _mse_sum and _mse_deps_sums
-# on every pass. They reduce with numpy's pairwise sum, whose order
-# numpy fixes, so no split depends on the machine's BLAS kernel.
+# every sum of mse terms or of their eps-derivatives goes through a
+# _Level: a level's counts sorted once and deduplicated, with their
+# multiplicities and the kernels' scratch. mse, mse_deps and mse_deps2
+# above (and so variance) are its one-count case, and mse_sum its
+# checked entry; the allocator builds one per level and calls it on
+# every pass, unchecked. The kernels reduce with
+# numpy's pairwise sum, whose order numpy fixes, so no split depends on
+# the machine's BLAS kernel, and a sum does not depend on the order of
+# the counts.
 #
-# Those two work through the counts one block at a time: x and e^{-x}
+# The kernels work through the counts one block at a time: x and e^{-x}
 # for a block stay in cache while each polynomial is evaluated in place
 # into a full-length term array, which the pairwise sum then reduces as
 # a whole. Every term, and so every sum, has the bits of the one-shot
-# formulas. The allocator passes a level's counts sorted, with the start
-# of their saturated suffix: those terms are filled with their limits,
-# not computed, and no count before them reaches the clamp. eps * N may
-# overflow to inf; the clamp at 745 takes it back, so the overflow is
-# not worth numpy's warning.
+# formulas. The terms of the saturated suffix, the counts with x >= 64,
+# are filled with their limits, not computed, so every x computed is
+# below 65 and nothing overflows.
 
 # counts per block: a block's x, e^{-x} and two term slices take 1 MiB,
 # inside one core's L2 cache on current x86 server parts
@@ -121,15 +124,60 @@ _X_SATURATED = 64.0
 
 def _check_counts(counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 1:
+        raise DomainError(f"counts must be a 1-d vector, got shape {counts.shape}")
     if counts.size and (counts.min() < 0 or not np.isfinite(counts).all()):
         raise DomainError("counts must be nonnegative reals")
     return counts
 
 
+class _Level:
+    """A level's counts, sorted once and deduplicated, with the kernels'
+    scratch. The counts are checked here, once, so a solver's passes
+    need not."""
+
+    __slots__ = ("vals", "mults", "k", "scratch")
+
+    def __init__(self, counts: np.ndarray):
+        # what np.unique(..., return_counts=True) gives, from one copy
+        # sorted in place and one mask of each value's first place
+        vals = _check_counts(np.array(counts, dtype=float))
+        vals.sort()
+        first = np.empty(vals.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(vals[1:], vals[:-1], out=first[1:])
+        self.k = float(vals.size)
+        # every count distinct (a real-valued prior): nothing to weight
+        self.mults = None
+        if not first.all():
+            self.mults = np.diff(np.flatnonzero(first), append=vals.size).astype(float)
+            vals = vals[first]
+        del first
+        self.vals = vals
+        # x and e^{-x} of one block, then one full-length term array per sum
+        b = min(vals.size, BLOCK_ELEMENTS)
+        self.scratch = np.empty(b), np.empty(b), np.empty(vals.size), np.empty(vals.size)
+
+    def _saturated_from(self, eps: float) -> int:
+        """Index of the first count whose terms sit at their limits at
+        this eps: x >= 64, or one rounding below it, where the terms are
+        at their limits too."""
+        return int(self.vals.searchsorted(_X_SATURATED / eps))
+
+    def mse(self, eps: float) -> float:
+        """Summed per-count mse at eps."""
+        return _mse_sum(self.vals, eps, self.mults, self.scratch, self._saturated_from(eps))
+
+    def mse_deps(self, eps: float) -> tuple[float, float]:
+        """Summed first and second eps-derivatives of per-count mse."""
+        return _mse_deps_sums(self.vals, eps, self.mults, self.scratch,
+                              self._saturated_from(eps))
+
+
 def mse_sum(counts: np.ndarray, eps: float) -> float:
     """Sum of per-count mse at a common eps."""
     _check_eps(eps)
-    return _mse_sum(_check_counts(counts), eps)
+    return _Level(counts).mse(eps)
 
 
 def _bias_sum(counts: np.ndarray, eps: float) -> float:
@@ -139,57 +187,31 @@ def _bias_sum(counts: np.ndarray, eps: float) -> float:
     return float(np.sum(np.exp(-np.minimum(x, _X_UNDERFLOW)))) / (2.0 * eps)
 
 
-def _kernel_scratch(n: int) -> tuple[np.ndarray, ...]:
-    """Work arrays for the level kernels over n counts: x and e^{-x} of
-    one block, then one full-length term array per sum."""
-    b = min(n, BLOCK_ELEMENTS)
-    return np.empty(b), np.empty(b), np.empty(n), np.empty(n)
-
-
-def _saturated_from(sorted_counts: np.ndarray, eps: float) -> int:
-    """Index of the first of ascending counts whose terms sit at their
-    limits at this eps: x >= 64, or one rounding below it, where the
-    terms are at their limits too."""
-    return int(sorted_counts.searchsorted(_X_SATURATED / eps))
-
-
-def _blocks(counts: np.ndarray, eps: float, scratch, sat):
-    """Yield (lo, hi, x, t) for each block of the counts before ``sat``
-    (all of them when it is None), with x = min(eps * counts, 745) and
-    t = e^{-x} filled in the scratch. Before a saturated suffix x < 65,
-    so the clamp is left out there."""
+def _blocks(counts: np.ndarray, eps: float, scratch, sat: int):
+    """Yield (lo, hi, x, t) for each block of the counts before ``sat``,
+    with x = eps * counts and t = e^{-x} filled in the scratch."""
     xs, ts = scratch[0], scratch[1]
-    stop = len(counts) if sat is None else sat
-    for lo in range(0, stop, BLOCK_ELEMENTS):
-        hi = min(lo + BLOCK_ELEMENTS, stop)
+    for lo in range(0, sat, BLOCK_ELEMENTS):
+        hi = min(lo + BLOCK_ELEMENTS, sat)
         x, t = xs[: hi - lo], ts[: hi - lo]
-        if sat is None:
-            with np.errstate(over="ignore"):
-                np.multiply(counts[lo:hi], eps, out=x)
-            np.minimum(x, _X_UNDERFLOW, out=x)
-        else:
-            np.multiply(counts[lo:hi], eps, out=x)
+        np.multiply(counts[lo:hi], eps, out=x)
         np.negative(x, out=t)
         np.exp(t, out=t)
         yield lo, hi, x, t
 
 
-def _fill(terms: np.ndarray, limit: float, mults, sat) -> None:
+def _fill(terms: np.ndarray, limit: float, mults, sat: int) -> None:
     """Set terms[sat:] to limit times each count's multiplicity."""
-    if sat is None or sat == len(terms):
-        return
     if mults is None:
         terms[sat:] = limit
     else:
         np.multiply(mults[sat:], limit, out=terms[sat:])
 
 
-def _mse_sum(counts: np.ndarray, eps: float, mults=None, scratch=None, sat=None) -> float:
-    """Summed per-count mse at a common eps, count j taken mults[j]
-    times (once each without mults). ``scratch`` is from
-    ``_kernel_scratch(len(counts))``. With ``sat``, the counts must be
-    ascending and ``sat`` from ``_saturated_from``."""
-    scratch = _kernel_scratch(len(counts)) if scratch is None else scratch
+def _mse_sum(counts: np.ndarray, eps: float, mults, scratch, sat: int) -> float:
+    """Summed per-count mse at a common eps over a level's ascending
+    counts, count j taken mults[j] times (once each when mults is
+    None), in the level's scratch, from its saturated suffix ``sat``."""
     terms = scratch[2]
     for lo, hi, x, t in _blocks(counts, eps, scratch, sat):
         # 2 - (1 + x) e^{-x}
@@ -203,12 +225,11 @@ def _mse_sum(counts: np.ndarray, eps: float, mults=None, scratch=None, sat=None)
     return float(terms.sum()) / eps**2
 
 
-def _mse_deps_sums(counts: np.ndarray, eps: float, mults=None, scratch=None,
-                   sat=None) -> tuple[float, float]:
+def _mse_deps_sums(counts: np.ndarray, eps: float, mults, scratch,
+                   sat: int) -> tuple[float, float]:
     """Summed first and second eps-derivatives of per-count mse at a
     common eps, weighted and computed as in ``_mse_sum``, from one exp
     per count."""
-    scratch = _kernel_scratch(len(counts)) if scratch is None else scratch
     d1, d2 = scratch[2], scratch[3]
     for lo, hi, x, t in _blocks(counts, eps, scratch, sat):
         # e^{-x} ((x + 2) x + 2) - 4

@@ -24,7 +24,7 @@ from .allocator import (
     allocate_fixed_budget,
     uniform_allocation,
 )
-from .analytics import _bias_sum, _check_eps, mse_sum
+from .analytics import _bias_sum, _check_counts, _check_eps, mse_sum
 from .errors import DomainError, InvalidSplit
 from .hierarchy import Hierarchy, LevelStats, level_stats
 from .release import ReleaseEngine
@@ -307,7 +307,8 @@ def uniform_split(total: int, parts: int) -> tuple[int, ...]:
 
 def total_clamp_bias(split: Sequence[float], eps: float) -> float:
     """Closed-form total clamp bias of a flat region split."""
-    return _bias_sum(np.asarray(split, dtype=float), eps)
+    _check_eps(eps)
+    return _bias_sum(_check_counts(split), eps)
 
 
 @dataclass(frozen=True)
@@ -333,9 +334,10 @@ def skewness_bias_curve(
                 f"{total_n} into {num_regions} regions over {len(eps_grid)} eps "
                 f"values is {points} points, more than {MAX_SKEW_POINTS}"
             )
+    # the eps are checked above, and the splits are nonnegative integers
     splits = list(integer_splits(total_n, num_regions))
     return [
-        SkewnessPoint(s, float(eps), total_clamp_bias(s, eps))
+        SkewnessPoint(s, float(eps), _bias_sum(np.asarray(s, dtype=float), eps))
         for eps in eps_grid
         for s in splits
     ]

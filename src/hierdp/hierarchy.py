@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -567,6 +568,9 @@ class SynthSpec:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if any(f < 1 for f in self.fanouts):
             raise InvalidSpec("fanouts must be >= 1")
+        for name in ("leaf_mu", "leaf_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpec(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.leaf_sigma < 0:
             raise InvalidSpec("leaf_sigma must be >= 0")
 
@@ -590,9 +594,17 @@ def synth_hierarchy(spec: SynthSpec) -> Hierarchy:
         rng.lognormal(mean=spec.leaf_mu, sigma=spec.leaf_sigma, size=len(ids[-1]))
     )
     counts = [leaves]
-    for fan in reversed(spec.fanouts):
-        # each parent's children added in id order, as a running total
-        counts.insert(0, counts[0].reshape(-1, fan).cumsum(axis=1)[:, -1])
+    # a sum past the float range is refused below, so numpy need not warn
+    with np.errstate(over="ignore"):
+        for fan in reversed(spec.fanouts):
+            # each parent's children added in id order, as a running total
+            counts.insert(0, counts[0].reshape(-1, fan).cumsum(axis=1)[:, -1])
+    root = float(counts[0][0])
+    if not math.isfinite(root):
+        raise InvalidSpec(
+            f"leaf_mu {spec.leaf_mu!r} and leaf_sigma {spec.leaf_sigma!r} draw a "
+            f"root count of {root!r}, which is not finite"
+        )
 
     levels = np.repeat(np.arange(1, len(ids) + 1), [len(level) for level in ids])
     return Hierarchy(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hierdp.allocator as allocator
+import hierdp.analytics as analytics
 from hierdp.allocator import (
     allocate_fixed_budget,
     allocate_target_mse,
@@ -67,6 +68,17 @@ class TestLevelMarginal:
     def test_zero_weight_rejected(self):
         with pytest.raises(DomainError):
             level_marginal(_stats([1.0], [2.0]), (0.0, 1.0), 1, 1.0)
+
+    @pytest.mark.parametrize("w", [(1.0,), (1.0, 1.0, 1.0, 1.0)])
+    def test_one_weight_per_level(self, w):
+        # the check the solver makes, with its message; one weight for
+        # three levels raised IndexError and four passed silently
+        stats = _stats([6.0], [2.0, 4.0], [1.0, 1.0, 2.0, 2.0])
+        message = f"^stats has 3 levels but {len(w)} weights given$"
+        with pytest.raises(DomainError, match=message):
+            level_marginal(stats, w, 1, 1.0)
+        with pytest.raises(DomainError, match=message):
+            allocate_fixed_budget(stats, w, 1.0)
 
 
 class TestFixedBudget:
@@ -160,6 +172,11 @@ class TestFixedBudget:
     def test_all_zero_weights_rejected(self, va_hierarchy):
         with pytest.raises(NoPositiveWeight):
             allocate_fixed_budget(level_stats(va_hierarchy), (0.0, 0.0, 0.0), 1.0)
+
+    def test_counts_that_are_not_a_vector_rejected(self):
+        stats = LevelStats((np.array([4.0]), np.ones((2, 2))))
+        with pytest.raises(DomainError, match=r"^counts must be a 1-d vector, got shape \(2, 2\)$"):
+            allocate_fixed_budget(stats, (1.0, 1.0), 1.0)
 
     def test_bad_budget_rejected(self, va_hierarchy):
         stats = level_stats(va_hierarchy)
@@ -346,7 +363,7 @@ class TestSolvePasses:
         # calls deep): the level roots at the final lambda are those of
         # the residual's last call, not solved again
         depth, passes = [0], []
-        real_root, real_sums = allocator._root, allocator._mse_deps_sums
+        real_root, real_sums = allocator._root, analytics._mse_deps_sums
 
         def root(*args):
             depth[0] += 1
@@ -360,7 +377,7 @@ class TestSolvePasses:
             return real_sums(*args)
 
         monkeypatch.setattr(allocator, "_root", root)
-        monkeypatch.setattr(allocator, "_mse_deps_sums", sums)
+        monkeypatch.setattr(analytics, "_mse_deps_sums", sums)
         stats = level_stats(va_hierarchy)
         if program == "fixed":
             allocate_fixed_budget(stats, (1.0, 1.0, 1.0), 1.0)
@@ -379,7 +396,7 @@ class TestLevel:
             "signed_zeros": np.array([0.0, -0.0, 2.0, -0.0, 0.0, 2.0, 1.0]),
             "one": np.array([3.0]),
         }[kind]
-        level = allocator._Level(counts, 1.0)
+        level = allocator._Level(counts)
         vals, mults = np.unique(counts, return_counts=True)
         assert level.vals.tobytes() == vals.tobytes()
         assert level.k == float(mults.sum())
@@ -397,7 +414,7 @@ class TestLevel:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            level = allocator._Level(counts, 1.0)
+            level = allocator._Level(counts)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -3,14 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hierdp.allocator import _Level
 from hierdp.analytics import (
     BLOCK_ELEMENTS,
     EPS_MIN,
     LevelWeights,
-    _kernel_scratch,
-    _mse_deps_sums,
-    _mse_sum,
+    _Level,
     bias,
     mse,
     mse_deps,
@@ -205,6 +202,12 @@ class TestGracefulDegradation:
         with pytest.raises(DomainError):
             mse(1.0, math.nan)
 
+    @pytest.mark.parametrize("counts", [np.ones((2, 2)), [[1.0], [2.0]], np.float64(3.0)])
+    def test_counts_that_are_not_a_vector_rejected(self, counts):
+        # these raised numpy's ValueError, or a TypeError, before the check
+        with pytest.raises(DomainError, match="^counts must be a 1-d vector, got shape"):
+            mse_sum(counts, 1.0)
+
 
 class TestLevelKernels:
     """The level kernels, which every closed form in the package goes
@@ -229,14 +232,14 @@ class TestLevelKernels:
                 return float(np.sum(mse_closed_form(counts, e)))
 
             assert mse_sum(counts, eps) == pytest.approx(mse_total(eps), rel=1e-12)
-            d1, d2 = _mse_deps_sums(counts, eps)
+            d1, d2 = _Level(counts).mse_deps(eps)
             assert d1 == pytest.approx(
                 central_difference(mse_total, eps, 1e-5 * eps), rel=1e-6
             )
             assert d2 == pytest.approx(
                 second_central_difference(mse_total, eps, 1e-3 * eps), rel=1e-4
             )
-            # the kernels clamp eps * n at 745, where the oracle's exp
+            # the bias sum clamps eps * n at 745, where the oracle's exp
             # underflows to 0: at most one smallest subnormal per count
             slack = huge.size * np.nextafter(0.0, 1.0) / eps
             assert total_clamp_bias(counts, eps) == pytest.approx(
@@ -250,7 +253,7 @@ class TestLevelKernels:
             _, huge = self._counts(rng, eps)
             k = huge.size
             assert mse_sum(huge, eps) == 2.0 * k / eps**2
-            assert _mse_deps_sums(huge, eps) == (-4.0 * k / eps**3, 12.0 * k / eps**4)
+            assert _Level(huge).mse_deps(eps) == (-4.0 * k / eps**3, 12.0 * k / eps**4)
             assert total_clamp_bias(huge, eps) <= k * math.exp(-700.0) / (2.0 * eps)
 
     def test_bias_clamp_pinned(self):
@@ -260,10 +263,11 @@ class TestLevelKernels:
 
 
 def _regime_counts(rng, eps: float, size: int, repeats: bool) -> np.ndarray:
-    """``size`` counts with x = eps * N in every regime the kernels treat
-    apart: computed (x < 64, the last stretch 40-64), saturated, clamped
-    at 745 and overflowing, plus zeros, subnormals and the edges of the
-    saturated suffix and of the clamp. All distinct unless ``repeats``."""
+    """``size`` counts with x = eps * N in every regime: computed (x < 64,
+    the last stretch 40-64) and saturated, below and past 745 (where
+    exp(-x) underflows) and up to eps * N overflowing, plus zeros,
+    subnormals and the edges of the saturated suffix and of 745. All
+    distinct unless ``repeats``."""
     m = max(size, 8)
     x = np.concatenate((
         rng.uniform(0.0, 40.0, m),
@@ -283,9 +287,10 @@ def _regime_counts(rng, eps: float, size: int, repeats: bool) -> np.ndarray:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBlockedKernels:
-    """The blocked, in-place kernels and the allocator's level, which
-    fills saturated terms with their limits, give every bit of the
-    one-shot formulas: each term in the scratch, and each sum."""
+    """The blocked, in-place kernels, which a level runs over its sorted
+    counts and which fill saturated terms with their limits, give every
+    bit of the one-shot formulas: each term in the scratch, and each
+    sum."""
 
     EPS = (1e-12, 3e-7, 0.01, 0.5, 1.0, 7.25, 1e3, 1e40, 1e77)
 
@@ -294,14 +299,20 @@ class TestBlockedKernels:
         with np.errstate(over="ignore"):
             return f(*args)
 
-    def _check(self, got_sums, got_terms, counts, eps, mults, w=1.0):
-        mse_terms = self._one_shot(mse_terms_one_shot, counts, eps, mults)
-        d1, d2 = self._one_shot(mse_deps_terms_one_shot, counts, eps, mults)
-        assert np.array_equal(got_terms[0], mse_terms)
-        assert got_sums[0] == float(mse_terms.sum()) / eps**2
-        assert np.array_equal(got_terms[1], d1)
-        assert np.array_equal(got_terms[2], d2)
-        assert got_sums[1] == (w * (float(d1.sum()) / eps**3), w * (float(d2.sum()) / eps**4))
+    def _check(self, counts, eps):
+        vals, k = np.unique(counts, return_counts=True)
+        level = _Level(counts)
+        mse_total = level.mse(eps)
+        got_mse = level.scratch[2].copy()
+        sums = level.mse_deps(eps)
+        got_d1, got_d2 = level.scratch[2], level.scratch[3]
+        mse_terms = self._one_shot(mse_terms_one_shot, vals, eps, k.astype(float))
+        d1, d2 = self._one_shot(mse_deps_terms_one_shot, vals, eps, k.astype(float))
+        assert np.array_equal(got_mse, mse_terms)
+        assert mse_total == float(mse_terms.sum()) / eps**2
+        assert np.array_equal(got_d1, d1)
+        assert np.array_equal(got_d2, d2)
+        assert sums == (float(d1.sum()) / eps**3, float(d2.sum()) / eps**4)
 
     @pytest.mark.parametrize("size", [
         1, BLOCK_ELEMENTS - 1, BLOCK_ELEMENTS, BLOCK_ELEMENTS + 1, 3 * BLOCK_ELEMENTS + 7,
@@ -310,22 +321,11 @@ class TestBlockedKernels:
     def test_bits_match_the_one_shot_formulas(self, size, repeats):
         rng = np.random.default_rng([size, repeats])
         for eps in self.EPS:
-            counts = _regime_counts(rng, eps, size, repeats)
-            mults = rng.integers(1, 6, size).astype(float) if repeats else None
-            scratch = _kernel_scratch(size)
-            mse_total = _mse_sum(counts, eps, mults, scratch)
-            mse_terms = scratch[2].copy()
-            sums = _mse_deps_sums(counts, eps, mults, scratch)
-            self._check((mse_total, sums), (mse_terms, scratch[2], scratch[3]),
-                        counts, eps, 1.0 if mults is None else mults)
-
-            vals, k = np.unique(counts, return_counts=True)
-            level = _Level(counts, 2.5)
-            mse_total = level.mse(eps)
-            mse_terms = level.scratch[2].copy()
-            sums = level.marginal(eps)
-            self._check((mse_total, sums), (mse_terms, level.scratch[2], level.scratch[3]),
-                        vals, eps, k.astype(float), w=2.5)
+            # every regime, and a level whose counts are all computed,
+            # so that the blocks end where ``size`` puts them
+            self._check(_regime_counts(rng, eps, size, repeats), eps)
+            low = rng.uniform(0.0, 60.0, size) / eps
+            self._check(rng.choice(low, size) if repeats else low, eps)
 
     def test_terms_sit_at_their_limits_from_x_64(self):
         # the lemma behind the allocator's saturated suffix; it starts at

@@ -720,6 +720,15 @@ class TestSynth:
     }
     # the VA fixture with its middle level withheld (weights 1,0,1)
     WITHHELD_SHA256 = "e9aae5fdfca9eaee901a8a26846ad993f6a9fd6c1752df3d728878dae5bf481a"
+    # sha256 of evaluate's and downstream's output files. Like the pins
+    # above, these hold only where numpy dispatches X86_V4 (ROADMAP item
+    # 8), and items 14 and 1a will move them on purpose
+    EVALUATE_SHA256 = {
+        "arms.csv": "5f06394e1f2067b7d790e485dfc555fbbe110aee910886f3023d1442b9309cf3",
+        "mse_curve.csv": "1ee65826cd6d44cfe8cbf6ed025f6d3087cb393ac85e9b15e2af255415584fb9",
+        "report.json": "22e696a9c92b97f6b12587e688d693cb31257de419092db1e2dac67ddfea88c8",
+    }
+    DOWNSTREAM_SHA256 = "aeadac7eecf4a7370cad93fbba50699f02983377f323c72fa57c6bede8960a55"
 
     @staticmethod
     def _release_csv(runner, out, args):
@@ -739,6 +748,20 @@ class TestSynth:
         )
         assert {row.split(",")[2] for row in text.splitlines()[1:]} == {"1", "3"}
         assert hashlib.sha256(text.encode()).hexdigest() == self.WITHHELD_SHA256
+
+    def test_evaluate_bytes_pinned(self, runner, tmp_path):
+        args = ["evaluate", "--synth", "--synth-fanouts", "8,6", "--replicates", "100"]
+        assert _invoke(runner, [*args, "--out-dir", str(tmp_path)]).exit_code == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.EVALUATE_SHA256}
+        assert digests == self.EVALUATE_SHA256
+
+    def test_downstream_bytes_pinned(self, runner, tmp_path):
+        out = tmp_path / "downstream.json"
+        args = ["downstream", "--blocks", "500,200,100,50,7,3,1,900,20,11",
+                "--eps-total", "0.5", "--replicates", "2000", "-o", str(out)]
+        assert _invoke(runner, args).exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DOWNSTREAM_SHA256
 
     def test_fanouts_set_the_depth(self, runner, tmp_path):
         text = self._release_csv(

@@ -224,6 +224,22 @@ def small_tree():
     return synth_hierarchy(SynthSpec(seed=4, fanouts=(6, 9)))
 
 
+class TestAnalyticTotal:
+    @pytest.mark.parametrize("seed,fanouts", [
+        (1, (20, 30)), (2, (8, 12)), (3, (3, 4, 5)), (4, (50, 40)), (5, (6, 9)),
+        (6, (10, 10, 10)),
+    ])
+    def test_is_the_objective_at_equal_weights_bit_for_bit(self, seed, fanouts):
+        # both sum each level's closed forms over its sorted counts; the
+        # analytic total summed them in node order, and differed from the
+        # objective in the last bit on every tree here
+        h = synth_hierarchy(SynthSpec(seed=seed, fanouts=fanouts))
+        stats = level_stats(h)
+        for eps_total in (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 8.0):
+            alloc = allocate_fixed_budget(stats, (1.0,) * h.depth, eps_total)
+            assert alloc.objective_value == analytic_total_mse(h, alloc), eps_total
+
+
 class TestWeightSweep:
 
     def test_single_point(self, small_tree):
@@ -349,6 +365,15 @@ class TestSkewnessCurve:
         # 1e-320 made every bias inf, and inf and nan gave nan rows
         with pytest.raises(DomainError):
             skewness_bias_curve(3, 2, [0.5, eps])
+
+    @pytest.mark.parametrize("split,eps", [
+        ([-5, 3], 1.0), ([5, math.inf], 1.0), ([5, math.nan], 1.0), ([[5, 3]], 1.0),
+        ([5, 3], math.nan), ([5, 3], 0.0), ([5, 3], -1.0),
+    ])
+    def test_total_clamp_bias_checks_its_inputs(self, split, eps):
+        # a negative region gave 74.23 and a nan eps gave nan
+        with pytest.raises(DomainError):
+            total_clamp_bias(split, eps)
 
     def test_curve_matches_per_region_bias(self):
         split = (12, 5, 3)

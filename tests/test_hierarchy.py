@@ -2,6 +2,7 @@ import codecs
 import csv
 import hashlib
 import io
+import math
 import os
 import random
 import sys
@@ -1222,3 +1223,21 @@ class TestSynth:
     def test_invalid_specs(self, kwargs):
         with pytest.raises(InvalidSpec):
             SynthSpec(**{"seed": 0, **kwargs})
+
+    @pytest.mark.parametrize("name,value", [
+        ("leaf_mu", math.nan), ("leaf_mu", math.inf), ("leaf_mu", -math.inf),
+        ("leaf_sigma", math.nan), ("leaf_sigma", math.inf),
+    ])
+    def test_non_finite_draw_parameters(self, name, value):
+        with pytest.raises(InvalidSpec, match=f"^{name} must be finite, got {value!r}$"):
+            SynthSpec(seed=0, fanouts=(2,), **{name: value})
+
+    @pytest.mark.parametrize("leaf_mu,fanouts", [(1e10, (2,)), (709.5, (2,)), (705.0, (40, 50))])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_root_past_the_float_range(self, leaf_mu, fanouts):
+        # a draw of inf, or leaves whose sum overflows, is a spec error
+        # naming the parameters, not a count error about node 'r'
+        spec = SynthSpec(seed=0, fanouts=fanouts, leaf_mu=leaf_mu)
+        with pytest.raises(InvalidSpec, match=f"^leaf_mu {leaf_mu!r} and leaf_sigma 1.2 "
+                                              "draw a root count of inf, which is not finite$"):
+            synth_hierarchy(spec)
