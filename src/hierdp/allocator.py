@@ -58,9 +58,10 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .analytics import EPS_MIN, LevelWeights, _check_eps, _Level, as_weights
+from .analytics import LevelWeights, _Level, as_weights
 from .errors import ConvergenceFailure, DomainError
 from .hierarchy import LevelStats
+from .mechanism import EPS_MIN, _check_eps
 
 PROGRAM_FIXED_BUDGET = "fixed_budget"
 PROGRAM_TARGET_MSE = "target_mse"

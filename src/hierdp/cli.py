@@ -130,8 +130,6 @@ def _config(
 def _allocate(config: RunConfig) -> BudgetAllocation:
     if (config.eps_total is None) == (config.tau is None):
         raise click.UsageError("give exactly one of --eps-total or --tau")
-    if not config.prior_given:
-        click.echo(PRIOR_WARNING, err=True)
     stats = config.prior_stats()
     weights = config.level_weights()
     if config.eps_total is not None:
@@ -167,10 +165,14 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 # operation bodies, separated from the click wiring so they are callable
-# directly with a RunConfig
+# directly with a RunConfig; allocate and release print the prior warning
+# once their output is computed, so a run that fails warns of nothing
 
 def cmd_allocate(config: RunConfig) -> str:
-    return _json_dumps(_allocate(config).to_json_dict())
+    alloc = _allocate(config)
+    if not config.prior_given:
+        click.echo(PRIOR_WARNING, err=True)
+    return _json_dumps(alloc.to_json_dict())
 
 
 def cmd_release(config: RunConfig) -> tuple[str, str]:
@@ -179,6 +181,8 @@ def cmd_release(config: RunConfig) -> tuple[str, str]:
         # computed from the true counts: not for publication
         alloc = replace(alloc, objective_value=None, multiplier=None)
     released = privatize(config.hierarchy, alloc, config.seed, config.hier)
+    if not config.prior_given:
+        click.echo(PRIOR_WARNING, err=True)
     return released.to_csv(), released.sidecar_json() + "\n"
 
 

@@ -40,7 +40,7 @@ class InvalidSpec(DataError):
     pass
 
 
-# analytics
+# mechanism and analytics
 
 class DomainError(DataError):
     """Argument outside the domain of a closed-form expression."""

@@ -1,29 +1,29 @@
 """Privatized release of a hierarchy and its post-processing.
 
-Release adds per-node Laplace noise at the level's budget, clamps at
-zero, and optionally enforces parent/child consistency by Euclidean
-projection of each sibling group onto the scaled simplex
-``{v >= 0, sum(v) = parent}``, applied top-down so each projection
-targets the parent's already-adjusted value.
+Release draws each level through the clamped-Laplace mechanism of
+:mod:`hierdp.mechanism` at the level's budget, and optionally enforces
+parent/child consistency by Euclidean projection of each sibling group
+onto the scaled simplex ``{v >= 0, sum(v) = parent}``, applied top-down
+so each projection targets the parent's already-adjusted value.
 
-:class:`ReleaseEngine` is the one place that computation lives: per
-tree, it draws any block of replicates as a ``(replicates, nodes)``
-matrix per level, scales and clamps that one draw for each allocation,
-shares the result between neighbouring arms of one allocation, and
-projects every replicate at once: each sibling-group size is one
-reshape of a contiguous run of the child level in family order, and a
-level already in that order (uniform fanout, siblings contiguous) is
-projected on views. :func:`privatize` is a single release: replicate 0
-of one engine call, bit for bit; the Monte Carlo harness and the
-downstream study draw many.
+:class:`ReleaseEngine` orchestrates that computation: per tree, it
+draws any block of replicates as a ``(replicates, nodes)`` matrix per
+level, releases that one draw for each allocation, shares the result
+between neighbouring arms of one allocation, and projects every
+replicate at once: each sibling-group size is one reshape of a
+contiguous run of the child level in family order, and a level already
+in that order (uniform fanout, siblings contiguous) is projected on
+views. :func:`privatize` is a single release: replicate 0 of one engine
+call, bit for bit; the Monte Carlo harness and the downstream study
+draw many.
 
-Noise comes from the counter-based streams in :mod:`hierdp.rng`, one
-per node, keyed by its index in node order (level, then id), so a
+Noise comes from the counter-based streams in :mod:`hierdp.mechanism`,
+one per node, keyed by its index in node order (level, then id), so a
 release is a pure function of (hierarchy, allocation, seed) no matter
 how the rows are ordered or the work is chunked. Levels allocated
 eps = 0 are omitted from the release entirely: emitting their true
 counts would cost unbounded privacy, and emitting nothing is the only
-budget-true option. Any other eps must pass the closed forms' domain
+budget-true option. Any other eps must pass the mechanism's domain
 check (finite, at least 1e-12): an infinite eps would publish the true
 counts, and a NaN or negative one would silently withhold its level.
 """
@@ -39,10 +39,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .allocator import BudgetAllocation
-from .analytics import _check_eps
 from .errors import AllocationMismatch, DomainError, UnreleasedLevel
 from .hierarchy import Hierarchy, serialize_hierarchy
-from .rng import centered_uniform_matrix, standard_laplace
+from .mechanism import _check_eps, centered_uniform_matrix, clamped_release, standard_laplace
 
 _EVERY_LEVEL = "consistency requires a released value at every level"
 
@@ -147,9 +146,7 @@ class ReleaseEngine:
                 if noisy is None:
                     noisy = {}
                     for lv in levels:
-                        v = laplace[lv] / eps[i][lv - 1]
-                        v += self.counts[lv][None, :]
-                        np.maximum(0.0, v, out=v)
+                        v = clamped_release(laplace[lv], self.counts[lv], eps[i][lv - 1])
                         v.flags.writeable = False
                         noisy[lv] = v
                 arm = self.apply_consistency(noisy) if with_hier else noisy

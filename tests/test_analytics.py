@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from hierdp.analytics import (
-    BLOCK_ELEMENTS,
-    EPS_MIN,
     LevelWeights,
     _Level,
     bias,
@@ -19,6 +17,7 @@ from hierdp.analytics import (
 from hierdp.errors import DomainError, LengthMismatch
 from hierdp.evaluation import total_clamp_bias
 from hierdp.hierarchy import LevelStats, level_stats
+from hierdp.mechanism import BLOCK_ELEMENTS, EPS_MIN
 
 from oracles import (
     bias_closed_form,

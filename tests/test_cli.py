@@ -97,6 +97,20 @@ class TestAllocate:
         assert "warning" in result.stderr
         assert "--prior" in result.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["allocate", "--eps-total", "1", "--weights", "0,0,0"],
+        ["allocate", "--eps-total", "nan"],
+        ["release", "--eps-total", "1", "--seed", str(2**64)],
+    ], ids=["no_positive_weight", "nan_budget", "seed_past_64_bits"])
+    def test_no_prior_warning_when_the_run_fails(self, runner, tmp_path, monkeypatch, args):
+        # the warning is about a split that gets written; a run that
+        # exits 3 writes none
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, [*args, "--synth", "--synth-fanouts", "3,3"])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: ")
+        assert "warning" not in result.stderr
+
     def test_explicit_prior_silences_warning(self, runner, workdir):
         result = runner.invoke(
             main,
@@ -590,7 +604,7 @@ class TestOpenPrivacyLeaks:
     def test_the_noise_cannot_be_rebuilt_from_the_release(self, runner, tmp_path):
         # imported here: once releases no longer draw from these
         # streams they may go, and this module must still load
-        from hierdp.rng import centered_uniform_matrix, standard_laplace
+        from hierdp.mechanism import centered_uniform_matrix, standard_laplace
 
         out = self._release(runner, tmp_path, "tract", TRACT_CSV)
         released = parse_hierarchy((out / "release.csv").read_text())

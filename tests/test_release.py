@@ -24,7 +24,7 @@ from hierdp.release import (
     project_children,
     project_rows,
 )
-from hierdp.rng import centered_uniform_matrix, standard_laplace
+from hierdp.mechanism import centered_uniform_matrix, standard_laplace
 
 from conftest import VA_CSV
 from oracles import project_rows_two_sorts, qp_projection, reference_release
