@@ -44,6 +44,7 @@ from .hierarchy import (
     parse_hierarchy,  # kept for callers that parse text here, as perfbench does
     synth_hierarchy,
 )
+from .mechanism import _check_seed
 from .release import privatize
 
 PRIOR_WARNING = (
@@ -72,6 +73,8 @@ class RunConfig:
     prior_given: bool = False
 
     def __post_init__(self):
+        # before any solve: a seed the noise stream cannot take fails now
+        _check_seed(self.seed)
         if isinstance(self.prior, Hierarchy):
             self.prior = level_stats(self.prior)
 

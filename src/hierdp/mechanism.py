@@ -53,6 +53,11 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> _S31)
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def centered_uniform_matrix(
     seed: int, keys: np.ndarray, rep_lo: int, rep_hi: int
 ) -> np.ndarray:

@@ -41,7 +41,13 @@ import numpy as np
 from .allocator import BudgetAllocation
 from .errors import AllocationMismatch, DomainError, UnreleasedLevel
 from .hierarchy import Hierarchy, serialize_hierarchy
-from .mechanism import _check_eps, centered_uniform_matrix, clamped_release, standard_laplace
+from .mechanism import (
+    _check_eps,
+    _check_seed,
+    centered_uniform_matrix,
+    clamped_release,
+    standard_laplace,
+)
 
 _EVERY_LEVEL = "consistency requires a released value at every level"
 
@@ -123,8 +129,7 @@ class ReleaseEngine:
         one allocation, into read-only arrays they share."""
         if rep_hi < rep_lo:
             raise DomainError(f"replicate range [{rep_lo}, {rep_hi}) is reversed")
-        if not 0 <= seed < 2**64:
-            raise DomainError(f"seed must be in [0, 2**64), got {seed}")
+        _check_seed(seed)
         released = [self.levels(alloc) for alloc, _ in arms]
         for (_, with_hier), levels in zip(arms, released):
             if with_hier and len(levels) != self.h.depth:

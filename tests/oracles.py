@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own code paths:
 Monte Carlo uses numpy's Laplace sampler, the projection oracle
-enumerates active sets, and the allocator oracle is a brute-force grid
-search over the reduced one-dimensional problem, and the reference
+enumerates active sets, the allocator oracles are a brute-force grid
+search over the reduced one-dimensional problem and a nested bisection
+on the multiplier and each level's budget, and the reference
 release walks a dict-based tree node by node. The exceptions are
 code as first written, kept to pin the bits of the package's faster
 versions: ``project_rows_two_sorts``, the projection, and
@@ -116,6 +117,54 @@ def grid_search_two_level(root: float, leaves, w, eps_total: float, step: float 
         vals = vals + w[1] * mse_closed_form(nj, e2)
     i = int(np.argmin(vals))
     return float(vals[i]), float(e1[i])
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """The point where an increasing ``f`` crosses zero on [lo, hi], by
+    halving the bracket until no float lies strictly inside it."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
+def bisection_split(counts_per_level, w, program: str, target: float) -> list[float]:
+    """The optimal per-level budgets of ``program`` ("fixed_budget":
+    sum(eps) = target; "target_mse": weighted total mse = target) by
+    plain nested bisection: an outer one on the shared marginal lam, and
+    for each lam an inner one on each positive-weight level's e_l(lam),
+    the root of w_l * sum_j d mse(N_j, e)/de + lam, each to float
+    resolution. Zero-weight levels get 0. The first brackets are the
+    closed forms' bounds -4/e^3 <= d mse/de <= -2/e^3, widened twice
+    over; after that, as e_l(lam) falls with lam, the budgets at the
+    ends of the lam bracket bracket those inside it."""
+    levels = [(np.asarray(c, dtype=float), wl) for c, wl in zip(counts_per_level, w)]
+    on = [(c, wl) for c, wl in levels if wl > 0]
+    fixed = program == "fixed_budget"
+    cube = sum((wl * c.size) ** (1 / 3) for c, wl in on)
+    if fixed:
+        lam_lo, lam_hi = (cube / target) ** 3, 8 * (cube / target) ** 3
+    else:
+        lam_lo, lam_hi = (target / (2 * cube)) ** 1.5, 8 * (target / cube) ** 1.5
+    es_lo = [(8 * wl * c.size / lam_lo) ** (1 / 3) for c, wl in on]
+    es_hi = [(wl * c.size / lam_hi) ** (1 / 3) for c, wl in on]
+    while lam_lo < (lam := 0.5 * (lam_lo + lam_hi)) < lam_hi:
+        es = [
+            _bisect(lambda e: wl * mse_deps_sums_one_shot(c, e)[0] + lam, e_hi, e_lo)
+            for (c, wl), e_hi, e_lo in zip(on, es_hi, es_lo)
+        ]
+        if fixed:
+            residual = target - sum(es)
+        else:
+            residual = sum(wl * mse_sum_one_shot(c, e) for (c, wl), e in zip(on, es)) - target
+        if residual <= 0.0:
+            lam_lo, es_lo = lam, es
+        else:
+            lam_hi, es_hi = lam, es
+    budgets = iter(es)
+    return [next(budgets) if wl > 0 else 0.0 for _, wl in levels]
 
 
 def qp_projection(y, target: float) -> np.ndarray:

@@ -16,7 +16,7 @@ from hierdp.analytics import mse, weighted_total_mse
 from hierdp.errors import DomainError, NoPositiveWeight
 from hierdp.hierarchy import LevelStats, SynthSpec, level_stats, synth_hierarchy
 
-from oracles import central_difference, grid_search_two_level
+from oracles import bisection_split, central_difference, grid_search_two_level
 
 
 def _stats(*levels):
@@ -356,6 +356,40 @@ class TestAllocationJson:
         assert len(d["eps"]) == 3
 
 
+def _noisy_prior(rng, fanouts):
+    """A real-valued 3-level prior: lognormal leaves, parents summed from
+    their children, and every count Laplace-noised and clamped at 0, so
+    no two counts are equal."""
+    leaves = rng.lognormal(2.0, 1.5, fanouts[0] * fanouts[1])
+    mid = leaves.reshape(fanouts).sum(axis=1)
+    levels = [np.array([mid.sum()]), mid, leaves]
+    return _stats(*(np.maximum(0.0, lv + rng.laplace(size=lv.size)) for lv in levels))
+
+
+class TestBisectionOracle:
+    @pytest.mark.parametrize("program", ["fixed_budget", "target_mse"])
+    def test_split_matches_nested_bisection(self, program):
+        # ten random priors a program, up to 2,000 leaves, weights over a
+        # factor 50 and level budgets over a factor 100: each split is
+        # pinned to a nested bisection to float resolution, not to the
+        # solver's own path
+        rng = np.random.default_rng(7 if program == "fixed_budget" else 8)
+        for _ in range(10):
+            stats = _noisy_prior(rng, (int(rng.integers(2, 41)), int(rng.integers(2, 51))))
+            w = tuple(np.exp(rng.uniform(-2.0, 2.0, 3)))
+            if program == "fixed_budget":
+                target, allocate = 10 ** rng.uniform(-1.0, 1.0), allocate_fixed_budget
+            else:
+                e0 = 10 ** rng.uniform(-1.5, 0.5)
+                target = sum(wl * lv.size for wl, lv in zip(w, stats.counts)) / e0**2
+                allocate = allocate_target_mse
+            np.testing.assert_allclose(
+                allocate(stats, w, target).eps,
+                bisection_split(stats.counts, w, program, target),
+                rtol=1e-10, atol=0.0,
+            )
+
+
 class TestSolvePasses:
     @pytest.mark.parametrize("program", ["fixed", "target"])
     def test_no_second_solve_at_the_final_lambda(self, monkeypatch, va_hierarchy, program):
@@ -384,6 +418,29 @@ class TestSolvePasses:
         else:
             allocate_target_mse(stats, (1.0, 1.0, 1.0), 2000.0)
         assert passes.count(2) == len(passes) > 0
+
+
+    @pytest.mark.parametrize("program", ["fixed", "target"])
+    def test_level_roots_start_from_the_last_lambda(self, monkeypatch, program):
+        # CI's noisy prior: each level root starts from the one at the
+        # previous lambda, scaled, so the 20,000 distinct leaf counts are
+        # summed at most 20 times a split; starting every root at its
+        # bracket midpoint sums them 36 (fixed) and 30 (target) times
+        rng = np.random.default_rng(2)
+        stats = _stats(*(np.maximum(0.0, c + rng.laplace(size=n))
+                         for c, n in ((400000.0, 1), (4000.0, 100), (20.0, 20000))))
+        passes, real_sums = [0], analytics._mse_deps_sums
+
+        def sums(counts, *args):
+            passes[0] += counts.size == 20000
+            return real_sums(counts, *args)
+
+        monkeypatch.setattr(analytics, "_mse_deps_sums", sums)
+        if program == "fixed":
+            allocate_fixed_budget(stats, (1.0, 1.0, 1.0), 2.0)
+        else:
+            allocate_target_mse(stats, (1.0, 1.0, 1.0), 2000.0)
+        assert 0 < passes[0] <= 20
 
 
 class TestLevel:

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 import hierdp
 from hierdp.allocator import allocate_fixed_budget
 from hierdp.analytics import weighted_total_mse
-from hierdp import cli
+from hierdp import allocator, cli
 from hierdp.cli import main
 from hierdp.errors import DataError, InvalidSpec
 from hierdp.hierarchy import level_stats, parse_hierarchy
@@ -380,6 +380,23 @@ class TestSeedRange:
         assert "seed must be" in result.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["release", "--synth", "--synth-fanouts", "3,3", "--eps-total", "1"],
+        ["evaluate", "--synth", "--synth-fanouts", "3,3", "--replicates", "10"],
+        ["downstream", "--blocks", "5,3", "--eps-total", "1", "--replicates", "10"],
+    ], ids=["release", "evaluate", "downstream"])
+    def test_checked_before_the_split_is_solved(self, runner, tmp_path, monkeypatch, args):
+        # every split, of any program and from any module, goes through
+        # _solve
+        def refuse(*_):
+            raise AssertionError("solved a split for a seed that cannot draw")
+
+        monkeypatch.setattr(allocator, "_solve", refuse)
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, [*args, "--seed", str(2**64)])
+        assert result.exit_code == 3
+        assert result.stderr == f"error: seed must be in [0, 2**64), got {2**64}\n"
+
     def test_largest_seed_releases(self, runner, tmp_path):
         args = ["release", "--synth", "--synth-fanouts", "3,2", "--eps-total", "1",
                 "--seed", str(2**64 - 1), "--out-dir", str(tmp_path)]
@@ -738,11 +755,11 @@ class TestSynth:
     # above, these hold only where numpy dispatches X86_V4 (ROADMAP item
     # 8), and items 14 and 1a will move them on purpose
     EVALUATE_SHA256 = {
-        "arms.csv": "5f06394e1f2067b7d790e485dfc555fbbe110aee910886f3023d1442b9309cf3",
-        "mse_curve.csv": "1ee65826cd6d44cfe8cbf6ed025f6d3087cb393ac85e9b15e2af255415584fb9",
-        "report.json": "22e696a9c92b97f6b12587e688d693cb31257de419092db1e2dac67ddfea88c8",
+        "arms.csv": "fe088a17e62209e2eb9ede47267fae95a1c9d08090691b025115d066267fb52d",
+        "mse_curve.csv": "9e6d6782c197c91affd5840acd10bb8b15453fc80009e0c1a6f8a6d03129144b",
+        "report.json": "3cbbe9b5286d3395e2309860a3a20405cecd77a51b203696f367bcfe329cbb51",
     }
-    DOWNSTREAM_SHA256 = "aeadac7eecf4a7370cad93fbba50699f02983377f323c72fa57c6bede8960a55"
+    DOWNSTREAM_SHA256 = "32deab11dc821ad2e923eba42347820b1afc4ab4307a7a2bc7e93483402c2c00"
 
     @staticmethod
     def _release_csv(runner, out, args):
