@@ -18,17 +18,11 @@ if "OPENBLAS_NUM_THREADS" not in os.environ:
 
 from .allocator import (  # noqa: E402
     BudgetAllocation,
+    LevelWeights,
     allocate_fixed_budget,
     allocate_target_mse,
     level_marginal,
     uniform_allocation,
-)
-from .analytics import (
-    LevelWeights,
-    bias,
-    mse,
-    mse_deps,
-    variance,
     weighted_total_mse,
 )
 from .downstream import (
@@ -57,6 +51,7 @@ from .hierarchy import (
     serialize_hierarchy,
     synth_hierarchy,
 )
+from .mechanism import bias, mse, mse_deps, variance
 from .release import (
     PrivatizedHierarchy,
     privatize,

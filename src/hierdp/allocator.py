@@ -1,7 +1,7 @@
 """Per-level privacy budget optimization by marginal water-filling.
 
-Two programs over the weighted total-mse objective from
-:mod:`hierdp.analytics`:
+Two programs over the weighted total-mse objective,
+sum_l w_l * (level l's summed per-node mse at e_l):
 
 * fixed budget: minimize the objective subject to sum(eps) <= eps_total
   (the constraint always binds because the objective is strictly
@@ -66,10 +66,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .analytics import LevelWeights, _Level, as_weights
-from .errors import ConvergenceFailure, DomainError
+from .errors import ConvergenceFailure, DomainError, LengthMismatch, NoPositiveWeight
 from .hierarchy import LevelStats
-from .mechanism import EPS_MIN, _check_eps
+from .mechanism import EPS_MIN, _check_eps, _Level, mse_sum
 
 PROGRAM_FIXED_BUDGET = "fixed_budget"
 PROGRAM_TARGET_MSE = "target_mse"
@@ -79,6 +78,58 @@ _MAX_ITER = 200
 # the slope of a level's marginal divides by eps**4, which overflows
 # just past this
 _EPS_MAX = 1.15e77
+
+
+@dataclass(frozen=True)
+class LevelWeights:
+    """Nonnegative per-level weights, at least one positive."""
+
+    w: tuple[float, ...]
+
+    def __post_init__(self):
+        if not self.w:
+            raise DomainError("weights must be nonempty")
+        if any((wi < 0 or not math.isfinite(wi)) for wi in self.w):
+            raise DomainError("weights must be nonnegative reals")
+        if not any(wi > 0 for wi in self.w):
+            raise NoPositiveWeight("at least one weight must be positive")
+
+    def __len__(self) -> int:
+        return len(self.w)
+
+    def __getitem__(self, i: int) -> float:
+        return self.w[i]
+
+
+def as_weights(w: Sequence[float] | LevelWeights) -> LevelWeights:
+    if isinstance(w, LevelWeights):
+        return w
+    return LevelWeights(tuple(float(x) for x in w))
+
+
+def weighted_total_mse(
+    stats: LevelStats,
+    w: Sequence[float] | LevelWeights,
+    eps_vec: Sequence[float],
+) -> float:
+    """Weighted objective: sum over levels of w_l times the level's
+    summed per-node mse at that level's budget.
+
+    Zero-weight levels contribute nothing and their eps entry is
+    ignored (the allocator assigns them no budget at all).
+    """
+    w = as_weights(w)
+    depth = stats.depth
+    if len(w) != depth or len(eps_vec) != depth:
+        raise LengthMismatch(
+            f"stats has {depth} levels, weights {len(w)}, eps {len(eps_vec)}"
+        )
+    total = 0.0
+    for lv in range(depth):
+        if w[lv] == 0.0:
+            continue
+        total += w[lv] * mse_sum(stats.counts[lv], float(eps_vec[lv]))
+    return total
 
 
 @dataclass(frozen=True)

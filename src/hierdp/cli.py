@@ -310,15 +310,16 @@ _OUTPUT = click.option("-o", "--output", type=str, default="-", show_default=Tru
 
 
 class _Group(click.Group):
-    """Maps data errors to exit code 3 and solver failures to 4, for
-    every command."""
+    """Maps data errors to exit code 3, solver failures to 4 and an
+    OSError (an output path it cannot write) to 2, for every command."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ConvergenceFailure, DataError) as exc:
+        except (ConvergenceFailure, DataError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
-            ctx.exit(4 if isinstance(exc, ConvergenceFailure) else 3)
+            ctx.exit(2 if isinstance(exc, OSError)
+                     else 4 if isinstance(exc, ConvergenceFailure) else 3)
 
 
 @click.group(cls=_Group)

@@ -40,7 +40,7 @@ class InvalidSpec(DataError):
     pass
 
 
-# mechanism and analytics
+# closed forms and their arguments
 
 class DomainError(DataError):
     """Argument outside the domain of a closed-form expression."""

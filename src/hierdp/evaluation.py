@@ -20,10 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .allocator import BudgetAllocation, allocate_fixed_budget, uniform_allocation
-from .analytics import _check_counts, mse_sum
 from .errors import DomainError, InvalidSplit
 from .hierarchy import Hierarchy, LevelStats, level_stats
-from .mechanism import _bias_sum, _check_eps
+from .mechanism import _bias_sum, _check_counts, _check_eps, mse_sum
 from .release import ReleaseEngine
 
 EPS_GRID_DEFAULT = (0.1, 0.25, 0.5, 1.0, 1.5, 2.0)

@@ -20,8 +20,8 @@ from hierdp.allocator import (
     allocate_target_mse,
     level_marginal,
     uniform_allocation,
+    weighted_total_mse,
 )
-from hierdp.analytics import bias, mse, variance, weighted_total_mse
 from hierdp.cli import main
 from hierdp.downstream import WeightFunction, compare_misallocation
 from hierdp.evaluation import (
@@ -33,6 +33,7 @@ from hierdp.evaluation import (
     weight_sweep,
 )
 from hierdp.hierarchy import LevelStats, SynthSpec, level_stats, synth_hierarchy
+from hierdp.mechanism import bias, mse, variance
 from hierdp.release import project_children
 
 from conftest import TRACT_BLOCKS, VA_CSV

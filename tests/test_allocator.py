@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 import hierdp.allocator as allocator
-import hierdp.analytics as analytics
 from hierdp.allocator import (
     allocate_fixed_budget,
     allocate_target_mse,
     level_marginal,
     uniform_allocation,
+    weighted_total_mse,
 )
-from hierdp.analytics import mse, weighted_total_mse
 from hierdp.errors import DomainError, NoPositiveWeight
 from hierdp.hierarchy import LevelStats, SynthSpec, level_stats, synth_hierarchy
+from hierdp.mechanism import _Level, mse
 
 from oracles import bisection_split, central_difference, grid_search_two_level
 
@@ -397,7 +397,7 @@ class TestSolvePasses:
         # calls deep): the level roots at the final lambda are those of
         # the residual's last call, not solved again
         depth, passes = [0], []
-        real_root, real_sums = allocator._root, analytics._mse_deps_sums
+        real_root, real_sums = allocator._root, _Level.mse_deps
 
         def root(*args):
             depth[0] += 1
@@ -411,7 +411,7 @@ class TestSolvePasses:
             return real_sums(*args)
 
         monkeypatch.setattr(allocator, "_root", root)
-        monkeypatch.setattr(analytics, "_mse_deps_sums", sums)
+        monkeypatch.setattr(_Level, "mse_deps", sums)
         stats = level_stats(va_hierarchy)
         if program == "fixed":
             allocate_fixed_budget(stats, (1.0, 1.0, 1.0), 1.0)
@@ -429,13 +429,13 @@ class TestSolvePasses:
         rng = np.random.default_rng(2)
         stats = _stats(*(np.maximum(0.0, c + rng.laplace(size=n))
                          for c, n in ((400000.0, 1), (4000.0, 100), (20.0, 20000))))
-        passes, real_sums = [0], analytics._mse_deps_sums
+        passes, real_sums = [0], _Level.mse_deps
 
-        def sums(counts, *args):
-            passes[0] += counts.size == 20000
-            return real_sums(counts, *args)
+        def sums(level, *args):
+            passes[0] += level.vals.size == 20000
+            return real_sums(level, *args)
 
-        monkeypatch.setattr(analytics, "_mse_deps_sums", sums)
+        monkeypatch.setattr(_Level, "mse_deps", sums)
         if program == "fixed":
             allocate_fixed_budget(stats, (1.0, 1.0, 1.0), 2.0)
         else:

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hierdp.analytics import (
-    LevelWeights,
+from hierdp.allocator import LevelWeights, weighted_total_mse
+from hierdp.errors import DomainError, LengthMismatch
+from hierdp.evaluation import total_clamp_bias
+from hierdp.hierarchy import LevelStats, level_stats
+from hierdp.mechanism import (
+    BLOCK_ELEMENTS,
+    EPS_MIN,
     _Level,
     bias,
     mse,
@@ -12,12 +17,7 @@ from hierdp.analytics import (
     mse_deps2,
     mse_sum,
     variance,
-    weighted_total_mse,
 )
-from hierdp.errors import DomainError, LengthMismatch
-from hierdp.evaluation import total_clamp_bias
-from hierdp.hierarchy import LevelStats, level_stats
-from hierdp.mechanism import BLOCK_ELEMENTS, EPS_MIN
 
 from oracles import (
     bias_closed_form,

@@ -14,8 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import hierdp
-from hierdp.allocator import allocate_fixed_budget
-from hierdp.analytics import weighted_total_mse
+from hierdp.allocator import allocate_fixed_budget, weighted_total_mse
 from hierdp import allocator, cli
 from hierdp.cli import main
 from hierdp.errors import DataError, InvalidSpec
@@ -401,6 +400,26 @@ class TestSeedRange:
         args = ["release", "--synth", "--synth-fanouts", "3,2", "--eps-total", "1",
                 "--seed", str(2**64 - 1), "--out-dir", str(tmp_path)]
         assert _invoke(runner, args).exit_code == 0
+
+
+class TestUnwritableOutput:
+    """An output path the process cannot write is a usage error (exit
+    2, as for an --input path that does not exist), not a traceback."""
+
+    @pytest.mark.parametrize("cmd", ["allocate", "evaluate"])
+    def test_exits_2(self, runner, workdir, cmd):
+        (workdir / "a_file").write_text("")
+        if cmd == "allocate":
+            tree = str(workdir / "va.csv")
+            args = ["allocate", "--input", tree, "--prior", tree, "--eps-total", "1",
+                    "-o", str(workdir / "missing" / "x.json")]
+        else:
+            args = ["evaluate", "--synth", "--synth-fanouts", "8,6", "--replicates", "100",
+                    "--out-dir", str(workdir / "a_file" / "sub")]
+        result = _invoke(runner, args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
 
 
 class TestEvaluate:

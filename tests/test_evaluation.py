@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hierdp.allocator import allocate_fixed_budget, uniform_allocation
-from hierdp.analytics import bias, mse, variance
 from hierdp.errors import AllocationMismatch, DomainError, InvalidSplit
 import hierdp.evaluation as evaluation
 import hierdp.release as release
@@ -21,6 +20,7 @@ from hierdp.evaluation import (
     weight_sweep,
 )
 from hierdp.hierarchy import SynthSpec, level_stats, parse_hierarchy, synth_hierarchy
+from hierdp.mechanism import bias, mse, variance
 
 from oracles import majorizes
 

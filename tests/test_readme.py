@@ -23,3 +23,19 @@ def test_python_examples_run(tmp_path, monkeypatch):
         for block in blocks:
             exec(compile(block, str(README), "exec"), namespace)
     assert out.getvalue().startswith("node_id,parent_id,level,count\n")
+
+
+def test_public_names_resolve():
+    import hierdp
+
+    names = hierdp.__all__
+    assert [n for n in names if not hasattr(hierdp, n)] == []
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+
+
+def test_layout_lists_every_module():
+    layout = re.search(r"^## Layout\n\n```\n(.*?)^```$", README.read_text(), re.M | re.S)
+    listed = set(re.findall(r"^  (\w+\.py)\s", layout.group(1), re.M))
+    package = README.parent / "src" / "hierdp"
+    assert listed == {p.name for p in package.glob("*.py")} - {"__init__.py"}
