@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 solver failure.
 from __future__ import annotations
 
 import csv
+import errno
 import functools
 import io
 import json
@@ -47,6 +48,7 @@ from .hierarchy import (
 from .mechanism import _check_seed
 from .release import privatize
 
+# printed once allocate's or release's output is written: a failed run warns of nothing
 PRIOR_WARNING = (
     "warning: no --prior given; the budget split is being computed from the "
     "same counts that will be privatized. If the per-level budgets are "
@@ -147,6 +149,15 @@ def _emit(text: str, output: str) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse an out-dir under a file before any work, making nothing."""
+    path = Path(out_dir).absolute()
+    while not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", out_dir)
+
+
 def _write_files(out_dir: str, files: dict[str, str]) -> None:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
@@ -168,14 +179,10 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 # operation bodies, separated from the click wiring so they are callable
-# directly with a RunConfig; allocate and release print the prior warning
-# once their output is computed, so a run that fails warns of nothing
+# directly with a RunConfig
 
 def cmd_allocate(config: RunConfig) -> str:
-    alloc = _allocate(config)
-    if not config.prior_given:
-        click.echo(PRIOR_WARNING, err=True)
-    return _json_dumps(alloc.to_json_dict())
+    return _json_dumps(_allocate(config).to_json_dict())
 
 
 def cmd_release(config: RunConfig) -> tuple[str, str]:
@@ -184,8 +191,6 @@ def cmd_release(config: RunConfig) -> tuple[str, str]:
         # computed from the true counts: not for publication
         alloc = replace(alloc, objective_value=None, multiplier=None)
     released = privatize(config.hierarchy, alloc, config.seed, config.hier)
-    if not config.prior_given:
-        click.echo(PRIOR_WARNING, err=True)
     return released.to_csv(), released.sidecar_json() + "\n"
 
 
@@ -333,7 +338,10 @@ def main() -> None:
 @_OUTPUT
 def allocate_cmd(output, **flags):
     """Solve the budget split and emit it as JSON."""
-    _emit(cmd_allocate(_config(prior_suffices=True, **flags)), output)
+    config = _config(prior_suffices=True, **flags)
+    _emit(cmd_allocate(config), output)
+    if not config.prior_given:
+        click.echo(PRIOR_WARNING, err=True)
 
 
 @main.command("release")
@@ -344,8 +352,12 @@ def allocate_cmd(output, **flags):
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".", show_default=True)
 def release_cmd(out_dir, **flags):
     """Privatize a hierarchy: noisy release.csv plus a release.json sidecar."""
-    csv_text, sidecar = cmd_release(_config(**flags))
+    _check_out_dir(out_dir)
+    config = _config(**flags)
+    csv_text, sidecar = cmd_release(config)
     _write_files(out_dir, {"release.csv": csv_text, "release.json": sidecar})
+    if not config.prior_given:
+        click.echo(PRIOR_WARNING, err=True)
 
 
 @main.command("evaluate")
@@ -360,6 +372,7 @@ def release_cmd(out_dir, **flags):
 @click.option("--out-dir", type=click.Path(file_okay=False), default="evaluation", show_default=True)
 def evaluate_cmd(eps_grid, out_dir, **flags):
     """Optimized-versus-uniform comparison report and plot data."""
+    _check_out_dir(out_dir)
     _write_files(out_dir, cmd_evaluate(_config(**flags), eps_grid))
 
 

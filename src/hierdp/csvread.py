@@ -1,9 +1,9 @@
 """CSV text into the per-node columns that :class:`hierdp.hierarchy.Hierarchy`
 validates: two tokenizers, one for plain text and one for anything else.
 
-Text is read once, in blocks that each end at a line end, from a string
-(encoded a block at a time) or from a binary file or pipe, so a file's
-text is never held whole. A block of plain text (no quote, NUL or lone
+Text is read once, as UTF-8 bytes from a binary file, a pipe or an
+encoded string, in blocks that each end at a line end, so a file's text
+is never held whole. A block of plain text (no quote, NUL or lone
 CR) is cut as UTF-8 bytes with numpy, with no Python object per field:
 its delimiters are found through one array view of it, its ids are
 masked straight into one UTF-8 buffer, each run of equal parent fields
@@ -38,8 +38,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InvalidSpec, LevelMismatch, MissingRoot, NegativeCount
 from .hierarchy import CSV_HEADER, _text, _utf8
 
-# CSV text is read, cut and converted in blocks of about this many bytes
-# of a file, or characters of a string, each ending at a line end
+# CSV text is read, cut and converted in blocks of about this many
+# bytes, each ending at a line end
 _BLOCK_SIZE = 1 << 16
 _LEVEL_MAX = np.iinfo(np.int64).max
 # a count of at most this many digits is exact as a float64; a level of
@@ -51,20 +51,15 @@ _LEVEL_DIGITS = 18
 _CAST_WIDTH = 40
 
 
-def text_columns(text: str) -> list:
-    """The columns of CSV text given as a string, encoded a block at a
-    time with lone surrogates passed through."""
-    return _read_columns(_text_blocks(text), "surrogatepass")
-
-
-def file_columns(f) -> list:
+def file_columns(f, errors: str = "strict") -> list:
     """The columns of the UTF-8 text of ``f``, a binary file or a pipe,
-    less a leading byte order mark, read once, in blocks."""
+    less a leading byte order mark, read once, in blocks, and decoded
+    with the ``errors`` handler."""
     head = f.read(len(BOM_UTF8))
     chunks = iter(partial(f.read, _BLOCK_SIZE), b"")
     if head != BOM_UTF8:
         chunks = chain([head], chunks)
-    return _read_columns(_line_blocks(chunks), "strict")
+    return _read_columns(_line_blocks(chunks), errors)
 
 
 def _read_columns(blocks: Iterator[bytes], errors: str) -> list:
@@ -100,13 +95,6 @@ def _line_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
             rest += chunk
     if rest:
         yield rest
-
-
-def _text_blocks(text: str) -> Iterator[bytes]:
-    # each piece encoded on its own gives the bytes of the whole text:
-    # lone surrogates are encoded one by one, never paired
-    size = _BLOCK_SIZE
-    return _line_blocks(_utf8(text[i : i + size]) for i in range(0, len(text), size))
 
 
 class _Columns:

@@ -478,35 +478,31 @@ class LevelStats:
 def parse_hierarchy(csv_text: str) -> Hierarchy:
     """Build a hierarchy from CSV text.
 
-    Expected header: ``node_id,parent_id,level,count``. The root row has
-    an empty parent_id; whitespace-only rows are skipped. Every row
-    error names the first faulty row, every structural error the
-    offending node.
+    Expected header: ``node_id,parent_id,level,count``. A leading byte
+    order mark is dropped. The root row has an empty parent_id;
+    whitespace-only rows are skipped. Every row error names the first
+    faulty row, every structural error the offending node.
 
-    The text is read once, in blocks that end at a line end: blocks of
-    plain text (no quote, NUL or lone CR, four fields on every line) are
-    cut into columns as UTF-8 bytes with numpy, until the first block
-    that is not plain or holds a blank or malformed row, which
-    :mod:`csv` reads with the rest. Both give the same fields (see
-    :mod:`hierdp.csvread`).
+    The text is encoded as UTF-8, lone surrogates passed through, and
+    read in blocks as :func:`_read_hierarchy` reads a file (see
+    :mod:`hierdp.csvread`), so a string and a file of the same bytes
+    give the same tree or the same error.
     """
+    return _read_hierarchy(io.BytesIO(_utf8(csv_text)), "surrogatepass")
+
+
+def _read_hierarchy(f, errors: str = "strict") -> Hierarchy:
+    """The hierarchy in the UTF-8 text of ``f``, a binary file or pipe,
+    less a leading byte order mark, decoded with the ``errors`` handler.
+    The file is read once, in blocks, so that its text is never held
+    whole, whichever tokenizer reads it. Bytes that are not UTF-8 raise
+    :class:`InvalidSpec` naming their row."""
     # the tokenizers are loaded by the first parse: where no bytecode is
     # cached, every start compiles each module it imports, and a process
     # that reads no CSV need not compile them
-    from .csvread import text_columns
-
-    return Hierarchy._of_columns(text_columns(csv_text))
-
-
-def _read_hierarchy(f) -> Hierarchy:
-    """:func:`parse_hierarchy` of the UTF-8 text of ``f``, a binary
-    file or pipe, less a leading byte order mark. The file is read once,
-    in blocks, so that its text is never held whole, whichever
-    tokenizer reads it. Bytes that are not UTF-8 raise
-    :class:`InvalidSpec` naming their row."""
     from .csvread import file_columns
 
-    return Hierarchy._of_columns(file_columns(f))
+    return Hierarchy._of_columns(file_columns(f, errors))
 
 
 def serialize_hierarchy(

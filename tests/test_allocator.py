@@ -69,6 +69,13 @@ class TestLevelMarginal:
         with pytest.raises(DomainError):
             level_marginal(_stats([1.0], [2.0]), (0.0, 1.0), 1, 1.0)
 
+    @pytest.mark.parametrize("level", [0, 4])
+    def test_level_out_of_range(self, level):
+        stats = _stats([6.0], [2.0, 4.0], [1.0, 1.0, 2.0, 2.0])
+        with pytest.raises(DomainError) as info:
+            level_marginal(stats, (1.0, 1.0, 1.0), level, 1.0)
+        assert str(info.value) == f"level {level} out of range 1..3"
+
     @pytest.mark.parametrize("w", [(1.0,), (1.0, 1.0, 1.0, 1.0)])
     def test_one_weight_per_level(self, w):
         # the check the solver makes, with its message; one weight for

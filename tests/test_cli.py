@@ -406,20 +406,37 @@ class TestUnwritableOutput:
     """An output path the process cannot write is a usage error (exit
     2, as for an --input path that does not exist), not a traceback."""
 
-    @pytest.mark.parametrize("cmd", ["allocate", "evaluate"])
-    def test_exits_2(self, runner, workdir, cmd):
+    @pytest.mark.parametrize("case", ["allocate", "allocate_no_prior", "release", "evaluate"])
+    def test_exits_2(self, runner, workdir, monkeypatch, case):
+        # a directory under a file is refused before any work: the
+        # release and the Monte Carlo would raise if they ran. Nothing is
+        # written, so no prior warning is printed either
         (workdir / "a_file").write_text("")
-        if cmd == "allocate":
-            tree = str(workdir / "va.csv")
-            args = ["allocate", "--input", tree, "--prior", tree, "--eps-total", "1",
-                    "-o", str(workdir / "missing" / "x.json")]
-        else:
-            args = ["evaluate", "--synth", "--synth-fanouts", "8,6", "--replicates", "100",
-                    "--out-dir", str(workdir / "a_file" / "sub")]
+        tree = str(workdir / "va.csv")
+        out_file = ["-o", str(workdir / "missing" / "x.json")]
+        out_dir = ["--out-dir", str(workdir / "a_file" / "sub")]
+        args = {
+            "allocate": ["allocate", "--input", tree, "--prior", tree, "--eps-total", "1",
+                         *out_file],
+            "allocate_no_prior": ["allocate", "--synth", "--synth-fanouts", "3",
+                                  "--eps-total", "1", *out_file],
+            "release": ["release", "--synth", "--synth-fanouts", "3", "--eps-total", "1",
+                        *out_dir],
+            "evaluate": ["evaluate", "--synth", "--synth-fanouts", "8,6",
+                         "--replicates", "100", *out_dir],
+        }[case]
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "privatize", never)
+        monkeypatch.setattr(cli, "compare_allocations", never)
         result = _invoke(runner, args)
         assert result.exit_code == 2
         assert result.stderr.startswith("error:")
+        assert "warning" not in result.stderr
         assert "Traceback" not in result.stderr
+        assert not (workdir / "missing").exists()
 
 
 class TestEvaluate:

@@ -111,6 +111,21 @@ class TestMisallocationStats:
             dataclasses.asdict(stats), sort_keys=True
         )
 
+    @pytest.mark.parametrize("shape", ["flat", "extra_column", "three_axes"])
+    def test_shape_checked(self, tract_blocks, shape):
+        n = len(tract_blocks)
+        noisy = {
+            "flat": np.tile(tract_blocks, 1000),
+            "extra_column": np.ones((1000, n + 1)),
+            "three_axes": np.ones((2, 1000, n)),
+        }[shape]
+        with pytest.raises(DomainError) as info:
+            misallocation_stats(tract_blocks, noisy, WeightFunction.LINEAR)
+        assert str(info.value) == (
+            f"noisy counts must have one row per replicate and {n} "
+            f"columns, got shape {noisy.shape}"
+        )
+
     def test_replicate_floor(self, tract_blocks):
         with pytest.raises(DomainError):
             misallocation_stats(

@@ -397,7 +397,9 @@ def _reads(text):
     columns = csvread._Columns()
     limit = csv.field_size_limit()
     header = True
-    for block in csvread._text_blocks(text):
+    raw = text.encode("utf-8", "surrogatepass")
+    size = csvread._BLOCK_SIZE
+    for block in csvread._line_blocks(raw[i : i + size] for i in range(0, len(raw), size)):
         if not csvread._byte_block(columns, block, header, "surrogatepass", limit):
             return None
         header = False
@@ -678,11 +680,12 @@ class TestMemory:
     def test_parse_bytes_per_node(self):
         # tracemalloc counts the bytes Python objects ask for, so the
         # figures do not depend on the allocator or the host. Measured on
-        # this tree (50,201 nodes) with Python 3.11: a parse peak of 65
-        # bytes per node over the text and 34 bytes retained by the
-        # tree, against 264 and 82 when the tree kept a str per id, and
-        # 361 and 160 when the whole text was split at once and the tree
-        # kept an id index.
+        # this tree (50,201 nodes) with Python 3.11: a parse peak of 82
+        # bytes per node over the text, the text's UTF-8 copy included,
+        # and 36 bytes retained by the tree; 59 and 36 when the text was
+        # encoded a block at a time, 264 and 82 when the tree kept a str
+        # per id, and 361 and 160 when the whole text was split at once
+        # and the tree kept an id index.
         text = serialize_hierarchy(synth_hierarchy(SynthSpec(seed=0, fanouts=(200, 250))))
         tracemalloc.start()
         try:
@@ -697,9 +700,10 @@ class TestMemory:
 
     def test_quoted_parse_bytes_per_node(self):
         # the same tree with the first field of every line quoted is read
-        # by csv.reader one record at a time: 57 bytes per node at the
-        # peak with Python 3.11, against 192 when the tree kept a str per
-        # id and 361 when every record was held at once
+        # by csv.reader one record at a time: 82 bytes per node at the
+        # peak with Python 3.11, the text's UTF-8 copy included, against
+        # 57 when the text was encoded a block at a time, 192 when the
+        # tree kept a str per id and 361 when every record was held at once
         text = serialize_hierarchy(synth_hierarchy(SynthSpec(seed=0, fanouts=(200, 250))))
         quoted = "".join(f'"{nid}",{rest}' for nid, rest in
                          (line.split(",", 1) for line in text.splitlines(keepends=True)))
@@ -763,7 +767,7 @@ class TestMemory:
 
     def test_one_long_id_costs_only_its_own_bytes(self):
         # memory follows the bytes of the ids, never the node count times
-        # the longest id (2 GB here): a 1.7 MB peak with Python 3.11,
+        # the longest id (2 GB here): a 1.8 MB peak with Python 3.11,
         # against 3.6 MB when the tree kept a str per id
         long_id = "r-" + "z" * 100_000
         rows = ["r,,1,20001"] + [f"r-{j:05d},r,2,1" for j in range(20_000)]
@@ -776,8 +780,8 @@ class TestMemory:
     def test_unsorted_long_id_costs_what_sorted_does(self):
         # rows out of level-then-id order are sorted as 8-byte words, with
         # bytes compared only within tied runs: one 100,000-character id
-        # last in the level it sorts first in peaks at 1.7 MB with Python
-        # 3.11, against 1.5 MB for the sorted rows; a bytes object per id
+        # last in the level it sorts first in peaks at 2.0 MB with Python
+        # 3.11, against 1.8 MB for the sorted rows; a bytes object per id
         # and a list of every position peaked at 3.8 MB
         rows = ["r,,1,20001"] + [f"r-{j:05d},r,2,1" for j in range(20_000)]
         sorted_text = HEADER + "\n".join(rows + ["r-" + "z" * 100_000 + ",r,2,1"]) + "\n"
@@ -836,11 +840,12 @@ class _Pipe(io.BytesIO):
 
 
 class TestReadTree:
-    """The CLI reads a file once, in blocks that end at a line end, and
-    hands the first block that needs csv.reader to it with the rest.
-    Wherever the blocks end, and whatever a later block first holds, it
-    gets the tree or the error that parse_hierarchy gets from the whole
-    text."""
+    """A file, as the CLI reads it, and a string, as parse_hierarchy
+    reads it, go through one pipeline: read once, in blocks that end at
+    a line end, the first block that needs csv.reader handed to it with
+    the rest. Wherever the blocks end, and whatever a later block first
+    holds, a file gets the tree or the error that parse_hierarchy gets
+    from the same text in blocks of the default size."""
 
     @pytest.mark.parametrize("chars", [1, 4, 9])
     def test_same_as_parse_hierarchy(self, tmp_path, monkeypatch, chars):
@@ -888,6 +893,16 @@ class TestReadTree:
         path = tmp_path / "tree.csv"
         path.write_text(text, encoding="utf-8-sig", newline="")
         assert _read_outcome(path) == _outcome(text)
+
+    @pytest.mark.parametrize("text", [HEADER + "A,,1,3\nB,A,2,3\n", LATER_FAULTS[0]],
+                             ids=["plain", "quoted_later"])
+    def test_byte_order_mark_string_same_as_file(self, tmp_path, text):
+        # a spreadsheet export read into a string keeps its mark
+        path = tmp_path / "tree.csv"
+        path.write_text(text, encoding="utf-8-sig", newline="")
+        with open(path, "rb") as f:
+            from_file = hierarchy._read_hierarchy(f)
+        assert parse_hierarchy(codecs.BOM_UTF8.decode() + text) == from_file
 
     NOT_UTF8 = [
         (b"r,,1,3\nr-\xff,r,2,3\n", InvalidSpec, "row 3: not UTF-8 text (invalid start byte)"),
@@ -941,6 +956,15 @@ class TestReadTree:
 class TestInOrderCheck:
     """Node order is checked on the stored bytes, a chunk of ids at a
     time, against comparing the ids as ``str``."""
+
+    def test_ids_tied_past_the_words_in_descending_order(self):
+        # two ids that tie on every word compared are ordered by the
+        # bytes after the words, and the rows sorted as their twin's
+        prefix = "p" * 40
+        rows = [f"{prefix}b,r,2,1\n", f"{prefix}a,r,2,1\n"]
+        descending = parse_hierarchy(HEADER + "r,,1,2\n" + "".join(rows))
+        assert descending == parse_hierarchy(HEADER + "r,,1,2\n" + "".join(rows[::-1]))
+        assert descending.level_ids(2) == (prefix + "a", prefix + "b")
 
     PIECES = ["a", "b", "\x00", "é", "😀", "\ud800", "aaaaaaaa", "aaaaaaaa\x00", "zz"]
 
