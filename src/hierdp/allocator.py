@@ -1,53 +1,71 @@
-"""Per-level privacy budget optimization by marginal water-filling.
+"""Per-level privacy budget optimization.
 
 Two programs over the weighted total-mse objective,
-sum_l w_l * (level l's summed per-node mse at e_l):
+F(eps) = sum_l w_l * (level l's summed per-node mse at e_l):
 
-* fixed budget: minimize the objective subject to sum(eps) <= eps_total
-  (the constraint always binds because the objective is strictly
-  decreasing in every coordinate);
-* target mse: minimize sum(eps) subject to objective <= tau (also
-  always binding; every tau > 0 is feasible since mse -> 0 as
-  eps -> infinity).
+* fixed budget: minimize F subject to sum(eps) <= eps_total (the
+  constraint always binds because F is strictly decreasing in every
+  coordinate);
+* target mse: minimize sum(eps) subject to F <= tau (also always
+  binding; every tau > 0 is feasible since mse -> 0 as eps -> infinity).
 
 They are Lagrangian duals of each other and share one stationarity
 condition: every positive-weight level sits at the same marginal
-D_l(e_l) = -lam, where
+g_l = w_l D_l(e_l) = -lam, where
 
-    D_l(e) = w_l * sum_j d mse(N_j, e)/d e.
+    D_l(e) = sum_j d mse(N_j, e)/d e.
 
 Strict convexity of per-node mse makes D_l strictly increasing in e
 with closed bounds
 
-    -4 w_l k_l / e^3  <=  D_l(e)  <=  -2 w_l k_l / e^3
+    -4 k_l / e^3  <=  D_l(e)  <=  -2 k_l / e^3
 
-(k_l nodes at level l), so for any lam > 0 the level budget e_l(lam)
-is the unique root in
+(k_l nodes at level l). With s_l = (w_l k_l)^{1/3} and C = sum_l s_l
+over positive-weight levels, these put lam in [2 (C/eps_total)^3,
+4 (C/eps_total)^3] for a fixed budget, and in [2 (tau/2C)^{3/2},
+4 (tau/C)^{3/2}] for a target, via 1/e^2 <= mse < 2/e^2 per node. A
+budget whose lam could leave the float range is refused.
 
-    (2 w_l k_l / lam)^{1/3}  <=  e_l(lam)  <=  (4 w_l k_l / lam)^{1/3}.
+The shape split. A count's mse is a/e^2 with a in [1, 2): 1 for an
+empty count, toward 2 as e N grows. Where every a is the same (every
+count 0, or every e N large), the optimum is the geometric split of
+Cormode et al. (ICDE 2012), e_l = eps_total s_l / C, or
+e_l = s_l (a C / tau)^{1/2}. With level l's mean a_l held fixed, the
+optimum is e_l proportional to a_l^{1/3} s_l, and the shape split's
+objective over the optimum's is
 
-The programs differ only in the outer equation for lam. With
-C = sum_l (w_l k_l)^{1/3} over positive-weight levels:
+    (sum s)^2 (sum a s) / (sum a^{1/3} s)^3,
 
-* fixed budget: eps_total - sum_l e_l(lam) = 0, bracketed by
-  lam in [2 (C/eps_total)^3, 4 (C/eps_total)^3];
-* target mse: sum_l w_l mse_l(e_l(lam)) - tau = 0, bracketed by
-  lam in [2 (tau/2C)^{3/2}, 4 (tau/C)^{3/2}] via 1/e^2 <= mse < 2/e^2
-  per node.
+largest when the shape weight splits between a = 1 and a = 2, with
+0.576 of it at a = 1. There it is 1.04064, so no tree's counts improve
+the split by more than ~4.1%. Where a_l moves with e_l, the tests check
+the bound on random and adversarial trees; it is not proven here.
 
-Both outer residuals increase in lam, with slopes from the implicit
-derivative de_l/dlam = -1/D_l'(e_l). One safeguarded-Newton root
-routine solves the inner and the outer equations alike: Newton steps
-from a start point, bisection whenever a step leaves the bracket or
-is not under half the Newton step before it.
+The solve is Newton's method on the KKT system in (e_1..e_d, lam) at
+once: g_l(e_l) + lam = 0 for every level, and c(eps) = target, where
+c = sum(eps) with gradient v_l = 1, or c = F with v_l = g_l. With
+h_l = w_l D_l'(e_l), the step is
 
-The outer search, and the level roots at its first lam, start at their
-bracket midpoints. Each later level root starts from its root at the
-last lam tried, times (lam_last / lam)^{1/3}: with D_l(e) = -c_l(e)/e^3,
-c_l runs from 2 w_l k_l (counts negligible against 1/e) to 4 w_l k_l
-(counts saturated), so that start is exact where c_l is constant and
-close where it moves slowly. On 20,000 noisy counts a level root then
-takes ~2 passes over the counts, where the midpoint took ~6.
+    d_l = -(g_l + lam') / h_l,
+    lam' = -(target - c + sum_l v_l g_l / h_l) / sum_l v_l / h_l,
+
+where lam' makes the linearized constraint sum_l v_l d_l = target - c
+hold. One pass over each level's counts gives g_l and h_l, and a
+target takes one more for F. The steps start at the shape split with
+a = 2: it spends exactly eps_total, or gives F in [tau/2, tau). A step
+that would take some eps to 0 or below, or past _EPS_MAX, is halved,
+and then halved until the merit
+
+    sum_l ((g_l - mean_l g_l) / lam_lo)^2 + ((c - target) / target)^2
+
+(lam_lo the lower end of lam's bounds) falls by 2e-4 of the step's
+fraction: the merit is the least squared KKT residual over lam, which
+the step, not depending on lam, descends. Where F is far above tau,
+the step aims at part of the constraint only, target - c raised to
+-sum_l g_l^2 / (2 h_l), which keeps lam' > 0; a negative lam' grows the
+levels with the smallest marginals most, toward eps -> infinity. The
+iteration stops at the first point a step reaches whose own step moves
+no eps by more than 1e-14 of it.
 
 Levels with zero weight contribute nothing to the objective; any budget
 given to them would be wasted, so they receive eps = 0 and are excluded
@@ -64,7 +82,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from operator import truediv
+from typing import Optional, Sequence
 
 from .errors import ConvergenceFailure, DomainError, LengthMismatch, NoPositiveWeight
 from .hierarchy import LevelStats
@@ -160,52 +179,6 @@ class BudgetAllocation:
         }
 
 
-def _root(
-    f: Callable[[float], tuple[float, float]], lo: float, hi: float, tol: float,
-    x0: float = math.nan,
-) -> tuple[float, float, float]:
-    """Zero of an increasing ``f`` on [lo, hi]; ``f(x)`` returns its
-    value and slope. Newton steps from ``x0`` if it lies inside the
-    bracket, else from the midpoint; bisection whenever a step would
-    leave the bracket or is not under half the step before it: a slope
-    that overstates f's (an inner root clamped at its bracket end, say)
-    would otherwise creep across the bracket. Stops once |f| <= tol or
-    the bracket is down to float resolution, and returns x with f's
-    value and slope there."""
-    x = x0 if lo < x0 < hi else 0.5 * (lo + hi)
-    last = hi - lo
-    for _ in range(_MAX_ITER):
-        fx, slope = f(x)
-        if fx <= 0.0:
-            lo = x
-        else:
-            hi = x
-        if abs(fx) <= tol or hi - lo <= 1e-15 * hi:
-            break
-        step = fx / slope
-        if lo < x - step < hi and abs(step) <= 0.5 * abs(last):
-            x, last = x - step, step
-        else:
-            x, last = 0.5 * (lo + hi), hi - lo
-    return x, fx, slope
-
-
-def _level_root(level: _Level, w: float, lam: float, x0: float) -> tuple[float, float, float]:
-    """e_l(lam), the root of D_l(e) + lam for a level of weight w,
-    searched from x0, with the KKT residual D_l(e) + lam and D_l'(e)
-    there."""
-    base = w * level.k
-    # widen a hair so float rounding cannot strand the root outside
-    lo = max((2.0 * base / lam) ** (1.0 / 3.0) * (1.0 - 1e-9), EPS_MIN)
-    hi = (4.0 * base / lam) ** (1.0 / 3.0) * (1.0 + 1e-9)
-
-    def f(e: float) -> tuple[float, float]:
-        d1, d2 = level.mse_deps(e)
-        return w * d1 + lam, w * d2
-
-    return _root(f, lo, hi, 1e-12 * lam, x0)
-
-
 def _weights_for(stats: LevelStats, w: Sequence[float] | LevelWeights) -> LevelWeights:
     """The weights, one for each level of ``stats``."""
     weights = as_weights(w)
@@ -243,15 +216,59 @@ def _at_most(eps: list[float], total: float) -> tuple[float, ...]:
     return tuple(eps)
 
 
+def _newton(
+    levels: dict, weights: LevelWeights, program: str, target: float, x: list, lo: float
+) -> tuple[list, float, float, float]:
+    """The program's optimum by the joint Newton steps of the module
+    docstring from ``x``, with lam, the largest |g_l + lam| and the
+    constraint's value c there. In units of lo (gam_l = g_l / lo,
+    mu = lam / lo, rho_l = h_l / g_l), no product of a tiny weight and a
+    tiny slope underflows. Each try of a step is one pass a level."""
+    fixed = program == PROGRAM_FIXED_BUDGET
+    step, t, merit, small = [0.0] * len(x), 0.0, math.inf, False
+    for _ in range(_MAX_ITER):
+        trial = [e + t * d for e, d in zip(x, step)]
+        sums = [lv.mse_deps(e) for lv, e in zip(levels.values(), trial)]
+        gam = [weights[i] * d1 / lo for i, (d1, _) in zip(levels, sums)]
+        rho = [d2 / d1 for d1, d2 in sums]
+        if fixed:
+            value, grad = sum(trial), [1.0] * len(x)
+        else:
+            value = sum(weights[i] * lv.mse(e) for (i, lv), e in zip(levels.items(), trial))
+            grad = gam
+        # sum_l v_l g_l / h_l, over lo for a target
+        pull = sum(map(truediv, grad, rho))
+        # a target's miss is at least -pull / 2, so that mu > 0
+        miss = target - value if fixed else max((target - value) / lo, -0.5 * pull)
+        mean = sum(gam) / len(gam)
+        trial_merit = sum((gl - mean) ** 2 for gl in gam) + ((value - target) / target) ** 2
+        # a step this small is taken whole: its merit is down to rounding
+        if not (small or trial_merit <= (1.0 - 2e-4 * t) * merit):
+            t *= 0.5
+            continue
+        x, merit = trial, trial_merit
+        # solves (gam_l + mu) + gam_l rho_l d_l = 0 and grad . d = miss
+        mu = -(miss + pull) / sum(a / (gl * r) for a, gl, r in zip(grad, gam, rho))
+        step = [-(1.0 + mu / gl) / r for gl, r in zip(gam, rho)]
+        small = all(abs(d) <= 1e-14 * e for d, e in zip(step, x))
+        # never stop at the start (t = 0): a split is a step's result
+        if small and t:
+            return x, mu * lo, max(abs(gl + mu) for gl in gam) * lo, value
+        t = 1.0
+        while not all(0.0 < e + t * d <= _EPS_MAX for e, d in zip(x, step)):
+            t *= 0.5
+    raise ConvergenceFailure(f"{program}: no convergence in {_MAX_ITER} steps")
+
+
 def _solve(
     stats: LevelStats,
     w: Sequence[float] | LevelWeights,
     program: str,
     target: float,
 ) -> BudgetAllocation:
-    """Shared dual solve: drive the outer residual of ``program`` to
-    zero in lam, each level at its stationary e_l(lam), then check the
-    KKT residuals and the constraint."""
+    """Shared solve: joint Newton steps on the KKT system of ``program``
+    from the shape split, then check the KKT residuals and the
+    constraint."""
     weights = _weights_for(stats, w)
     levels = {i: _Level(stats.counts[i]) for i in range(stats.depth) if weights[i] > 0}
     fixed = program == PROGRAM_FIXED_BUDGET
@@ -260,10 +277,11 @@ def _solve(
     c = sum(cubes)
     # Where its counts are negligible against 1/eps, level l gets
     # (w_l k_l)^{1/3} / C of a fixed budget, or (w_l k_l)^{1/3} (C/tau)^{1/2}
-    # for a target mse, and the level solves below may try up to 2^{1/3}
-    # or 2^{5/6} times that. Refuse a target that takes some level below
-    # EPS_MIN, or a try above _EPS_MAX.
-    if fixed and len(levels) == 1:
+    # for a target mse, and its optimum is at most 2^{1/3} or 2^{5/6}
+    # times that. Refuse a target that takes some level below EPS_MIN,
+    # or one whose optimum may lie above _EPS_MAX.
+    single = fixed and len(levels) == 1
+    if single:
         low = high = target
     elif fixed:
         low, high = min(cubes) * target / c, max(cubes) * target / c * 2.0 ** (1.0 / 3.0)
@@ -280,19 +298,20 @@ def _solve(
     if not (low >= EPS_MIN and high <= _EPS_MAX):
         raise out_of_range(f"level budgets would fall outside [{EPS_MIN:g}, {_EPS_MAX:g}]")
 
-    single = fixed and len(levels) == 1
+    # the bounds on lambda that the level marginals' bounds give; a single
+    # level's lambda is its marginal at the whole budget, which lies in
+    # them, so only bounds wholly outside refuse it before that is known
+    try:
+        if fixed:
+            lo, hi = 2.0 * (c / target) ** 3, 4.0 * (c / target) ** 3
+        else:
+            lo, hi = 2.0 * (target / (2.0 * c)) ** 1.5, 4.0 * (target / c) ** 1.5
+    except OverflowError:
+        lo = hi = math.inf
     if single:
-        # the whole budget goes to the only level that matters; exact
         [(only, level)] = levels.items()
-        lo = hi = -weights[only] * level.mse_deps(target)[0]
-    else:
-        try:
-            if fixed:
-                lo, hi = 2.0 * (c / target) ** 3, 4.0 * (c / target) ** 3
-            else:
-                lo, hi = 2.0 * (target / (2.0 * c)) ** 1.5, 4.0 * (target / c) ** 1.5
-        except OverflowError:
-            lo = hi = math.inf
+        if lo <= sys.float_info.max and hi >= sys.float_info.min:
+            lo = hi = -weights[only] * level.mse_deps(target)[0]
     # level budgets in range can still need a lambda past the float range
     # (extreme weights): refuse it rather than solve in inf or in
     # subnormals, or publish it as inf or 0
@@ -300,36 +319,15 @@ def _solve(
         raise out_of_range("the multiplier lambda would fall outside the float range")
 
     if single:
+        # the whole budget goes to the only level that matters; exact
         eps[only] = target
         lam = lo
     else:
-        # the last lam tried and its level roots, which start the next
-        # lam's (warm starts: see the module docstring); none at first
-        last = (math.nan, [(math.nan,)] * len(levels))
-
-        def residual(lam: float) -> tuple[float, float]:
-            nonlocal last, objective
-            scale = (last[0] / lam) ** (1.0 / 3.0)
-            last = lam, [_level_root(lv, weights[i], lam, r[0] * scale)
-                         for (i, lv), r in zip(levels.items(), last[1])]
-            es, _, slopes = zip(*last[1])
-            if fixed:
-                return target - sum(es), sum(1.0 / s for s in slopes)
-            objective = sum(weights[i] * lv.mse(e) for (i, lv), e in zip(levels.items(), es))
-            return objective - target, sum(lam / s for s in slopes)
-
-        # inner roots stop at 1e-12 * lam, usually already at rounding
-        # level after Newton's quadratic steps, so the outer residual can
-        # reach 1e-13 of target; the 1e-9 checks below keep a wide margin
-        lam = _root(residual, lo * (1.0 - 1e-9), hi * (1.0 + 1e-9), 1e-13 * target)[0]
-        # _root returns the last lam it evaluated: reuse its level roots
-        # and, for a target, its objective
-        if last[0] != lam:
-            residual(lam)
-        worst = 0.0
-        for i, (e, kkt, _) in zip(levels, last[1]):
+        # the shape split, with a = 2 (see the module docstring)
+        start = [s * (target / c if fixed else math.sqrt(2.0 * c / target)) for s in cubes]
+        x, lam, worst, objective = _newton(levels, weights, program, target, start, lo)
+        for i, e in zip(levels, x):
             eps[i] = e
-            worst = max(worst, abs(kkt))
         if worst > 1e-8 * lam:
             raise ConvergenceFailure(
                 f"{program}: KKT residual {worst:g} exceeds 1e-8 * lambda ({lam:g})"

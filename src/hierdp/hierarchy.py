@@ -252,14 +252,23 @@ class Hierarchy:
     as in the CSV. Construction enforces the structural invariants and
     orders the nodes by level, then by id, so downstream results are
     reproducible across runs and platforms. Checks run in a fixed order
-    (duplicate ids and bad counts, the root, parent links and levels,
-    ragged leaves); each raises for the first offending node in input
-    order. The tree may keep the arrays it is given (input already in
-    level-then-id order is not copied) and marks the ones it keeps
-    read-only.
+    (ids the CSV cannot carry, that is empty ones and ones with
+    whitespace at either end; duplicate ids and bad counts; the root;
+    parent links and levels; ragged leaves); each raises for the first
+    offending node in input order. The tree may keep the arrays it is
+    given (input already in level-then-id order is not copied) and marks
+    the ones it keeps read-only.
     """
 
     def __init__(self, ids, parent_ids, levels, counts):
+        # the CSV strips every field and refuses an empty id, so such an
+        # id would not read back (a parsed tree never has one)
+        bad = next((nid for nid in ids if not nid or nid != nid.strip()), None)
+        if bad is not None:
+            raise InvalidSpec(
+                f"node id {bad!r} would not survive the CSV: ids must be nonempty, "
+                "with no whitespace at either end"
+            )
         data, lengths = _encode(ids)
         names: dict = {}
         self._validate([

@@ -786,16 +786,16 @@ class TestSynth:
         (5, True): "f59136b2c98fc8c17ea858f525d46c709dd4e1dd954e736a379cb049b494a976",
     }
     # the VA fixture with its middle level withheld (weights 1,0,1)
-    WITHHELD_SHA256 = "e9aae5fdfca9eaee901a8a26846ad993f6a9fd6c1752df3d728878dae5bf481a"
+    WITHHELD_SHA256 = "400f162f8cd47522200079b7b11920b18b2453afb6b5dbfd14aa831271f47e02"
     # sha256 of evaluate's and downstream's output files. Like the pins
     # above, these hold only where numpy dispatches X86_V4 (ROADMAP item
     # 8), and items 14 and 1a will move them on purpose
     EVALUATE_SHA256 = {
-        "arms.csv": "fe088a17e62209e2eb9ede47267fae95a1c9d08090691b025115d066267fb52d",
-        "mse_curve.csv": "9e6d6782c197c91affd5840acd10bb8b15453fc80009e0c1a6f8a6d03129144b",
-        "report.json": "3cbbe9b5286d3395e2309860a3a20405cecd77a51b203696f367bcfe329cbb51",
+        "arms.csv": "a6581d04fb92a44cbc6c652db92fcb38bed727337393a68db65baa6bf86b16fb",
+        "mse_curve.csv": "1ecd694fd0479d987bac3efadb06630a658fba234be0386a14f6b34db69ca4b7",
+        "report.json": "00d0fddfff299147d84af93187513bcd972980ac41542019dd504d71ccbe5d84",
     }
-    DOWNSTREAM_SHA256 = "32deab11dc821ad2e923eba42347820b1afc4ab4307a7a2bc7e93483402c2c00"
+    DOWNSTREAM_SHA256 = "d6d85b63db425970be647a62c3aa1fb8e2db49d69662125c85be7f3d3b999f6d"
 
     @staticmethod
     def _release_csv(runner, out, args):

@@ -289,6 +289,17 @@ class TestConstructor:
                           [1] + [2] * len(order), [9.0] + [1.0] * len(order))
             assert h.level_ids(2) == tuple(sorted(kids))
 
+    @pytest.mark.parametrize("bad", ["", " a ", "a\t", "\u3000a"])
+    def test_ids_the_csv_cannot_carry_refused(self, bad):
+        # the CSV strips every field as str.strip does and refuses an
+        # empty id, so such a tree would not read back from its own CSV
+        with pytest.raises(InvalidSpec) as info:
+            Hierarchy(["r", bad], ["", "r"], [1, 2], [1.0, 1.0])
+        assert str(info.value) == (
+            f"node id {bad!r} would not survive the CSV: ids must be nonempty, "
+            "with no whitespace at either end"
+        )
+
     def test_keeps_its_count_array_read_only(self):
         # input already in node order is not copied
         counts = np.array([3.0, 1.0, 2.0])
