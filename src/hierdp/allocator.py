@@ -50,8 +50,8 @@ h_l = w_l D_l'(e_l), the step is
     lam' = -(target - c + sum_l v_l g_l / h_l) / sum_l v_l / h_l,
 
 where lam' makes the linearized constraint sum_l v_l d_l = target - c
-hold. One pass over each level's counts gives g_l and h_l, and a
-target takes one more for F. The steps start at the shape split with
+hold. One pass over each level's counts gives g_l and h_l, and for a
+target F with them. The steps start at the shape split with
 a = 2: it spends exactly eps_total, or gives F in [tau/2, tau). A step
 that would take some eps to 0 or below, or past _EPS_MAX, is halved,
 and then halved until the merit
@@ -87,7 +87,7 @@ from typing import Optional, Sequence
 
 from .errors import ConvergenceFailure, DomainError, LengthMismatch, NoPositiveWeight
 from .hierarchy import LevelStats
-from .mechanism import EPS_MIN, _check_eps, _Level, mse_sum
+from .mechanism import _DEPS, _DEPS2, _MSE, EPS_MIN, _check_eps, _Level, mse_sum
 
 PROGRAM_FIXED_BUDGET = "fixed_budget"
 PROGRAM_TARGET_MSE = "target_mse"
@@ -201,7 +201,7 @@ def level_marginal(
     if w[level - 1] <= 0:
         raise DomainError(f"level {level} has nonpositive weight")
     _check_eps(eps)
-    return w[level - 1] * _Level(stats.counts[level - 1]).mse_deps(eps)[0]
+    return w[level - 1] * _Level(stats.counts[level - 1]).sums(eps, _DEPS)[0]
 
 
 def _at_most(eps: list[float], total: float) -> tuple[float, ...]:
@@ -225,17 +225,17 @@ def _newton(
     mu = lam / lo, rho_l = h_l / g_l), no product of a tiny weight and a
     tiny slope underflows. Each try of a step is one pass a level."""
     fixed = program == PROGRAM_FIXED_BUDGET
+    forms = (_DEPS, _DEPS2) if fixed else (_DEPS, _DEPS2, _MSE)
     step, t, merit, small = [0.0] * len(x), 0.0, math.inf, False
     for _ in range(_MAX_ITER):
         trial = [e + t * d for e, d in zip(x, step)]
-        sums = [lv.mse_deps(e) for lv, e in zip(levels.values(), trial)]
-        gam = [weights[i] * d1 / lo for i, (d1, _) in zip(levels, sums)]
-        rho = [d2 / d1 for d1, d2 in sums]
+        sums = [lv.sums(e, *forms) for lv, e in zip(levels.values(), trial)]
+        gam = [weights[i] * s[0] / lo for i, s in zip(levels, sums)]
+        rho = [s[1] / s[0] for s in sums]
         if fixed:
             value, grad = sum(trial), [1.0] * len(x)
         else:
-            value = sum(weights[i] * lv.mse(e) for (i, lv), e in zip(levels.items(), trial))
-            grad = gam
+            value, grad = sum(weights[i] * s[2] for i, s in zip(levels, sums)), gam
         # sum_l v_l g_l / h_l, over lo for a target
         pull = sum(map(truediv, grad, rho))
         # a target's miss is at least -pull / 2, so that mu > 0
@@ -311,7 +311,7 @@ def _solve(
     if single:
         [(only, level)] = levels.items()
         if lo <= sys.float_info.max and hi >= sys.float_info.min:
-            lo = hi = -weights[only] * level.mse_deps(target)[0]
+            lo = hi = -weights[only] * level.sums(target, _DEPS)[0]
     # level budgets in range can still need a lambda past the float range
     # (extreme weights): refuse it rather than solve in inf or in
     # subnormals, or publish it as inf or 0
@@ -336,7 +336,7 @@ def _solve(
     if fixed:
         # _at_most can move an eps: sum the objective at the final ones
         eps = _at_most(eps, target)
-        objective = sum(weights[i] * lv.mse(eps[i]) for i, lv in levels.items())
+        objective = sum(weights[i] * lv.sums(eps[i], _MSE)[0] for i, lv in levels.items())
     achieved = sum(eps) if fixed else objective
     if abs(achieved - target) > 1e-9 * target:
         what = "sum(eps)" if fixed else "objective"

@@ -19,12 +19,12 @@ Moments. Writing x = eps * N, the exact moments of the release are
 
 In this x-parameterized form the identity mse = bias^2 + variance holds
 term for term, the bounds 1/eps^2 <= mse < 2/eps^2 are manifest
-(0 < (1+x)e^{-x} <= 1), and nothing overflows. Each sum of mse or of
-its eps-derivatives, over a level or over one count, runs over the
-counts sorted once: from x = 64 on every term rounds to its asymptote
-(mse 2/eps^2), so those terms are set to it, not computed. The bias
-sum clamps x at the float64 exp underflow threshold instead, past
-which the bias is a subnormal or 0, not NaN.
+(0 < (1+x)e^{-x} <= 1), and nothing overflows. Every sum of mse or of
+its eps-derivatives, over a level or over one count, is one kernel
+pass over the counts sorted once: from x = 64 on every term rounds to
+its asymptote (mse 2/eps^2), so those terms are set to it, not
+computed. The bias sum clamps x at the float64 exp underflow
+threshold instead, past which the bias is a subnormal or 0, not NaN.
 """
 
 from __future__ import annotations
@@ -121,8 +121,10 @@ def _check_counts(counts: np.ndarray) -> np.ndarray:
     return counts
 
 
-# counts per block: a block's x, e^{-x} and two term slices take 1 MiB,
-# inside one core's L2 cache on current x86 server parts
+# counts per block: every form reads the block's x and e^{-x}, 256 KiB
+# each, and works its own 256 KiB term slice in place before the next
+# form starts, so a pass keeps 768 KiB in use at a time, inside a 1 MiB
+# L2; 2**14 and 2**16 time the same
 BLOCK_ELEMENTS = 2**15
 
 # from x = eps * N of this on, e^{-x} poly(x) < 5e-23 is far below half
@@ -131,6 +133,28 @@ BLOCK_ELEMENTS = 2**15
 # starts at the first count with x >= 64, or one rounding below it,
 # where the terms are at their limits too
 _X_SATURATED = 64.0
+
+# The closed forms a level sums, as (limit, op, p, k): at x = eps * N a
+# count's term is op(limit, e^{-x} p(x)), op np.subtract or np.add, p
+# monic with its coefficients after the leading 1, and the sum of the
+# terms over eps^k is the closed form's sum. So a form's Horner loop
+# starts with x + p[0], and each term has the bits of its one-shot
+# formula: 2 - (1 + x) e^{-x}, e^{-x} (x^2 + 2x + 2) - 4 and
+# 12 - e^{-x} (x^3 + 3x^2 + 6x + 6).
+_MSE = (2.0, np.subtract, (1.0,), 2)
+_DEPS = (-4.0, np.add, (2.0, 2.0), 3)
+_DEPS2 = (12.0, np.subtract, (3.0, 6.0, 6.0), 4)
+
+
+def _over_power(total: float, eps: float, k: int) -> float:
+    """total / eps^k; past eps^k's overflow (eps above 1.15e77 for k = 4)
+    one eps at a time, which rounds to 0 where 1/eps^k underflows."""
+    try:
+        return total / eps**k
+    except OverflowError:
+        for _ in range(k):
+            total /= eps
+        return total
 
 
 def _bias_sum(counts: np.ndarray, eps: float) -> float:
@@ -143,19 +167,18 @@ def _bias_sum(counts: np.ndarray, eps: float) -> float:
 class _Level:
     """A level's counts, checked, sorted once and deduplicated, with
     their multiplicities and the scratch its sums run in: every sum of
-    mse terms or of their eps-derivatives is one of its methods. mse,
-    mse_deps and mse_deps2 (and so variance) are its one-count case,
-    and mse_sum its checked entry; the allocator builds one per level
-    and calls it on every pass.
+    mse terms or of their eps-derivatives, over a level or over one
+    count, is one ``sums`` pass; the allocator builds one per level and
+    calls it on every pass.
 
-    The sums work one block at a time: x and e^{-x} for a block stay in
-    cache while each polynomial is evaluated in place into a full-length
-    term array, which numpy's pairwise sum, whose order numpy fixes,
-    then reduces as a whole. So no sum depends on the BLAS kernel or the
-    counts' order, and every term has the bits of the one-shot formulas.
-    The terms of the saturated suffix, x >= 64, are filled with their
-    limits, not computed, so every x computed is below 65 and nothing
-    overflows."""
+    A pass works one block at a time: x and e^{-x} for a block stay in
+    cache while each closed form's polynomial is evaluated in place into
+    its own full-length term array, which numpy's pairwise sum, whose
+    order numpy fixes, then reduces as a whole. So no sum depends on the
+    BLAS kernel or the counts' order, and every term has the bits of the
+    one-shot formulas. The terms of the saturated suffix, x >= 64, are
+    filled with their limits, not computed, so every x computed is below
+    65 and nothing overflows."""
 
     __slots__ = ("vals", "mults", "k", "scratch")
 
@@ -176,78 +199,48 @@ class _Level:
             vals = vals[first]
         del first
         self.vals = vals
-        # x and e^{-x} of one block, then one full-length term array per sum
+        # x and e^{-x} of one block, then one full-length term array for
+        # each closed form a pass sums (np.empty: a page is touched only
+        # by a pass that uses it)
         b = min(vals.size, BLOCK_ELEMENTS)
-        self.scratch = np.empty(b), np.empty(b), np.empty(vals.size), np.empty(vals.size)
+        self.scratch = (np.empty(b), np.empty(b), *(np.empty(vals.size) for _ in range(3)))
 
-    def _blocks(self, eps: float, sat: int):
-        """Yield (lo, hi, x, t) for each block of the counts before ``sat``,
-        with x = eps * counts and t = e^{-x} filled in the scratch."""
-        xs, ts = self.scratch[0], self.scratch[1]
+    def sums(self, eps: float, *forms: tuple) -> list[float]:
+        """Each closed form's sum over the counts at eps, in one pass;
+        the i-th form's terms are left in scratch[2 + i]."""
+        sat = int(self.vals.searchsorted(_X_SATURATED / eps))
+        xs, ts, *arrays = self.scratch
         for lo in range(0, sat, BLOCK_ELEMENTS):
             hi = min(lo + BLOCK_ELEMENTS, sat)
             x, t = xs[: hi - lo], ts[: hi - lo]
             np.multiply(self.vals[lo:hi], eps, out=x)
             np.negative(x, out=t)
             np.exp(t, out=t)
-            yield lo, hi, x, t
-
-    def _fill(self, terms: np.ndarray, limit: float, sat: int) -> None:
-        """Set terms[sat:] to limit times each count's multiplicity."""
-        if self.mults is None:
-            terms[sat:] = limit
-        else:
-            np.multiply(self.mults[sat:], limit, out=terms[sat:])
-
-    def mse(self, eps: float) -> float:
-        """Summed per-count mse at eps."""
-        sat = int(self.vals.searchsorted(_X_SATURATED / eps))
-        terms = self.scratch[2]
-        for lo, hi, x, t in self._blocks(eps, sat):
-            # 2 - (1 + x) e^{-x}
-            a = terms[lo:hi]
-            np.add(x, 1.0, out=a)
-            a *= t
-            np.subtract(2.0, a, out=a)
-            if self.mults is not None:
-                a *= self.mults[lo:hi]
-        self._fill(terms, 2.0, sat)
-        return float(terms.sum()) / eps**2
-
-    def mse_deps(self, eps: float) -> tuple[float, float]:
-        """Summed first and second eps-derivatives of per-count mse at
-        eps, computed as in ``mse``, from one exp per count."""
-        sat = int(self.vals.searchsorted(_X_SATURATED / eps))
-        d1, d2 = self.scratch[2], self.scratch[3]
-        for lo, hi, x, t in self._blocks(eps, sat):
-            # e^{-x} ((x + 2) x + 2) - 4
-            a = d1[lo:hi]
-            np.add(x, 2.0, out=a)
-            a *= x
-            a += 2.0
-            a *= t
-            a -= 4.0
-            # 12 - e^{-x} (((x + 3) x + 6) x + 6)
-            b = d2[lo:hi]
-            np.add(x, 3.0, out=b)
-            b *= x
-            b += 6.0
-            b *= x
-            b += 6.0
-            b *= t
-            np.subtract(12.0, b, out=b)
-            if self.mults is not None:
-                a *= self.mults[lo:hi]
-                b *= self.mults[lo:hi]
-        self._fill(d1, -4.0, sat)
-        self._fill(d2, 12.0, sat)
-        return float(d1.sum()) / eps**3, float(d2.sum()) / eps**4
+            for (limit, op, coeffs, _), terms in zip(forms, arrays):
+                # op(limit, e^{-x} p(x)), p by Horner's rule
+                a = terms[lo:hi]
+                np.add(x, coeffs[0], out=a)
+                for c in coeffs[1:]:
+                    a *= x
+                    a += c
+                a *= t
+                op(limit, a, out=a)
+                if self.mults is not None:
+                    a *= self.mults[lo:hi]
+        out = []
+        for (limit, _, _, power), terms in zip(forms, arrays):
+            if self.mults is None:
+                terms[sat:] = limit
+            else:
+                np.multiply(self.mults[sat:], limit, out=terms[sat:])
+            out.append(_over_power(float(terms.sum()), eps, power))
+        return out
 
 
 def mse_sum(counts: np.ndarray, eps: float) -> float:
     """Sum of per-count mse at a common eps."""
     _check_eps(eps)
-    return _Level(counts).mse(eps)
+    return _Level(counts).sums(eps, _MSE)[0]
 
 
 def bias(n: float, eps: float) -> float:
@@ -274,7 +267,7 @@ def mse(n: float, eps: float) -> float:
     range [1/eps^2, 2/eps^2).
     """
     _check(n, eps)
-    return _Level([n]).mse(eps)
+    return _Level([n]).sums(eps, _MSE)[0]
 
 
 def mse_deps(n: float, eps: float) -> float:
@@ -285,10 +278,10 @@ def mse_deps(n: float, eps: float) -> float:
     n -> infinity and n = 0. Strictly increasing in eps.
     """
     _check(n, eps)
-    return _Level([n]).mse_deps(eps)[0]
+    return _Level([n]).sums(eps, _DEPS)[0]
 
 
 def mse_deps2(n: float, eps: float) -> float:
     """Second derivative of mse in eps; strictly positive (convexity)."""
     _check(n, eps)
-    return _Level([n]).mse_deps(eps)[1]
+    return _Level([n]).sums(eps, _DEPS2)[0]

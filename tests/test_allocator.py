@@ -250,7 +250,7 @@ class TestBudgetRange:
         def solve(*args):
             raise AssertionError("solved")
 
-        monkeypatch.setattr(_Level, "mse_deps", solve)
+        monkeypatch.setattr(_Level, "sums", solve)
         allocate = allocate_fixed_budget if name == "eps_total" else allocate_target_mse
         with pytest.raises(DomainError) as info:
             allocate(level_stats(va_hierarchy), (1.0, 1.0, 1.0), value)
@@ -274,7 +274,7 @@ class TestBudgetRange:
         def solve(*args):
             raise AssertionError("solved")
 
-        monkeypatch.setattr(_Level, "mse_deps", solve)
+        monkeypatch.setattr(_Level, "sums", solve)
         allocate = allocate_fixed_budget if name == "eps_total" else allocate_target_mse
         with pytest.raises(DomainError) as info:
             allocate(_stats([0.5], [0.5]), weights, value)
@@ -442,28 +442,45 @@ class TestBisectionOracle:
             )
 
 
+def _ci_noisy_prior():
+    """The noisy prior CI's duality step writes: 1, 100 and 20,000
+    Laplace-noised counts around 400,000, 4,000 and 20."""
+    rng = np.random.default_rng(2)
+    return _stats(*(np.maximum(0.0, c + rng.laplace(size=n))
+                    for c, n in ((400000.0, 1), (4000.0, 100), (20.0, 20000))))
+
+
 class TestSolvePasses:
-    @pytest.mark.parametrize("program", ["fixed", "target"])
-    def test_few_passes_from_the_shape_split(self, monkeypatch, program):
+    @pytest.mark.parametrize("program,most", [("fixed", 8), ("target", 2)],
+                             ids=["fixed", "target"])
+    def test_few_passes_from_the_shape_split(self, monkeypatch, program, most):
         # CI's noisy prior: the joint Newton steps start at the shape
         # split, so the 20,000 distinct leaf counts are summed at most 8
         # times a split, where the nested search, its level roots started
-        # from the last lambda, summed them 20 times
-        rng = np.random.default_rng(2)
-        stats = _stats(*(np.maximum(0.0, c + rng.laplace(size=n))
-                         for c, n in ((400000.0, 1), (4000.0, 100), (20.0, 20000))))
-        passes, real_sums = [0], _Level.mse_deps
+        # from the last lambda, summed them 20 times; a target's try reads
+        # F with g and h from one pass, where a second pass for F made 4
+        stats = _ci_noisy_prior()
+        passes, real_sums = [0], _Level.sums
 
         def sums(level, *args):
             passes[0] += level.vals.size == 20000
             return real_sums(level, *args)
 
-        monkeypatch.setattr(_Level, "mse_deps", sums)
+        monkeypatch.setattr(_Level, "sums", sums)
         if program == "fixed":
             allocate_fixed_budget(stats, (1.0, 1.0, 1.0), 2.0)
         else:
             allocate_target_mse(stats, (1.0, 1.0, 1.0), 2000.0)
-        assert 0 < passes[0] <= 8
+        assert 0 < passes[0] <= most
+
+    @pytest.mark.parametrize("tree", ["ci_noisy_prior", "va"])
+    def test_target_objective_is_the_weighted_total(self, va_hierarchy, tree):
+        # F comes from the pass that gives g and h, and is the
+        # objective's own sum to the last bit
+        stats = _ci_noisy_prior() if tree == "ci_noisy_prior" else level_stats(va_hierarchy)
+        for w, tau in (((1.0, 1.0, 1.0), 2000.0), ((1.0, 2.0, 0.5), 40.0)):
+            alloc = allocate_target_mse(stats, w, tau)
+            assert alloc.objective_value == weighted_total_mse(stats, w, alloc.eps)
 
 
 class TestNewtonSafeguards:
@@ -515,9 +532,10 @@ class TestLevel:
 
     def test_peak_is_what_it_keeps(self):
         # one copy sorted in place and one mask: on 200,000 distinct
-        # counts the level keeps 5.08 MB (the values and the kernels'
-        # scratch) and peaks there with Python 3.11, where
-        # np.unique(..., return_counts=True) peaked at 6.6 MB
+        # counts the level keeps 6.9 MB (the values and the kernel's
+        # scratch, three term arrays) and peaks there with Python 3.11,
+        # where one built on np.unique(..., return_counts=True), whose
+        # own peak is 6.6 MB, peaked at 8.5 MB
         counts = np.random.default_rng(0).uniform(0.0, 1e4, 200_000)
         tracemalloc.start()
         try:

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hierdp.allocator import LevelWeights, weighted_total_mse
+from hierdp.allocator import LevelWeights, level_marginal, uniform_allocation, weighted_total_mse
 from hierdp.errors import DomainError, LengthMismatch
-from hierdp.evaluation import total_clamp_bias
+from hierdp.evaluation import analytic_total_mse, total_clamp_bias
 from hierdp.hierarchy import LevelStats, level_stats
 from hierdp.mechanism import (
+    _DEPS,
+    _DEPS2,
+    _MSE,
     BLOCK_ELEMENTS,
     EPS_MIN,
     _Level,
@@ -183,6 +186,20 @@ class TestGracefulDegradation:
         assert math.isfinite(value)
         assert value == pytest.approx(2e12, rel=1e-12)
 
+    def test_huge_eps_underflows_to_zero(self, va_hierarchy):
+        # eps**k overflowed Python's float power (OverflowError); the
+        # closed forms' float64 values there are 0, or -4e-300 for
+        # d/deps at 1e100, where only its second derivative overflowed
+        stats = LevelStats((np.array([5.0]),))
+        assert mse(5.0, 1e200) == 0.0
+        assert variance(5.0, 1e200) == 0.0
+        assert mse_deps2(5.0, 1e100) == 0.0
+        assert mse_deps(5.0, 1e100) == pytest.approx(-4e-300)
+        assert level_marginal(stats, (1.0,), 1, 1e100) == pytest.approx(-4e-300)
+        assert weighted_total_mse(stats, (1.0,), (1e200,)) == 0.0
+        alloc = uniform_allocation(va_hierarchy.depth, 1e200)
+        assert analytic_total_mse(va_hierarchy, alloc) == 0.0
+
     def test_eps_guard(self):
         with pytest.raises(DomainError):
             mse(1.0, EPS_MIN / 2)
@@ -231,7 +248,7 @@ class TestLevelKernels:
                 return float(np.sum(mse_closed_form(counts, e)))
 
             assert mse_sum(counts, eps) == pytest.approx(mse_total(eps), rel=1e-12)
-            d1, d2 = _Level(counts).mse_deps(eps)
+            d1, d2 = _Level(counts).sums(eps, _DEPS, _DEPS2)
             assert d1 == pytest.approx(
                 central_difference(mse_total, eps, 1e-5 * eps), rel=1e-6
             )
@@ -252,7 +269,7 @@ class TestLevelKernels:
             _, huge = self._counts(rng, eps)
             k = huge.size
             assert mse_sum(huge, eps) == 2.0 * k / eps**2
-            assert _Level(huge).mse_deps(eps) == (-4.0 * k / eps**3, 12.0 * k / eps**4)
+            assert _Level(huge).sums(eps, _DEPS, _DEPS2) == [-4.0 * k / eps**3, 12.0 * k / eps**4]
             assert total_clamp_bias(huge, eps) <= k * math.exp(-700.0) / (2.0 * eps)
 
     def test_bias_clamp_pinned(self):
@@ -301,17 +318,18 @@ class TestBlockedKernels:
     def _check(self, counts, eps):
         vals, k = np.unique(counts, return_counts=True)
         level = _Level(counts)
-        mse_total = level.mse(eps)
-        got_mse = level.scratch[2].copy()
-        sums = level.mse_deps(eps)
-        got_d1, got_d2 = level.scratch[2], level.scratch[3]
         mse_terms = self._one_shot(mse_terms_one_shot, vals, eps, k.astype(float))
         d1, d2 = self._one_shot(mse_deps_terms_one_shot, vals, eps, k.astype(float))
-        assert np.array_equal(got_mse, mse_terms)
-        assert mse_total == float(mse_terms.sum()) / eps**2
-        assert np.array_equal(got_d1, d1)
-        assert np.array_equal(got_d2, d2)
-        assert sums == (float(d1.sum()) / eps**3, float(d2.sum()) / eps**4)
+        want = [float(mse_terms.sum()) / eps**2, float(d1.sum()) / eps**3,
+                float(d2.sum()) / eps**4]
+        # all three forms in one pass, each into its own term array
+        assert level.sums(eps, _MSE, _DEPS, _DEPS2) == want
+        for got, terms in zip(level.scratch[2:], (mse_terms, d1, d2)):
+            assert np.array_equal(got, terms)
+        # and each form alone, as every caller but the Newton step asks
+        for i, (form, terms) in enumerate(zip((_MSE, _DEPS, _DEPS2), (mse_terms, d1, d2))):
+            assert level.sums(eps, form) == [want[i]]
+            assert np.array_equal(level.scratch[2], terms)
 
     @pytest.mark.parametrize("size", [
         1, BLOCK_ELEMENTS - 1, BLOCK_ELEMENTS, BLOCK_ELEMENTS + 1, 3 * BLOCK_ELEMENTS + 7,
